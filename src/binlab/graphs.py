@@ -4,9 +4,20 @@ Conductance here is edge expansion normalized by degree:
 
     phi(G) = min over 1 <= |S| <= n/2 of  |E(S, V\\S)| / (d * |S|)
 
-``conductance_exact`` enumerates all vertex subsets (feasible to n = 24);
-``conductance_bounds`` sandwiches phi between the spectral lower bound
-lambda_2 / 2 and the best sweep cut found along the second eigenvector.
+``conductance_exact`` enumerates all vertex subsets (feasible to n = 24)
+as numpy blocks of 2^16 subsets, comparing the candidate minima in
+integers.  ``conductance_bounds`` sandwiches phi between the Cheeger
+bounds lambda_2 / 2 <= phi <= sqrt(2 lambda_2) of the normalized Laplacian
+and the best sweep cut along the second eigenvector.  lambda_2 and its
+eigenvector come from one dense LAPACK solve (``scipy.linalg.eigh``,
+second eigenpair only) of the integer matrix dI - A; the lower bound
+subtracts a backward-error margin of n * eps * 2d from the computed
+eigenvalue, so it is a bound and not an estimate.  The solve holds one
+n x n float64 matrix (8 MiB at n = 1024).  Graphical sweeps with
+``gamma = auto`` take their epsilon from this lower bound, so their
+``cond_epsilon``, ``gamma_value`` and ``gamma_total`` columns differ from
+those of the earlier power-iteration estimate, which overestimated
+lambda_2; every other column is unchanged.
 """
 from __future__ import annotations
 
@@ -14,6 +25,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+from scipy import linalg
 
 from .rng import make_generator
 
@@ -51,12 +63,6 @@ class RegularGraph:
             raise ValueError("graph is not d-regular")
         if not _connected(n, self.edges):
             raise ValueError("graph is not connected")
-
-    def adjacency(self) -> np.ndarray:
-        a = np.zeros((self.n, self.n))
-        for u, v in self.edges:
-            a[u, v] = a[v, u] = 1.0
-        return a
 
     def neighbor_masks(self) -> list[int]:
         """Adjacency as bitmasks, for subset enumeration."""
@@ -172,100 +178,128 @@ def build_graph(kind: str, n: int, d: int | None = None, seed: int = 0) -> Regul
 
 # -- conductance -------------------------------------------------------------
 
+_LOW_BITS = 16  # vertices 1..16 span one block of 2^16 subsets in conductance_exact
+
+
+def _count_table(mask: int, bits: int) -> np.ndarray:
+    """popcount(mask & U) for every U < 2^bits, built by doubling."""
+    t = np.zeros(1, dtype=np.int32)
+    for j in range(bits):
+        t = np.concatenate((t, t + ((mask >> j) & 1)))
+    return t
+
+
 def conductance_exact(g: RegularGraph) -> float:
-    """Exhaustive minimum over all subsets (vertex 0 pinned into S to halve
-    the work); Gray-code order keeps each cut update O(1) popcounts."""
-    n = g.n
+    """Exhaustive minimum over all subsets, with vertex 0 pinned into S (a
+    cut and its complement are the same cut).
+
+    S = {0} + U + T, where U ranges over subsets of the low vertices 1..16
+    as one numpy block and T over the at most 7 remaining high vertices in
+    Gray-code order; each step adds one vector of edge counts to the
+    block's internal-edge table.  Within a block the argmin is taken on the
+    float cut/side: sides are <= 12, so distinct ratios differ by >= 1/144
+    and the float order is the exact order.  Blocks are compared in
+    integers, so the result is the correctly rounded cut / (d * side).
+    """
+    n, d = g.n, g.d
     if n > EXACT_LIMIT:
         raise ValueError(f"exact conductance limited to n <= {EXACT_LIMIT}, got {n}")
     masks = g.neighbor_masks()
-    d = g.d
-    deg = d  # regular
-    best_num, best_den = deg, d  # S = {0}: cut = d, |S| = 1 -> phi = 1
-    cur = 1        # bitmask of S, vertex 0 always in
-    cut = deg      # |E(S, V\S)| for current S
-    size = 1
-    # iterate Gray code over vertices 1..n-1
-    for i in range(1, 1 << (n - 1)):
-        v = (i & -i).bit_length()  # vertex index to toggle (1-based trailing zeros + 1)
-        bit = 1 << v
-        if cur & bit:
-            cur ^= bit
-            cut -= deg - 2 * (masks[v] & cur).bit_count()
-            size -= 1
-        else:
-            cut += deg - 2 * (masks[v] & cur).bit_count()
-            cur ^= bit
-            size += 1
-        side = size if size <= n - size else n - size
-        if side and cut * best_den < best_num * side * d:
-            best_num, best_den = cut, side * d
-    return best_num / best_den
+    low = min(n - 1, _LOW_BITS)
+    high = list(range(low + 1, n))
+    # internal edges and size of {0} + U, for every subset U of the low vertices
+    internal = np.zeros(1, dtype=np.int32)
+    for j in range(low):
+        v = j + 1
+        internal = np.concatenate(
+            (internal, internal + (masks[v] & 1) + _count_table(masks[v] >> 1, j)))
+    size = 1 + _count_table((1 << low) - 1, low)
+    # edges from each high vertex into U, as a vector over U
+    into_low = [_count_table(masks[h] >> 1, low) for h in high]
+    # cut = d*|S| - 2*internal and side = min(|S|, n - |S|), for each |T|
+    d_size = [d * (size + k) for k in range(len(high) + 1)]
+    side = [np.minimum(size + k, n - size - k) for k in range(len(high) + 1)]
+
+    best_cut, best_side = d, 1  # S = {0}
+    t_mask = 0                  # T as a bitmask over vertex ids
+    t_size = 0
+    for step in range(1 << len(high)):
+        if step:
+            i = (step & -step).bit_length() - 1
+            h = high[i]
+            sign = -1 if t_mask >> h & 1 else 1
+            t_mask ^= 1 << h
+            t_size += sign
+            scalar = (masks[h] & 1) + (masks[h] & t_mask).bit_count()  # edges to 0 and T
+            internal += sign * (into_low[i] + scalar)
+        cut = d_size[t_size] - 2 * internal
+        sides = side[t_size]
+        if t_size == len(high):  # the last U makes S = V, which is no cut
+            cut, sides = cut[:-1], sides[:-1]
+        k = int(np.argmin(cut / sides))
+        c, s = int(cut[k]), int(sides[k])
+        if c * best_side < best_cut * s:
+            best_cut, best_side = c, s
+    return best_cut / (d * best_side)
 
 
-def _lambda2(g: RegularGraph, tol: float = 1e-10, max_iter: int = 100_000) -> float:
-    """Second-smallest eigenvalue of the normalized Laplacian, via power
-    iteration on 2I - L with the constant eigenvector deflated."""
-    a = g.adjacency() / g.d
-    rng = make_generator(12345, g.n, g.d)
-    v = rng.standard_normal(g.n)
-    v -= v.mean()
-    v /= np.linalg.norm(v)
-    est = 0.0
-    for _ in range(max_iter):
-        w = v + a @ v          # (I + A/d) v = (2I - L) v
-        w -= w.mean()          # stay orthogonal to the constant vector
-        norm = np.linalg.norm(w)
-        if norm == 0:
-            return 2.0  # only the constant direction remains
-        w /= norm
-        new_est = float(w @ (w + a @ w))
-        v = w
-        if abs(new_est - est) <= tol:
-            est = new_est
-            break
-        est = new_est
-    return 2.0 - est
+def _laplacian_pair(g: RegularGraph) -> tuple[float, float, np.ndarray]:
+    """(lambda2_hat, margin, v2) of M = dI - A, from one dense solve.
+
+    M has integer entries, so it is exact in float64, and ||M||_2 <= 2d.
+    LAPACK's symmetric eigensolvers return the exact eigenvalues of M + E
+    with ||E||_2 <= p(n) * eps * ||M||_2, p(n) a modestly growing function
+    of n (LAPACK Users' Guide, section 4.7).  margin = c * n * eps * 2d
+    takes p(n) = c * n with c = 1, a factor n above the p(n) = 1 of the
+    guide's own error-bound code; by Weyl's inequality the true
+    lambda_2(M) lies within margin of the computed one.  The solve holds
+    one n x n float64 matrix, overwritten in place.
+    """
+    n, d = g.n, g.d
+    e = np.asarray(g.edges)
+    m = np.zeros((n, n), order="F")
+    m[e[:, 0], e[:, 1]] = -1.0
+    m[e[:, 1], e[:, 0]] = -1.0
+    np.fill_diagonal(m, float(d))
+    w, v = linalg.eigh(m, subset_by_index=[1, 1], overwrite_a=True, check_finite=False)
+    margin = n * np.finfo(float).eps * 2 * d
+    return float(w[0]), margin, v[:, 0]
+
+
+def _best_prefix_cut(g: RegularGraph, v: np.ndarray) -> float:
+    """Best conductance among the n - 1 prefix cuts of the order of v.
+
+    An edge is cut by the prefix of size k exactly when k lies in
+    (min, max] of its endpoints' positions, so the cut sizes are a cumsum.
+    """
+    n = g.n
+    pos = np.empty(n, dtype=np.int64)
+    pos[np.argsort(v, kind="stable")] = np.arange(n)
+    ends = np.sort(pos[np.asarray(g.edges)], axis=1)
+    enter = np.bincount(ends[:, 0] + 1, minlength=n + 1)
+    leave = np.bincount(ends[:, 1] + 1, minlength=n + 1)
+    cut = np.cumsum(enter - leave)[1:n]
+    k = np.arange(1, n)
+    return float(np.min(cut / (g.d * np.minimum(k, n - k))))
 
 
 def sweep_cut(g: RegularGraph) -> float:
     """Best conductance among prefix cuts of the second-eigenvector order;
     a genuine cut, hence an upper bound on phi."""
-    a = g.adjacency() / g.d
-    # recover an approximate second eigenvector by a short deflated iteration
-    rng = make_generator(54321, g.n, g.d)
-    v = rng.standard_normal(g.n)
-    v -= v.mean()
-    v /= np.linalg.norm(v)
-    for _ in range(2000):
-        w = v + a @ v
-        w -= w.mean()
-        norm = np.linalg.norm(w)
-        if norm == 0:
-            break
-        v = w / norm
-    order = np.argsort(v, kind="stable")
-    in_s = np.zeros(g.n, dtype=bool)
-    adj = [[] for _ in range(g.n)]
-    for u, w_ in g.edges:
-        adj[u].append(w_)
-        adj[w_].append(u)
-    cut = 0
-    best = math.inf
-    for k, u in enumerate(order[:-1], start=1):
-        u = int(u)
-        cut += g.d - 2 * sum(in_s[x] for x in adj[u])
-        in_s[u] = True
-        side = min(k, g.n - k)
-        best = min(best, cut / (g.d * side))
-    return best
+    return _best_prefix_cut(g, _laplacian_pair(g)[2])
 
 
 def conductance_bounds(g: RegularGraph) -> tuple[float, float]:
-    """(lower, upper) with lower <= phi(G) <= upper."""
-    lam2 = _lambda2(g)
-    lower = lam2 / 2
-    upper = min(math.sqrt(max(2 * lam2, 0.0)), sweep_cut(g))
+    """(lower, upper) with lower <= phi(G) <= upper.
+
+    lower = (lambda2_hat(M) - margin) / (2d), the Cheeger bound lambda_2/2
+    on the normalized Laplacian with the eigensolver's backward error
+    subtracted; upper = min(sqrt(2 lambda_2), the sweep cut along v2), with
+    the margin added under the square root.
+    """
+    lam, margin, v = _laplacian_pair(g)
+    lower = max(lam - margin, 0.0) / (2 * g.d)
+    upper = min(math.sqrt(2 * (lam + margin) / g.d), _best_prefix_cut(g, v))
     return lower, upper
 
 

@@ -279,6 +279,12 @@ def check_bounds_sandwich():
         phi = graphs.conductance_exact(g)
         _assert(lo - 1e-9 <= phi <= hi + 1e-9,
                 f"bounds [{lo}, {hi}] miss phi={phi} on n={g.n},d={g.d}")
+    # cycle(64): lambda_2 = 1 - cos(2 pi / n) in closed form, so the lower
+    # bound must not exceed half of it, and gives away at most 2 n eps
+    half_lambda2 = math.sin(math.pi / 64) ** 2
+    lo, _ = graphs.conductance_bounds(graphs.cycle_graph(64))
+    _assert(half_lambda2 - 2 * 64 * np.finfo(float).eps <= lo <= half_lambda2,
+            f"cycle(64) lower bound {lo} vs lambda_2/2 = {half_lambda2}")
 
 
 def check_expansion_conditions():

@@ -107,6 +107,17 @@ def test_sweep_auto_gamma_columns():
     assert row[idx["gamma_value"]] == recompute
 
 
+def test_sweep_graphical_auto_gamma_epsilon_is_a_lower_bound():
+    n = 64
+    cfg = ExperimentConfig(processes=("graphical",), ns=(n,), m="2n",
+                           graph="cycle", gamma="auto")
+    t = sweep(cfg)
+    idx = {h: i for i, h in enumerate(t.headers)}
+    half_lambda2 = math.sin(math.pi / n) ** 2  # (1 - cos(2 pi / n)) / 2
+    eps = t.rows[0][idx["cond_epsilon"]]
+    assert 0 < eps <= half_lambda2
+
+
 def test_sweep_uniform_process_has_no_gamma():
     cfg = ExperimentConfig(processes=("one-choice",), ns=(8,), m="5n",
                            gamma="auto")

@@ -7,6 +7,7 @@ written independently of the Gray-code implementation.
 from __future__ import annotations
 
 import math
+import sys
 from fractions import Fraction
 from itertools import combinations
 
@@ -89,9 +90,23 @@ def test_conductance_complete_formula(n):
 @pytest.mark.parametrize("g", [
     complete_graph(5), cycle_graph(7), hypercube_graph(8), torus_grid_graph(9),
     random_regular_graph(10, 3, seed=1),
+    *(random_regular_graph(n, d, seed=seed)
+      for n, seed in ((12, 3), (14, 4), (16, 9)) for d in (3, 4, 5)),
 ])
 def test_conductance_exact_matches_brute_force(g):
     assert conductance_exact(g) == pytest.approx(float(brute_conductance(g)), abs=1e-12)
+
+
+@pytest.mark.parametrize("g,phi", [
+    (cycle_graph(24), Fraction(1, 12)),
+    (complete_graph(24), Fraction(12, 23)),
+    (random_regular_graph(24, 3, seed=1), Fraction(1, 11)),
+    (random_regular_graph(24, 3, seed=5), Fraction(2, 15)),
+    (random_regular_graph(24, 3, seed=7), Fraction(5, 33)),
+])
+def test_conductance_exact_pinned_at_limit(g, phi):
+    assert g.n == EXACT_LIMIT
+    assert conductance_exact(g) == float(phi)  # bit-identical, not approximate
 
 
 def test_conductance_exact_size_limit():
@@ -109,6 +124,17 @@ def test_bounds_sandwich_exact(g):
     assert lo <= phi + 1e-9, (lo, phi)
     assert phi <= hi + 1e-9, (phi, hi)
     assert sweep_cut(g) >= phi - 1e-9  # a sweep cut is a genuine cut
+
+
+@pytest.mark.parametrize("n", [12, 64, 256, 1024])
+def test_cycle_lower_bound_below_closed_form(n):
+    """lambda_2 of the cycle's normalized Laplacian is 1 - cos(2 pi / n), so
+    the Cheeger lower bound must not exceed half of it; it may sit below by
+    at most twice the eigensolver margin of n * eps."""
+    half_lambda2 = math.sin(math.pi / n) ** 2  # (1 - cos(2 pi / n)) / 2
+    lo, _ = conductance_bounds(cycle_graph(n))
+    assert lo <= half_lambda2
+    assert lo >= half_lambda2 - 2 * n * sys.float_info.epsilon
 
 
 def test_bounds_on_larger_graph():
