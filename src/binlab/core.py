@@ -134,9 +134,13 @@ class LoadState:
         return np.array([self.loads[b] for b in self.sorted_index], dtype=float) - avg
 
     def gap(self) -> float:
-        """Maximum load above average; zero for a flat state."""
-        heaviest = self.loads[self.sorted_index[0]]
-        return heaviest - self.total_weight / self.n
+        """Maximum load above average; zero for a flat state.
+
+        The heaviest bin is never below the average, but a float total can
+        round to just above the largest load, so the result is clamped at 0.
+        """
+        g = self.loads[self.sorted_index[0]] - self.total_weight / self.n
+        return g if g >= 0 else 0.0
 
     def max_abs_normalized(self) -> float:
         avg = self.total_weight / self.n
