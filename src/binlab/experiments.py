@@ -171,7 +171,9 @@ def sweep(cfg: ExperimentConfig) -> Table:
                     gamma, cond = float(cfg.gamma), None
                 else:
                     gamma, cond = None, None
-                probe = ProbeConfig(steps=cfg.probe_steps, gamma=gamma,
+                # keep = final records one row per run: probe only at m
+                steps = (m,) if cfg.keep == "final" else cfg.probe_steps
+                probe = ProbeConfig(steps=steps, gamma=gamma,
                                     thresholds=cfg.thresholds)
                 for rep in range(cfg.reps):
                     seed = run_seed(cfg.seed, pi, ni, bi, rep)
@@ -179,8 +181,6 @@ def sweep(cfg: ExperimentConfig) -> Table:
                         rows = run_batched(spec, n, m, b, seed, probe)
                     else:
                         rows = run(spec, n, m, seed, probe)
-                    if cfg.keep == "final":
-                        rows = rows[-1:]
                     for r in rows:
                         rec = RunRecord(
                             point=spec.label(), kind=spec.kind, n=n,

@@ -127,9 +127,14 @@ def torus_grid_graph(n: int) -> RegularGraph:
     return RegularGraph(n=n, d=4, edges=tuple(edges))
 
 
-def random_regular_graph(n: int, d: int, seed: int, retries: int = 1000) -> RegularGraph:
+class GraphSamplingError(ValueError):
+    """Raised when the random-regular sampler exhausts its retry budget."""
+
+
+def random_regular_graph(n: int, d: int, seed: int, retries: int = 20000) -> RegularGraph:
     """Pairing-model sampler; retries until the pairing is simple and the
-    graph connected."""
+    graph connected.  A pairing is simple with probability about
+    exp(-(d^2 - 1)/4), 0.25 % at d = 5, hence the large budget."""
     if n * d % 2 != 0:
         raise ValueError(f"n*d must be even, got n={n}, d={d}")
     if d >= n:
@@ -152,7 +157,9 @@ def random_regular_graph(n: int, d: int, seed: int, retries: int = 1000) -> Regu
             seen.add(key)
         if ok and _connected(n, pairs):
             return RegularGraph(n=n, d=d, edges=tuple(pairs))
-    raise RuntimeError(f"no simple connected pairing found in {retries} tries")
+    raise GraphSamplingError(
+        f"no simple connected {d}-regular pairing on {n} vertices found in "
+        f"{retries} tries (seed {seed})")
 
 
 _BUILDERS = {

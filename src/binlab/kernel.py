@@ -1,0 +1,185 @@
+"""The compiled decision kernel behind ``processes.make_engine``.
+
+``_kernel.c`` holds the per-ball decision loops of all engine families.
+It is compiled with the local C compiler on the first ``load()`` call (never
+at import), cached as a shared library under ``$XDG_CACHE_HOME/binlab``
+(default ``~/.cache/binlab``) named by the sha256 of the source and the
+flags, and loaded with ctypes.  ``-ffp-contract=off`` and the absence of
+``-ffast-math``/``-march=native`` keep every float sum rounding exactly as
+Python's does, so kernel runs are byte-identical to the Python reference
+engines.  When no compiler is found or the build fails, ``load()`` warns
+once and returns None, and ``make_engine`` falls back to those engines.
+"""
+from __future__ import annotations
+
+import ctypes
+import functools
+import hashlib
+import os
+import shutil
+import subprocess
+import tempfile
+import warnings
+
+import numpy as np
+
+from .vectors import quantile_index
+
+SOURCE = os.path.join(os.path.dirname(os.path.abspath(__file__)), "_kernel.c")
+FLAGS = ("-O2", "-shared", "-fPIC", "-ffp-contract=off")
+
+_FAMILY = {"one-choice": 0, "two-choice": 0, "d-choice": 0, "one-plus-beta": 0,
+           "quantile": 1, "twinning": 2, "penalty": 3, "reset-memory": 4,
+           "graphical": 5}
+_REFILL_FAILED, _SHORT_CHUNK = 1, 2
+
+_Refill = ctypes.CFUNCTYPE(ctypes.c_int, ctypes.c_int)
+
+
+class _Stream(ctypes.Structure):
+    _fields_ = [("buf", ctypes.c_void_p), ("len", ctypes.c_int64),
+                ("pos", ctypes.c_int64)]
+
+
+class _Engine(ctypes.Structure):
+    """Mirror of ``engine_t`` in _kernel.c."""
+
+    _fields_ = [("s", _Stream * 3), ("refill", _Refill),
+                ("loads", ctypes.c_void_p), ("balls", ctypes.c_int64),
+                ("steps", ctypes.c_int64), ("family", ctypes.c_int64),
+                ("random_ties", ctypes.c_int64), ("unit", ctypes.c_int64),
+                ("d", ctypes.c_int64), ("beta", ctypes.c_double),
+                ("t", ctypes.c_int64), ("heap", ctypes.c_void_p),
+                ("slot", ctypes.c_void_p), ("eu", ctypes.c_void_p),
+                ("ev", ctypes.c_void_p)]
+
+
+def _compiler() -> str | None:
+    return shutil.which("cc") or shutil.which("gcc")
+
+
+def _cache_dir() -> str:
+    base = os.environ.get("XDG_CACHE_HOME") or os.path.join(
+        os.path.expanduser("~"), ".cache")
+    return os.path.join(base, "binlab")
+
+
+def _build() -> str:
+    """Path of the compiled library, compiling it if it is not cached."""
+    cc = _compiler()
+    if cc is None:
+        raise OSError("no C compiler (cc or gcc) on PATH")
+    with open(SOURCE, "rb") as fh:
+        digest = hashlib.sha256(fh.read() + " ".join(FLAGS).encode()).hexdigest()
+    cache = _cache_dir()
+    path = os.path.join(cache, f"kernel-{digest}.so")
+    if os.path.exists(path):
+        return path
+    os.makedirs(cache, exist_ok=True)
+    fd, tmp = tempfile.mkstemp(suffix=".so", dir=cache)
+    os.close(fd)
+    try:
+        proc = subprocess.run([cc, *FLAGS, "-o", tmp, SOURCE],
+                              capture_output=True, text=True)
+        if proc.returncode != 0:
+            raise OSError(f"{cc} exited with {proc.returncode}: {proc.stderr.strip()}")
+        os.replace(tmp, path)
+    finally:
+        if os.path.exists(tmp):
+            os.unlink(tmp)
+    return path
+
+
+@functools.lru_cache(maxsize=None)
+def load():
+    """The kernel's ``binlab_advance``, built on first use; None (with a
+    warning) when it cannot be built or loaded."""
+    try:
+        fn = ctypes.CDLL(_build()).binlab_advance
+    except OSError as exc:
+        warnings.warn(f"compiled kernel unavailable, using the Python engines: {exc}",
+                      RuntimeWarning, stacklevel=3)
+        return None
+    fn.argtypes = [ctypes.POINTER(_Engine), ctypes.c_int64]
+    fn.restype = ctypes.c_int
+    return fn
+
+
+class KernelEngine:
+    """A per-ball engine run by the compiled kernel, with the interface of
+    the Python engines: ``advance(target)``, ``balls``, ``steps``, ``spec``
+    and ``loads`` (a float64 array the kernel updates in place).
+
+    Draws come from ``source`` exactly as the Python engines take them:
+    ``bins()`` (``edges()`` for graphical), ``floats()`` and ``weights()``,
+    one chunk per call.  An exception raised by the source propagates out
+    of ``advance``.
+    """
+
+    def __init__(self, advance_fn, spec, n: int, source):
+        self.spec = spec
+        self.n = n
+        self.loads = np.zeros(n)
+        self._advance = advance_fn
+        st = self._st = _Engine()
+        st.loads = self.loads.ctypes.data
+        st.family = _FAMILY[spec.kind]
+        st.random_ties = spec.tie_rule == "random"
+        st.unit = spec.weights.kind == "unit"
+        st.d = {"one-choice": 1, "d-choice": spec.d}.get(spec.kind, 2)
+        st.beta = spec.beta if spec.kind == "one-plus-beta" else -1.0
+        self._arrays = [self.loads]  # everything the kernel points into
+        if spec.kind in ("quantile", "twinning", "penalty"):
+            # top-t members 0..t-1 at equal load: the highest id is weakest
+            t = quantile_index(spec.delta, n)
+            heap = np.arange(t - 1, -1, -1, dtype=np.int64)
+            slot = np.full(n, -1, dtype=np.int64)
+            slot[heap] = np.arange(t)
+            st.t, st.heap, st.slot = t, heap.ctypes.data, slot.ctypes.data
+            self._arrays += [heap, slot]
+        bound = n  # of the indices on the BINS stream
+        if spec.kind == "graphical":
+            ends = np.array(spec.graph.edges, dtype=np.int64).reshape(-1, 2)
+            eu, ev = np.ascontiguousarray(ends[:, 0]), np.ascontiguousarray(ends[:, 1])
+            st.eu, st.ev, bound = eu.ctypes.data, ev.ctypes.data, len(ends)
+            self._arrays += [eu, ev]
+
+        fetch = (source.edges if spec.kind == "graphical" else source.bins,
+                 source.floats, source.weights)
+        dtypes = (np.int64, np.float64, np.float64)
+        chunks: list = [None] * 3
+        errors = self._errors = []
+        # the callback must not refer to st or self: a reference cycle would
+        # keep every finished engine and its chunks alive until a collection
+        streams = _Engine.from_address(ctypes.addressof(st)).s
+
+        def refill(stream: int) -> int:
+            try:
+                chunk = np.ascontiguousarray(fetch[stream](), dtype=dtypes[stream])
+                if stream == 0 and chunk.size and not (
+                        chunk.min() >= 0 and chunk.max() < bound):
+                    raise IndexError("draw out of range")
+            except BaseException as exc:  # re-raised by advance
+                errors.append(exc)
+                return 1
+            chunks[stream] = chunk
+            streams[stream].buf = chunk.ctypes.data
+            streams[stream].len = len(chunk)
+            return 0
+
+        self._refill = st.refill = _Refill(refill)
+
+    @property
+    def balls(self) -> int:
+        return self._st.balls
+
+    @property
+    def steps(self) -> int:
+        return self._st.steps
+
+    def advance(self, target: int) -> None:
+        rc = self._advance(ctypes.byref(self._st), target)
+        if rc == _REFILL_FAILED:
+            raise self._errors.pop()
+        if rc == _SHORT_CHUNK:
+            raise IndexError("draw chunk shorter than one decision needs")

@@ -18,11 +18,21 @@ reset-memory    two-ball rounds: ball 1 to a uniform sample, ball 2 to the
 graphical       uniform random edge of a regular graph, ball to the lesser
                 loaded endpoint
 
-Two execution paths exist and are tested against each other: an exact path
-over ``LoadState`` (``sample_round``/``step``) and per-kind engines used by
-``run`` that keep only a plain load list plus whatever index structure the
-decision rule needs.  Both consume random draws in the same documented
-order, so scripted draws replay identically on either path.
+Three execution paths exist and are tested against each other:
+
+exact       ``sample_round``/``step`` over a ``LoadState``: the oracle, with
+            rational enumeration of one step's allocation law beside it.
+kernel      what ``make_engine`` returns: the per-ball decision loops of
+            ``_kernel.c``, compiled on first use (see ``kernel.py``), over a
+            float64 load array.  ``run`` uses it for every sweep.
+reference   the Python engines (``reference_engine``): plain load lists plus
+            whatever index structure the decision rule needs.  They pin the
+            kernel in the differential tests and are what ``make_engine``
+            falls back to when no C compiler is found or the build fails.
+
+All three consume random draws in the same documented order, so scripted
+draws replay identically on each, and a seeded run gives the same loads,
+ball and step counts on the kernel as on the reference engines.
 """
 from __future__ import annotations
 
@@ -34,6 +44,7 @@ from typing import Sequence
 
 import numpy as np
 
+from . import kernel
 from .core import LoadState
 from .graphs import RegularGraph
 from .rng import make_generator
@@ -569,7 +580,10 @@ def batched_round(p: ProbabilityVector, state: LoadState, b: int,
 # -- fast engines --------------------------------------------------------------
 
 class _ChunkSource:
-    """Buffered draws for the engines; tests substitute scripted chunks."""
+    """Draws for the engines in chunks of ``_CHUNK`` per call; tests
+    substitute scripted chunks.  The chunk size is part of the stream:
+    numpy drops its buffered 32-bit half at the end of each ``integers``
+    call."""
 
     def __init__(self, rng: np.random.Generator, n: int,
                  wdist: WeightDistribution, n_edges: int = 0):
@@ -578,17 +592,17 @@ class _ChunkSource:
         self.wdist = wdist
         self.n_edges = n_edges
 
-    def bins(self) -> list:
-        return self.rng.integers(0, self.n, size=_CHUNK).tolist()
+    def bins(self) -> np.ndarray:
+        return self.rng.integers(0, self.n, size=_CHUNK)
 
-    def edges(self) -> list:
-        return self.rng.integers(0, self.n_edges, size=_CHUNK).tolist()
+    def edges(self) -> np.ndarray:
+        return self.rng.integers(0, self.n_edges, size=_CHUNK)
 
-    def floats(self) -> list:
-        return self.rng.random(_CHUNK).tolist()
+    def floats(self) -> np.ndarray:
+        return self.rng.random(_CHUNK)
 
-    def weights(self) -> list:
-        return self.wdist.sample(self.rng, _CHUNK).tolist()
+    def weights(self) -> np.ndarray:
+        return self.wdist.sample(self.rng, _CHUNK)
 
 
 class _ScriptSource:
@@ -620,11 +634,23 @@ class _ScriptSource:
         return self._take("_edges")
 
 
+class _Lists:
+    """A draw source as the Python engines read it: lists, since indexing
+    numpy arrays element by element is slow."""
+
+    def __init__(self, source):
+        self._source = source
+
+    def __getattr__(self, name):
+        fetch = getattr(self._source, name)
+        return lambda: np.asarray(fetch()).tolist()
+
+
 class _EngineBase:
     def __init__(self, spec: ProcessSpec, n: int, source):
         self.spec = spec
         self.n = n
-        self.src = source
+        self.src = _Lists(source)
         self.unit = spec.weights.kind == "unit"
         self.loads = [0] * n if self.unit else [0.0] * n
         self.balls = 0
@@ -966,23 +992,37 @@ class _GraphEngine(_EngineBase):
 
 def make_engine(spec: ProcessSpec, n: int, rng: np.random.Generator | None = None,
                 source=None):
-    """Build the fast stepper for one run; tests may inject a script source."""
-    if source is None:
-        if rng is None:
-            raise ValueError("need rng or source")
-        n_edges = len(spec.graph.edges) if spec.graph is not None else 0
-        source = _ChunkSource(rng, n, spec.weights, n_edges)
+    """Build the fast stepper for one run: the compiled kernel, or the
+    Python reference engine when the kernel cannot be built.  Tests may
+    inject a script source."""
+    advance = kernel.load()
+    if advance is None:
+        return reference_engine(spec, n, rng, source)
+    return kernel.KernelEngine(advance, spec, n, _source(spec, n, rng, source))
+
+
+def reference_engine(spec: ProcessSpec, n: int, rng: np.random.Generator | None = None,
+                     source=None):
+    """The Python engine for one run, drawing exactly as the kernel does."""
+    source = _source(spec, n, rng, source)
     if spec.kind in ("one-choice", "two-choice", "d-choice", "one-plus-beta"):
         return _ChoiceEngine(spec, n, source)
     if spec.kind in ("quantile", "twinning", "penalty"):
         return _ThresholdEngine(spec, n, source)
     if spec.kind == "reset-memory":
         return _ResetEngine(spec, n, source)
-    if spec.kind == "graphical":
-        if spec.graph.n != n:
-            raise ValueError("graph size does not match n")
-        return _GraphEngine(spec, n, source)
-    raise UnsupportedProcessError(f"no engine for {spec.kind}")
+    return _GraphEngine(spec, n, source)
+
+
+def _source(spec: ProcessSpec, n: int, rng, source):
+    if spec.kind == "graphical" and spec.graph.n != n:
+        raise ValueError("graph size does not match n")
+    if source is not None:
+        return source
+    if rng is None:
+        raise ValueError("need rng or source")
+    n_edges = len(spec.graph.edges) if spec.graph is not None else 0
+    return _ChunkSource(rng, n, spec.weights, n_edges)
 
 
 # -- runs and probes ------------------------------------------------------------
@@ -1022,7 +1062,8 @@ def _probe_points(probe: ProbeConfig | None, n: int, m: int) -> list[int]:
 
 
 def _snapshot(loads, balls: int, probe: ProbeConfig | None, seed: int) -> ProbeRow:
-    y = np.asarray(loads, dtype=float)
+    # a copy: engines and run_batched hand over their live load arrays
+    y = np.array(loads, dtype=float)
     y -= y.mean()
     gap = float(y.max())
     max_abs = max(gap, float(-y.min()))

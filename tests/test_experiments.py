@@ -9,6 +9,7 @@ from binlab.experiments import (ExperimentConfig, aggregate,
                                 count_bins_outside, final_gaps,
                                 gap_scaling_report, lower_bound_trials,
                                 record_headers, run_seed, scaled_count, sweep)
+from binlab import processes
 from binlab.core import LoadState
 from binlab.processes import parse_process
 from binlab.tableio import Table, dumps_csv
@@ -70,6 +71,18 @@ def test_sweep_shape_final():
     for row in t.rows:
         assert row[idx["step"]] == 10 * row[idx["n"]]
         assert row[idx["gap"]] >= 0
+
+
+def test_sweep_final_probes_once_per_run(monkeypatch):
+    snapshot = processes._snapshot
+    calls = []
+    monkeypatch.setattr(processes, "_snapshot",
+                        lambda *a: calls.append(a[1]) or snapshot(*a))
+    cfg = ExperimentConfig(processes=("two-choice",), ns=(8,), m="10n",
+                           reps=3, batches=("0", "2n"))
+    t = sweep(cfg)
+    assert len(t) == 6
+    assert calls == [80] * 6  # one probe per run, at m
 
 
 def test_sweep_shape_trajectory():

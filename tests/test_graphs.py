@@ -14,7 +14,9 @@ from itertools import combinations
 import pytest
 
 from binlab.core import LoadState
-from binlab.graphs import (EXACT_LIMIT, RegularGraph, build_graph,
+from binlab.cli import main
+from binlab.graphs import (EXACT_LIMIT, GraphSamplingError, RegularGraph,
+                           build_graph,
                            complete_graph, conductance_bounds,
                            conductance_exact, cycle_graph,
                            graphical_allocation_vector, hypercube_graph,
@@ -92,6 +94,8 @@ def test_conductance_complete_formula(n):
     random_regular_graph(10, 3, seed=1),
     *(random_regular_graph(n, d, seed=seed)
       for n, seed in ((12, 3), (14, 4), (16, 9)) for d in (3, 4, 5)),
+    # seeds the sampler only finds a simple 5-regular pairing for past 1000 tries
+    random_regular_graph(12, 5, seed=1), random_regular_graph(14, 5, seed=2),
 ])
 def test_conductance_exact_matches_brute_force(g):
     assert conductance_exact(g) == pytest.approx(float(brute_conductance(g)), abs=1e-12)
@@ -158,6 +162,18 @@ def test_random_regular_properties():
         random_regular_graph(9, 3, seed=0)  # odd n*d
     with pytest.raises(ValueError):
         random_regular_graph(4, 4, seed=0)
+
+
+def test_random_regular_budget_exhausted_is_a_value_error(tmp_path, monkeypatch, capsys):
+    with pytest.raises(GraphSamplingError, match="5-regular pairing on 12 vertices"):
+        random_regular_graph(12, 5, seed=1, retries=10)
+    assert issubclass(GraphSamplingError, ValueError)
+    # K12 as a pairing: simple with probability about e^-30
+    cfg = tmp_path / "k12.cfg"
+    cfg.write_text("processes = graphical\nns = 12\nm = 10n\ngraph = random-regular:d=11\n")
+    monkeypatch.setenv("BINLAB_OUT", str(tmp_path))
+    assert main(["simulate", str(cfg)]) == 1
+    assert "no simple connected 11-regular pairing" in capsys.readouterr().err
 
 
 def test_graphical_vector_complete_graph_closed_form():

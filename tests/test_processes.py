@@ -19,9 +19,9 @@ from binlab.core import LoadState, new_state
 from binlab.graphs import complete_graph, cycle_graph, hypercube_graph
 from binlab.processes import (ENUM_LIMIT, ProbeConfig, ProcessSpec,
                               RoundOutcome, UnsupportedProcessError, _Draws,
-                              _ScriptSource, allocation_vector, batched_round,
-                              canonical_conditions, comparison_vector,
-                              d_choice_vector_exact,
+                              _ScriptSource, _snapshot, allocation_vector,
+                              batched_round, canonical_conditions,
+                              comparison_vector, d_choice_vector_exact,
                               empirical_allocation_fractions,
                               empirical_allocation_vector,
                               expected_ball_counts, expected_balls_per_step,
@@ -423,7 +423,7 @@ def test_one_plus_beta_one_is_two_choice():
                       source=_ScriptSource(bins=list(bins)))
     opb.advance(350)
     two.advance(350)
-    assert opb.loads == two.loads
+    assert list(opb.loads) == list(two.loads)  # kernel loads are an array
 
 
 # -- full runs --------------------------------------------------------------------
@@ -483,6 +483,13 @@ def test_two_choice_beats_one_choice():
 
 
 # -- batched rounds ----------------------------------------------------------------
+
+def test_snapshot_leaves_live_loads_untouched():
+    loads = np.array([3.0, 1.0, 2.0])
+    row = _snapshot(loads, 6, None, 0)
+    assert loads.tolist() == [3.0, 1.0, 2.0]
+    assert row.gap == 1.0 and row.max_abs == 1.0
+
 
 def test_batched_round_freezes_round_start_ranking():
     from binlab.vectors import ProbabilityVector
