@@ -14,9 +14,9 @@ Schema (defaults in parentheses):
     weights      unit | exp1 | geom:p=<p> | poisson:l=<l> ("unit")
     batches      comma list of batch sizes, 0 = sequential; scaled forms
                  like 2n allowed ("0")
-    gamma        "", "auto" (= eps*delta/(16*C*S)), or a number ("")
-    thresholds   comma list of overload thresholds z ("")
-    probe_steps  explicit probe ball counts; default every n plus final
+    gamma        "", "auto" (= eps*delta/(16*C*S)), or a finite number > 0 ("")
+    thresholds   comma list of finite overload thresholds z ("")
+    probe_steps  explicit probe ball counts >= 0; default every n plus final
     tie_rule     higher-index | random ("higher-index")
     graph        for graphical processes: complete | cycle | hypercube |
                  torus-grid | random-regular:d=<d> ("")

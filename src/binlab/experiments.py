@@ -54,7 +54,7 @@ class ExperimentConfig:
     seed: int = 0
     weights: str = "unit"
     batches: tuple[str, ...] = ("0",)   # "0" = sequential; "2n" scales with n
-    gamma: str = ""                     # "", "auto", or a number
+    gamma: str = ""                     # "", "auto", or a number > 0
     thresholds: tuple[float, ...] = ()
     probe_steps: tuple[int, ...] | None = None
     tie_rule: str = "higher-index"
@@ -75,13 +75,20 @@ class ExperimentConfig:
         if self.keep not in ("final", "trajectory"):
             raise ValueError(f"keep must be final or trajectory, got {self.keep!r}")
         if self.probe_steps is not None:
+            if any(s < 0 for s in self.probe_steps):
+                raise ValueError(f"probe_steps must be >= 0, got {self.probe_steps}")
             object.__setattr__(self, "probe_steps",
                                tuple(sorted(set(self.probe_steps))))
         for b in self.batches:
             if not _SCALED.match(b) or _SCALED.match(b).group(2) == "b":
                 raise ValueError(f"bad batch size {b!r}")
         if self.gamma not in ("", "auto"):
-            float(self.gamma)
+            g = float(self.gamma)
+            if not (math.isfinite(g) and g > 0):
+                raise ValueError("gamma must be '', 'auto' or a finite number > 0, "
+                                 f"got {self.gamma!r}")
+        if not all(math.isfinite(z) for z in self.thresholds):
+            raise ValueError(f"thresholds must be finite, got {self.thresholds}")
         # the batched analysis covers unit-weight balls only
         wd = parse_weights(self.weights)
         if wd.kind != "unit" and any(scaled_count(b, 2) > 0 for b in self.batches):

@@ -310,31 +310,6 @@ def conductance_bounds(g: RegularGraph) -> tuple[float, float]:
     return lower, upper
 
 
-# -- allocation vector over ranks --------------------------------------------
-
-def graphical_allocation_vector(g: RegularGraph, state) -> "ProbabilityVector":
-    """Rank-indexed allocation vector of the edge process on this state:
-    sample a uniform edge, the ball goes to the lesser-loaded endpoint
-    (ties to the higher vertex id)."""
-    from .vectors import ProbabilityVector
-
-    if state.n != g.n:
-        raise ValueError(f"state has {state.n} bins but graph has {g.n} vertices")
-    loads = state.loads
-    rank_of = state.rank_of
-    probs = [0.0] * g.n
-    share = 1.0 / len(g.edges)
-    for u, v in g.edges:
-        if loads[u] < loads[v]:
-            r = u
-        elif loads[v] < loads[u]:
-            r = v
-        else:
-            r = u if u > v else v
-        probs[rank_of[r]] += share
-    return ProbabilityVector(probs=tuple(probs))
-
-
 # -- file format --------------------------------------------------------------
 
 def write_graph_file(g: RegularGraph, path: str) -> None:

@@ -33,10 +33,25 @@ reference   the Python engines (``reference_engine``): plain load lists plus
 All three consume random draws in the same documented order, so scripted
 draws replay identically on each, and a seeded run gives the same loads,
 ball and step counts on the kernel as on the reference engines.
+
+The lesser-loaded rule is ``_lightest``: the least-loaded candidates in
+first-seen order, without repeats.  A tie goes to the highest bin id, or
+under ``tie_rule="random"`` to ``best[int(u * k)]`` for one uniform draw u.
+Enumeration (``_recipient_dist``), the exact sampler (``_pick_min``) and
+the reference d-choice loop use it; the two-candidate loops of the
+reference engines and the kernel inline it and are pinned to the exact path
+by the differential tests.
+
+The exact path reads its draws through ``_Draws`` in one of two ways: one
+scalar numpy call per draw from a generator (the stream of
+``binlab drift-check``), or one value at a time from a chunk source with
+the engine protocol (``bins``/``floats``/``weights``/``edges``), such as a
+``_ScriptSource`` that the tests and selftest share with the engines.
 """
 from __future__ import annotations
 
 import heapq
+import itertools
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -249,9 +264,8 @@ def expected_balls_per_step(spec: ProcessSpec, n: int) -> Fraction:
 
 # -- exact enumeration over a concrete state ----------------------------------
 
-def _recipient_dist(loads, cands: Sequence[int], tie_rule: str):
-    """Distribution of the lesser-loaded candidate under the tie rule, as
-    (bin, Fraction) pairs."""
+def _lightest(loads, cands: Sequence[int]) -> list[int]:
+    """The least-loaded candidates in first-seen order, without repeats."""
     best = [cands[0]]
     bl = loads[cands[0]]
     for c in cands[1:]:
@@ -260,12 +274,28 @@ def _recipient_dist(loads, cands: Sequence[int], tie_rule: str):
             best, bl = [c], lc
         elif lc == bl and c not in best:
             best.append(c)
-    if len(best) == 1:
-        return [(best[0], Fraction(1))]
+    return best
+
+
+def _recipient_dist(loads, cands: Sequence[int], tie_rule: str):
+    """Distribution of the lesser-loaded candidate under the tie rule, as
+    (bin, Fraction) pairs."""
+    best = _lightest(loads, cands)
     if tie_rule == "higher-index":
         return [(max(best), Fraction(1))]
     share = Fraction(1, len(best))
     return [(b, share) for b in best]
+
+
+def _lesser_counts(state: LoadState, pairs, share: Fraction,
+                   tie_rule: str) -> list[Fraction]:
+    """Expected balls per rank when one ball goes to the lesser-loaded bin
+    of a pair drawn from ``pairs``, each with probability ``share``."""
+    out = [Fraction(0)] * state.n
+    for cands in pairs:
+        for b, pr in _recipient_dist(state.loads, cands, tie_rule):
+            out[state.rank_of[b]] += share * pr
+    return out
 
 
 def expected_ball_counts(spec: ProcessSpec, state: LoadState,
@@ -275,97 +305,57 @@ def expected_ball_counts(spec: ProcessSpec, state: LoadState,
 
     Sums to ``expected_balls_per_step``.  For reset-memory, ``ball``
     selects the first or second ball of the round instead of their sum.
+    The kinds that enumerate n^2 sample pairs need n <= ``ENUM_LIMIT``.
     """
     n = state.n
-    if n > ENUM_LIMIT:
-        raise ValueError(f"enumeration limited to n <= {ENUM_LIMIT}, got {n}")
-    if ball is not None and spec.kind != "reset-memory":
-        raise ValueError("ball selector applies to reset-memory only")
-    loads = state.loads
-    rank_of = state.rank_of
-    out = [Fraction(0)] * n
     kind = spec.kind
-
-    if kind == "one-choice":
-        return [Fraction(1, n)] * n
-
-    if kind in ("two-choice", "d-choice"):
-        d = 2 if kind == "two-choice" else spec.d
-        if d > 2:
-            raise ValueError("enumeration supports at most n^2 outcomes (d <= 2)")
-        if d == 1:
-            return [Fraction(1, n)] * n
-        w = Fraction(1, n * n)
-        for i in range(n):
-            for j in range(n):
-                for b, pr in _recipient_dist(loads, (i, j), spec.tie_rule):
-                    out[rank_of[b]] += w * pr
-        return out
-
-    if kind == "one-plus-beta":
-        beta = Fraction(spec.beta)
-        w = Fraction(1, n * n)
-        for i in range(n):
-            out[rank_of[i]] += (1 - beta) * Fraction(1, n)
-            for j in range(n):
-                for b, pr in _recipient_dist(loads, (i, j), spec.tie_rule):
-                    out[rank_of[b]] += beta * w * pr
-        return out
-
-    t = quantile_index(spec.delta, n) if kind in ("quantile", "twinning", "penalty") else None
-
-    if kind == "quantile":
-        w = Fraction(1, n * n)
-        for i in range(n):
-            if rank_of[i] >= t:      # past the quantile: keep the first sample
-                out[rank_of[i]] += Fraction(1, n)
-            else:
-                for j in range(n):
-                    out[rank_of[j]] += w
-        return out
-
-    if kind == "twinning":
-        for i in range(n):
-            balls = 1 if rank_of[i] < t else 2
-            out[rank_of[i]] += Fraction(balls, n)
-        return out
-
-    if kind == "penalty":
-        w = Fraction(1, n * n)
-        for i in range(n):
-            if rank_of[i] >= t:
-                out[rank_of[i]] += Fraction(1, n)
-            else:
-                for j in range(n):
-                    out[rank_of[j]] += 2 * w
-        return out
-
-    if kind == "reset-memory":
-        first = [Fraction(0)] * n
-        second = [Fraction(0)] * n
-        w = Fraction(1, n * n)
-        for i in range(n):
-            first[rank_of[i]] += Fraction(1, n)
-            for j in range(n):
-                for b, pr in _recipient_dist(loads, (i, j), spec.tie_rule):
-                    second[rank_of[b]] += w * pr
-        if ball == 1:
-            return first
-        if ball == 2:
-            return second
-        return [a + b for a, b in zip(first, second)]
+    if ball is not None and kind != "reset-memory":
+        raise ValueError("ball selector applies to reset-memory only")
+    uniform = [Fraction(1, n)] * n
 
     if kind == "graphical":
         g = spec.graph
         if g.n != n:
             raise ValueError("graph size does not match state")
-        share = Fraction(1, len(g.edges))
-        for u, v in g.edges:
-            for b, pr in _recipient_dist(loads, (u, v), spec.tie_rule):
-                out[rank_of[b]] += share * pr
+        return _lesser_counts(state, g.edges, Fraction(1, len(g.edges)),
+                              spec.tie_rule)
+    if kind == "one-choice" or (kind == "d-choice" and spec.d == 1):
+        return uniform
+    if kind == "twinning":
+        t = quantile_index(spec.delta, n)
+        return [Fraction(1 if r < t else 2, n) for r in range(n)]
+
+    if n > ENUM_LIMIT:
+        raise ValueError(f"enumeration limited to n <= {ENUM_LIMIT}, got {n}")
+    if kind == "d-choice" and spec.d > 2:
+        raise ValueError("enumeration supports at most n^2 outcomes (d <= 2)")
+
+    if kind in ("quantile", "penalty"):
+        # below the quantile the ball (penalty: both balls) goes to a
+        # fresh uniform sample
+        t = quantile_index(spec.delta, n)
+        w = Fraction(1 if kind == "quantile" else 2, n * n)
+        out = [Fraction(0)] * n
+        for i in range(n):
+            if state.rank_of[i] >= t:
+                out[state.rank_of[i]] += Fraction(1, n)
+            else:
+                for j in range(n):
+                    out[state.rank_of[j]] += w
         return out
 
-    raise UnsupportedProcessError(f"cannot enumerate {kind}")
+    pairs = _lesser_counts(state, itertools.product(range(n), repeat=2),
+                           Fraction(1, n * n), spec.tie_rule)
+    if kind == "one-plus-beta":
+        beta = Fraction(spec.beta)
+        return [(1 - beta) * u + beta * p for u, p in zip(uniform, pairs)]
+    if kind == "reset-memory":
+        if ball == 1:
+            return uniform
+        if ball == 2:
+            return pairs
+        return [u + p for u, p in zip(uniform, pairs)]
+    return pairs
 
 
 def empirical_allocation_fractions(spec: ProcessSpec, state: LoadState,
@@ -390,78 +380,60 @@ class _Draws:
     """Sequential draw source for one or more exact rounds.
 
     Draw order per round is part of the contract (engines replay it):
-    bins in sampling order, the mixing coin before any bins
-    (one-plus-beta), tie coins right after the tied comparison, one weight
-    per ball in landing order.
+    bins in sampling order, the mixing float before any bins
+    (one-plus-beta), tie floats right after the tied comparison, one weight
+    per ball in landing order.  Draws come from ``rng`` one scalar call at a
+    time, or, when ``source`` is given, one value at a time from its chunks.
     """
 
     def __init__(self, n: int, wdist: WeightDistribution,
-                 rng: np.random.Generator | None = None,
-                 bins: Sequence[int] | None = None,
-                 coins: Sequence[float] | None = None,
-                 weights: Sequence[float] | None = None,
-                 edges: Sequence[int] | None = None,
-                 n_edges: int = 0):
+                 rng: np.random.Generator | None = None, n_edges: int = 0,
+                 source=None):
         self.n = n
         self.wdist = wdist
         self.rng = rng
         self.n_edges = n_edges
-        self._bins = list(bins) if bins is not None else None
-        self._coins = list(coins) if coins is not None else None
-        self._weights = list(weights) if weights is not None else None
-        self._edges = list(edges) if edges is not None else None
-        self._bi = self._ci = self._wi = self._ei = 0
+        self.source = source
+        self._chunks: dict[str, tuple[list, int]] = {}
 
-    def _forced(self, buf, idx_attr, what):
-        i = getattr(self, idx_attr)
+    def _next(self, stream: str):
+        buf, i = self._chunks.get(stream, ((), 0))
         if i >= len(buf):
-            raise ValueError(f"forced {what} draws exhausted")
-        setattr(self, idx_attr, i + 1)
+            buf, i = np.asarray(getattr(self.source, stream)()).tolist(), 0
+        self._chunks[stream] = (buf, i + 1)
         return buf[i]
 
     def bin(self) -> int:
-        if self._bins is not None:
-            return self._forced(self._bins, "_bi", "bin")
+        if self.source is not None:
+            return self._next("bins")
         return int(self.rng.integers(0, self.n))
 
-    def coin(self) -> float:
-        if self._coins is not None:
-            return self._forced(self._coins, "_ci", "coin")
+    def float(self) -> float:
+        if self.source is not None:
+            return self._next("floats")
         return float(self.rng.random())
 
     def weight(self) -> float:
         if self.wdist.kind == "unit":
             return 1.0
-        if self._weights is not None:
-            return self._forced(self._weights, "_wi", "weight")
+        if self.source is not None:
+            return self._next("weights")
         return float(self.wdist.sample(self.rng, 1)[0])
 
     def edge(self) -> int:
-        if self._edges is not None:
-            return self._forced(self._edges, "_ei", "edge")
+        if self.source is not None:
+            return self._next("edges")
         return int(self.rng.integers(0, self.n_edges))
 
 
 def _pick_min(loads, cands, tie_rule, draws: _Draws) -> int:
-    if tie_rule == "higher-index":
-        best = cands[0]
-        bl = loads[best]
-        for c in cands[1:]:
-            lc = loads[c]
-            if lc < bl or (lc == bl and c > best):
-                best, bl = c, lc
-        return best
-    best = [cands[0]]
-    bl = loads[cands[0]]
-    for c in cands[1:]:
-        lc = loads[c]
-        if lc < bl:
-            best, bl = [c], lc
-        elif lc == bl and c not in best:
-            best.append(c)
-    if len(best) == 1:
+    best = _lightest(loads, cands)
+    k = len(best)
+    if k == 1:
         return best[0]
-    return best[min(int(draws.coin() * len(best)), len(best) - 1)]
+    if tie_rule == "higher-index":
+        return max(best)
+    return best[min(int(draws.float() * k), k - 1)]
 
 
 def sample_round(spec: ProcessSpec, state: LoadState,
@@ -489,7 +461,7 @@ def sample_round(spec: ProcessSpec, state: LoadState,
         return RoundOutcome(((b, draws.weight()),), 1, d)
 
     if kind == "one-plus-beta":
-        if draws.coin() < spec.beta:
+        if draws.float() < spec.beta:
             cands = [draws.bin(), draws.bin()]
             b = _pick_min(loads, cands, spec.tie_rule, draws)
             return RoundOutcome(((b, draws.weight()),), 1, 2)
@@ -523,18 +495,7 @@ def sample_round(spec: ProcessSpec, state: LoadState,
         i1 = draws.bin()
         i2 = draws.bin()
         w1 = draws.weight()
-        l1 = loads[i1]
-        l2 = loads[i2] if i2 != i1 else l1
-        if l1 < l2:
-            b = i1
-        elif l2 < l1:
-            b = i2
-        elif spec.tie_rule == "higher-index":
-            b = i1 if i1 > i2 else i2
-        elif i1 == i2:
-            b = i1
-        else:
-            b = (i1, i2)[min(int(draws.coin() * 2), 1)]
+        b = _pick_min(loads, (i1, i2), spec.tie_rule, draws)
         w2 = draws.weight()
         return RoundOutcome(((i1, w1), (b, w2)), 2, 2)
 
@@ -557,24 +518,13 @@ def step(spec: ProcessSpec, state: LoadState,
     return out
 
 
-def batched_round(p: ProbabilityVector, state: LoadState, b: int,
-                  rng: np.random.Generator) -> RoundOutcome:
-    """Allocate b unit balls i.i.d. from the rank-indexed vector p, all
-    decisions taken against the round-start ranking."""
-    if p.n != state.n:
-        raise ValueError(f"vector has {p.n} entries but state has {state.n} bins")
-    if b < 1:
-        raise ValueError(f"batch size must be >= 1, got {b}")
-    pv = np.asarray(p.probs, dtype=float)
-    pv = pv / pv.sum()
-    counts = rng.multinomial(b, pv)
-    order = list(state.sorted_index)  # freeze round-start ranking
-    hits = []
-    for r in np.flatnonzero(counts):
-        hits.append((order[int(r)], float(counts[int(r)])))
-    for bin_id, w in hits:
-        state.apply_allocation(bin_id, w)
-    return RoundOutcome(tuple(hits), b, b)
+def _batched_round(loads: np.ndarray, pv: np.ndarray, b: int,
+                   rng: np.random.Generator) -> None:
+    """Add b unit balls to ``loads`` i.i.d. from the rank-indexed vector
+    ``pv``, all against the round-start ranking: heaviest first, ties by
+    ascending id."""
+    order = np.lexsort((np.arange(len(loads)), -loads))
+    loads[order] += rng.multinomial(b, pv)
 
 
 # -- fast engines --------------------------------------------------------------
@@ -725,32 +675,18 @@ class _ChoiceEngine(_EngineBase):
                     b = i if fb[fi] < 0.5 else j
                     fi += 1
             else:
-                cands = ib[ii:ii + k]
+                best = _lightest(loads, ib[ii:ii + k])
                 ii += k
                 if not random_ties:
-                    b = cands[0]
-                    bl = loads[b]
-                    for c in cands[1:]:
-                        lc = loads[c]
-                        if lc < bl or (lc == bl and c > b):
-                            b, bl = c, lc
+                    b = max(best)
+                elif len(best) == 1:
+                    b = best[0]
                 else:
-                    best = [cands[0]]
-                    bl = loads[cands[0]]
-                    for c in cands[1:]:
-                        lc = loads[c]
-                        if lc < bl:
-                            best, bl = [c], lc
-                        elif lc == bl and c not in best:
-                            best.append(c)
-                    if len(best) == 1:
-                        b = best[0]
-                    else:
-                        if fi >= len(fb):
-                            fb = src.floats()
-                            fi = 0
-                        b = best[min(int(fb[fi] * len(best)), len(best) - 1)]
-                        fi += 1
+                    if fi >= len(fb):
+                        fb = src.floats()
+                        fi = 0
+                    b = best[min(int(fb[fi] * len(best)), len(best) - 1)]
+                    fi += 1
             if unit:
                 loads[b] += 1
             else:
@@ -1114,15 +1050,11 @@ def run_batched(spec: ProcessSpec, n: int, m: int, b: int, seed: int,
     pv = pv / pv.sum()
     rng = make_generator(seed, 0)
     loads = np.zeros(n)
-    ids = np.arange(n)
     rows = []
     balls = 0
     for pt in _probe_points(probe, n, m):
         while balls < pt:
-            # rank bins: heaviest first, ties by ascending id
-            order = np.lexsort((ids, -loads))
-            counts = rng.multinomial(b, pv)
-            loads[order] += counts
+            _batched_round(loads, pv, b, rng)
             balls += b
         rows.append(_snapshot(loads, balls, probe, seed))
     return rows

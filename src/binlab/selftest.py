@@ -223,21 +223,20 @@ def check_engine_agreement():
         spec = processes.parse_process(text, weights=wd, graph=graph)
         rng = make_generator(17, idx)
         bins = rng.integers(0, n, size=8 * rounds).tolist()
-        coins = rng.random(2 * rounds).tolist()
+        floats = rng.random(2 * rounds).tolist()
         ws = wd.sample(rng, 4 * rounds).tolist() if wd.kind != "unit" else []
         edges = (rng.integers(0, len(graph.edges), size=2 * rounds).tolist()
                  if graph else [])
+        streams = dict(bins=bins, floats=floats, weights=ws, edges=edges)
         st = core.new_state(n)
-        dr = processes._Draws(n, wd, bins=bins, coins=coins, weights=ws, edges=edges)
+        dr = processes._Draws(n, wd, source=processes._ScriptSource(**streams))
         balls = 0
         for _ in range(rounds):
             balls += processes.step(spec, st, draws=dr).balls()
-        src = processes._ScriptSource(bins=bins, floats=coins, weights=ws, edges=edges)
-        eng = processes.make_engine(spec, n, source=src)
+        eng = processes.make_engine(spec, n,
+                                    source=processes._ScriptSource(**streams))
         eng.advance(balls)
-        got = [float(v) for v in eng.loads]
-        want = [float(v) for v in st.loads]
-        _assert(all(abs(a - b) < 1e-9 for a, b in zip(got, want)),
+        _assert([float(v) for v in eng.loads] == st.loads,
                 f"engine and exact path disagree for {text}")
 
 
@@ -251,12 +250,11 @@ def check_balls_per_step():
 
 
 def check_batched_conserves():
-    st = core.new_state(8)
+    loads = np.zeros(8)
     p = processes.allocation_vector(processes.ProcessSpec(kind="two-choice"), 8)
-    rng = make_generator(18, 0)
-    out = processes.batched_round(p, st, 40, rng)
-    _assert(out.total_weight() == 40.0, "batched round conserves balls")
-    _assert(st.total_weight == 40.0, "state absorbed the batch")
+    pv = np.asarray(p.probs) / sum(p.probs)
+    processes._batched_round(loads, pv, 40, make_generator(18, 0))
+    _assert(loads.sum() == 40.0, "batched round conserves balls")
 
 
 # -- graphs --------------------------------------------------------------------
@@ -294,7 +292,8 @@ def check_expansion_conditions():
         phi = graphs.conductance_exact(g)
         for _ in range(20):
             st = core.LoadState.from_loads(rng.integers(0, 40, size=g.n).tolist())
-            p = graphs.graphical_allocation_vector(g, st)
+            p = processes.empirical_allocation_vector(
+                processes.ProcessSpec(kind="graphical", graph=g), st)
             pr = np.cumsum(np.asarray(p.probs))
             n = g.n
             for k in range(1, n // 2 + 1):

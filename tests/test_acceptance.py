@@ -23,10 +23,11 @@ import numpy as np
 from binlab.core import LoadState
 from binlab.experiments import (ExperimentConfig, final_gaps,
                                 lower_bound_trials, run_seed, sweep)
-from binlab.graphs import build_graph, conductance_exact, graphical_allocation_vector
+from binlab.graphs import build_graph, conductance_exact
 from binlab.potentials import certify_drift, gamma_expectation_bound, gamma_for_weighted
-from binlab.processes import (ProbeConfig, canonical_conditions,
-                              d_choice_vector_exact, expected_ball_counts,
+from binlab.processes import (ProbeConfig, ProcessSpec, canonical_conditions,
+                              d_choice_vector_exact,
+                              empirical_allocation_vector, expected_ball_counts,
                               one_plus_beta_vector_exact, parse_process,
                               quantile_vector_exact, run, run_batched)
 from binlab.selftest import run_selftest
@@ -224,9 +225,10 @@ def test_graphical_vectors_respect_conductance_margins():
     for kind, n, d in _GRAPH_CORPUS:
         g = build_graph(kind, n, d=d, seed=0)
         phi = conductance_exact(g)
+        spec = ProcessSpec(kind="graphical", graph=g)
         for _ in range(100):
             state = LoadState.from_loads(rng.permutation(n).astype(float))
-            p = graphical_allocation_vector(g, state).probs
+            p = empirical_allocation_vector(spec, state).probs
             prefix = np.cumsum(p)
             # The halves are 1 <= k <= n/2 and n/2 + 1 <= k <= n; for odd n
             # the midpoint rank k = (n+1)/2 belongs to neither (its

@@ -19,9 +19,10 @@ from binlab.graphs import (EXACT_LIMIT, GraphSamplingError, RegularGraph,
                            build_graph,
                            complete_graph, conductance_bounds,
                            conductance_exact, cycle_graph,
-                           graphical_allocation_vector, hypercube_graph,
+                           hypercube_graph,
                            random_regular_graph, read_graph_file, sweep_cut,
                            torus_grid_graph, write_graph_file)
+from binlab.processes import ProcessSpec, empirical_allocation_vector
 
 
 def brute_conductance(g: RegularGraph) -> Fraction:
@@ -182,7 +183,7 @@ def test_graphical_vector_complete_graph_closed_form():
     n = 6
     g = complete_graph(n)
     state = LoadState.from_loads([50 - 7 * k for k in range(n)])
-    p = graphical_allocation_vector(g, state)
+    p = empirical_allocation_vector(ProcessSpec(kind="graphical", graph=g), state)
     m = n * (n - 1) // 2
     for i, v in enumerate(p.probs):
         assert v == pytest.approx(i / m, abs=1e-12)
@@ -193,14 +194,15 @@ def test_graphical_vector_tie_goes_to_higher_id():
     g = cycle_graph(3)
     state = LoadState.from_loads([1, 1, 0])
     # edges (0,1), (1,2), (2,0): bin 2 wins two edges; the (0,1) tie -> id 1
-    p = graphical_allocation_vector(g, state)
+    p = empirical_allocation_vector(ProcessSpec(kind="graphical", graph=g), state)
     # ranks: 0 -> bin0, 1 -> bin1, 2 -> bin2
     assert p.probs == pytest.approx((0.0, 1 / 3, 2 / 3), abs=1e-12)
 
 
 def test_graphical_vector_needs_matching_sizes():
+    spec = ProcessSpec(kind="graphical", graph=complete_graph(4))
     with pytest.raises(ValueError):
-        graphical_allocation_vector(complete_graph(4), LoadState.from_loads([1, 2]))
+        empirical_allocation_vector(spec, LoadState.from_loads([1, 2]))
 
 
 def test_graph_file_round_trip(tmp_path):

@@ -266,6 +266,25 @@ def test_cli_simulate_bad_config(tmp_path, capsys):
     assert "unknown key" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("line,msg", [
+    ("gamma = 1e400", "gamma"),
+    ("gamma = nan", "gamma"),
+    ("gamma = -2", "gamma"),
+    ("gamma = 0", "gamma"),
+    ("thresholds = nan,inf", "thresholds"),
+    ("thresholds = 1,-inf", "thresholds"),
+    ("probe_steps = 8,-1", "probe_steps"),
+])
+def test_cli_simulate_rejects_non_finite_inputs(tmp_path, monkeypatch, capsys,
+                                                line, msg):
+    cfg = tmp_path / "bad.cfg"
+    cfg.write_text(f"processes = two-choice\nns = 8\nm = 10n\n{line}\n")
+    monkeypatch.setenv("BINLAB_OUT", str(tmp_path))
+    assert main(["simulate", str(cfg)]) == 1
+    assert msg in capsys.readouterr().err
+    assert not (tmp_path / "runs.csv").exists()
+
+
 def test_cli_drift_check_passes(tmp_path, monkeypatch, capsys):
     cfg = tmp_path / "drift.cfg"
     cfg.write_text("processes = two-choice\nns = 8\nm = 2n\n")

@@ -86,8 +86,8 @@ def test_kernel_replays_exact_path_with_random_ties(compiled, text, wtext):
     edges = rng.integers(0, n, size=400).tolist()  # a 4-cycle has 4 edges
 
     state = new_state(n)
-    draws = _Draws(n, spec.weights, bins=bins, coins=floats, weights=ws,
-                   edges=edges)
+    draws = _Draws(n, spec.weights, source=_ScriptSource(
+        bins=bins, floats=floats, weights=ws, edges=edges))
     balls = 0
     while balls < target:
         balls += step(spec, state, draws=draws).balls()

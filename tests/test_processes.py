@@ -8,6 +8,7 @@ chunked engines.
 """
 from __future__ import annotations
 
+import itertools
 import math
 import statistics
 from fractions import Fraction
@@ -19,8 +20,8 @@ from binlab.core import LoadState, new_state
 from binlab.graphs import complete_graph, cycle_graph, hypercube_graph
 from binlab.processes import (ENUM_LIMIT, ProbeConfig, ProcessSpec,
                               RoundOutcome, UnsupportedProcessError, _Draws,
-                              _ScriptSource, _snapshot, allocation_vector,
-                              batched_round, canonical_conditions,
+                              _ScriptSource, _batched_round, _snapshot,
+                              allocation_vector, canonical_conditions,
                               comparison_vector, d_choice_vector_exact,
                               empirical_allocation_fractions,
                               empirical_allocation_vector,
@@ -200,6 +201,24 @@ def test_graphical_enumeration_matches_edge_count():
     assert got == [F(i, 10) for i in range(5)]
 
 
+def test_linear_enumerations_skip_the_limit():
+    n = 2 * ENUM_LIMIT
+    g = cycle_graph(n)
+    loads = make_generator(8, 0).permutation(n).tolist()  # distinct loads
+    state = LoadState.from_loads(loads)
+    got = expected_ball_counts(ProcessSpec(kind="graphical", graph=g), state)
+    # |E| = n; a bin receives the ball from each edge to a heavier neighbour
+    want = [F(0)] * n
+    for b in range(n):
+        heavier = sum(loads[v] > loads[b] for v in ((b - 1) % n, (b + 1) % n))
+        want[state.rank_of[b]] = F(heavier, n)
+    assert got == want
+    for text in ("one-choice", "twinning:delta=0.5"):
+        spec = parse_process(text)
+        total = sum(expected_ball_counts(spec, state))
+        assert total == expected_balls_per_step(spec, n)
+
+
 def test_enumeration_limits():
     with pytest.raises(ValueError):
         expected_ball_counts(parse_process("two-choice"),
@@ -266,9 +285,14 @@ def u() -> "ProcessSpec":
     return parse_process("two-choice")
 
 
+def scripted(n, wdist=None, **streams) -> _Draws:
+    """Exact-path draws read from a script, as the engines read one."""
+    return _Draws(n, wdist or parse_weights("unit"), source=_ScriptSource(**streams))
+
+
 def test_two_choice_forced_picks_lighter():
     state = LoadState.from_loads([5, 0])
-    out = sample_round(u(), state, draws=_Draws(2, parse_weights("unit"), bins=[0, 1]))
+    out = sample_round(u(), state, draws=scripted(2, bins=[0, 1]))
     assert out.bins_hit == ((1, 1.0),)
     assert out.samples_used == 2 and out.steps_consumed == 1
     assert state.loads == [5, 0]  # sample_round never mutates
@@ -276,47 +300,47 @@ def test_two_choice_forced_picks_lighter():
 
 def test_two_choice_tie_rules():
     state = LoadState.from_loads([3, 3])
-    out = sample_round(u(), state, draws=_Draws(2, parse_weights("unit"), bins=[0, 1]))
+    out = sample_round(u(), state, draws=scripted(2, bins=[0, 1]))
     assert out.bins_hit[0][0] == 1  # higher index wins ties
     spec = ProcessSpec(kind="two-choice", tie_rule="random")
     lo = sample_round(spec, state,
-                      draws=_Draws(2, parse_weights("unit"), bins=[0, 1], coins=[0.0]))
+                      draws=scripted(2, bins=[0, 1], floats=[0.0]))
     hi = sample_round(spec, state,
-                      draws=_Draws(2, parse_weights("unit"), bins=[0, 1], coins=[0.99]))
+                      draws=scripted(2, bins=[0, 1], floats=[0.99]))
     assert {lo.bins_hit[0][0], hi.bins_hit[0][0]} == {0, 1}
 
 
 def test_quantile_forced_branches():
     spec = parse_process("quantile:delta=0.5")
     state = LoadState.from_loads([9, 7, 5, 3])
-    keep = sample_round(spec, state, draws=_Draws(4, parse_weights("unit"), bins=[2]))
+    keep = sample_round(spec, state, draws=scripted(4, bins=[2]))
     assert keep.bins_hit == ((2, 1.0),) and keep.samples_used == 1
-    redraw = sample_round(spec, state, draws=_Draws(4, parse_weights("unit"), bins=[0, 3]))
+    redraw = sample_round(spec, state, draws=scripted(4, bins=[0, 3]))
     assert redraw.bins_hit == ((3, 1.0),) and redraw.samples_used == 2
 
 
 def test_twinning_forced_branches():
     spec = parse_process("twinning:delta=0.5")
     state = LoadState.from_loads([9, 7, 5, 3])
-    heavy = sample_round(spec, state, draws=_Draws(4, parse_weights("unit"), bins=[0]))
+    heavy = sample_round(spec, state, draws=scripted(4, bins=[0]))
     assert heavy.bins_hit == ((0, 1.0),)
-    light = sample_round(spec, state, draws=_Draws(4, parse_weights("unit"), bins=[3]))
+    light = sample_round(spec, state, draws=scripted(4, bins=[3]))
     assert light.bins_hit == ((3, 1.0), (3, 1.0))  # twin lands in the same bin
 
 
 def test_penalty_forced_branches():
     spec = parse_process("penalty:delta=0.5")
     state = LoadState.from_loads([9, 7, 5, 3])
-    light = sample_round(spec, state, draws=_Draws(4, parse_weights("unit"), bins=[3]))
+    light = sample_round(spec, state, draws=scripted(4, bins=[3]))
     assert light.bins_hit == ((3, 1.0),)
-    heavy = sample_round(spec, state, draws=_Draws(4, parse_weights("unit"), bins=[0, 2]))
+    heavy = sample_round(spec, state, draws=scripted(4, bins=[0, 2]))
     assert heavy.bins_hit == ((2, 1.0), (2, 1.0))  # both balls to the second draw
 
 
 def test_reset_memory_compares_round_start_loads():
     spec = parse_process("reset-memory")
     state = LoadState.from_loads([0, 1])
-    out = step(spec, state, draws=_Draws(2, parse_weights("unit"), bins=[0, 1]))
+    out = step(spec, state, draws=scripted(2, bins=[0, 1]))
     # ball 1 raises bin 0 to 1, but the comparison uses the round-start
     # loads (0, 1), so ball 2 still goes to bin 0
     assert out.bins_hit == ((0, 1.0), (0, 1.0))
@@ -328,17 +352,17 @@ def test_one_plus_beta_forced_coin():
     spec = parse_process("one-plus-beta:beta=0.5")
     state = LoadState.from_loads([4, 0, 2])
     one = sample_round(spec, state,
-                       draws=_Draws(3, parse_weights("unit"), bins=[0], coins=[0.9]))
+                       draws=scripted(3, bins=[0], floats=[0.9]))
     assert one.bins_hit == ((0, 1.0),) and one.samples_used == 1
     two = sample_round(spec, state,
-                       draws=_Draws(3, parse_weights("unit"), bins=[0, 2], coins=[0.1]))
+                       draws=scripted(3, bins=[0, 2], floats=[0.1]))
     assert two.bins_hit == ((2, 1.0),) and two.samples_used == 2
 
 
 def test_graphical_forced_edge():
     spec = ProcessSpec(kind="graphical", graph=cycle_graph(4))
     state = LoadState.from_loads([0, 5, 3, 1])
-    out = sample_round(spec, state, draws=_Draws(4, parse_weights("unit"), edges=[1]))
+    out = sample_round(spec, state, draws=scripted(4, edges=[1]))
     assert out.bins_hit == ((2, 1.0),)  # edge (1,2): bin 2 is lighter
 
 
@@ -346,7 +370,7 @@ def test_weighted_round_consumes_weight_draw():
     spec = ProcessSpec(kind="two-choice", weights=parse_weights("exp1"))
     state = LoadState.from_loads([5, 0])
     out = sample_round(spec, state,
-                       draws=_Draws(2, spec.weights, bins=[0, 1], weights=[2.5]))
+                       draws=scripted(2, spec.weights, bins=[0, 1], weights=[2.5]))
     assert out.bins_hit == ((1, 2.5),)
     assert out.total_weight() == 2.5
 
@@ -354,7 +378,45 @@ def test_weighted_round_consumes_weight_draw():
 def test_forced_draws_exhaustion():
     state = LoadState.from_loads([5, 0])
     with pytest.raises(ValueError, match="exhausted"):
-        sample_round(u(), state, draws=_Draws(2, parse_weights("unit"), bins=[0]))
+        sample_round(u(), state, draws=scripted(2, bins=[0]))
+
+
+# -- the sampler against the oracle ------------------------------------------------
+
+ORACLE_CASES = [
+    ("one-choice", None), ("two-choice", None), ("d-choice:d=2", None),
+    ("one-plus-beta:beta=0.5", None), ("quantile:delta=0.5", None),
+    ("twinning:delta=0.5", None), ("penalty:delta=0.5", None),
+    ("reset-memory", None), ("graphical", cycle_graph(4)),
+    ("graphical", complete_graph(4)),
+]
+TIED_STATES = [(2, 1, 1, 0), (1, 1, 0, 0), (0, 2, 2, 1), (0, 0, 0, 0)]  # n = 4
+
+
+@pytest.mark.parametrize("tie", ["higher-index", "random"])
+@pytest.mark.parametrize("text,graph", ORACLE_CASES,
+                         ids=[f"{t}-{g.d if g else ''}" for t, g in ORACLE_CASES])
+def test_sampler_matches_enumeration_on_every_script(text, graph, tie):
+    """Every scripted draw sequence through ``sample_round``, weighted by
+    its probability, gives exactly the per-rank counts of the enumeration.
+    Bins and edges take every value; a float sits at the midpoint of
+    [0, 1/2) or [1/2, 1), which decides both the beta = 1/2 mixing and a
+    tie between at most two candidates."""
+    spec = parse_process(text, graph=graph, tie_rule=tie)
+    for loads in TIED_STATES:
+        state = LoadState.from_loads(loads)
+        n = state.n
+        edge_scripts = [(e,) for e in range(len(graph.edges))] if graph else [()]
+        bin_scripts = list(itertools.product(range(n), repeat=2))
+        float_scripts = list(itertools.product((0.25, 0.75), repeat=2))
+        share = F(1, len(edge_scripts) * len(bin_scripts) * len(float_scripts))
+        got = [F(0)] * n
+        for edges, bins, floats in itertools.product(edge_scripts, bin_scripts,
+                                                     float_scripts):
+            draws = scripted(n, bins=bins, floats=floats, edges=edges)
+            for b, _ in sample_round(spec, state, draws=draws).bins_hit:
+                got[state.rank_of[b]] += share
+        assert got == expected_ball_counts(spec, state), loads
 
 
 # -- engine vs exact-path agreement -----------------------------------------------
@@ -384,8 +446,7 @@ def test_engine_replays_exact_path(text, wtext):
     wdraws = spec.weights.sample(rng, 800).tolist()
 
     state = new_state(n)
-    draws = _Draws(n, spec.weights, bins=list(bins), coins=list(floats),
-                   weights=list(wdraws))
+    draws = scripted(n, spec.weights, bins=bins, floats=floats, weights=wdraws)
     balls = 0
     while balls < target:
         balls += step(spec, state, draws=draws).balls()
@@ -394,9 +455,7 @@ def test_engine_replays_exact_path(text, wtext):
                                                     weights=wdraws))
     eng.advance(target)
     assert eng.balls == balls
-    np.testing.assert_allclose(
-        np.asarray(eng.loads, dtype=float),
-        np.asarray(state.loads, dtype=float), atol=1e-9)
+    assert [float(v) for v in eng.loads] == state.loads
 
 
 def test_graph_engine_replays_exact_path():
@@ -405,12 +464,12 @@ def test_graph_engine_replays_exact_path():
     rng = make_generator(3, 3)
     edges = rng.integers(0, len(g.edges), size=400).tolist()
     state = new_state(16)
-    draws = _Draws(16, spec.weights, edges=list(edges))
+    draws = scripted(16, spec.weights, edges=edges)
     for _ in range(300):
         step(spec, state, draws=draws)
     eng = make_engine(spec, 16, source=_ScriptSource(edges=edges))
     eng.advance(300)
-    assert [float(v) for v in eng.loads] == pytest.approx(state.loads)
+    assert [float(v) for v in eng.loads] == state.loads
 
 
 def test_one_plus_beta_one_is_two_choice():
@@ -492,37 +551,30 @@ def test_snapshot_leaves_live_loads_untouched():
 
 
 def test_batched_round_freezes_round_start_ranking():
-    from binlab.vectors import ProbabilityVector
-    state = new_state(2)
+    loads = np.zeros(2)
     rng = make_generator(5, 1)
-    out = batched_round(ProbabilityVector((0.0, 1.0)), state, 100, rng)
+    _batched_round(loads, np.array([0.0, 1.0]), 100, rng)
     # rank 1 at round start is bin 1 (ties resolve by ascending id) and the
     # ranking must not refresh mid-round
-    assert state.loads == [0.0, 100.0]
-    assert out.balls() == 1 and out.total_weight() == 100.0
+    assert loads.tolist() == [0.0, 100.0]
+    assert np.count_nonzero(loads) == 1 and loads.sum() == 100.0
 
 
 def test_batched_round_validates():
-    from binlab.vectors import ProbabilityVector
-    state = new_state(4)
-    rng = make_generator(5, 2)
     with pytest.raises(ValueError):
-        batched_round(ProbabilityVector.uniform(2), state, 5, rng)
-    with pytest.raises(ValueError):
-        batched_round(ProbabilityVector.uniform(4), state, 0, rng)
+        run_batched(u(), 4, 16, b=0, seed=5)
 
 
 def test_batched_uniform_counts_chi_square():
-    from binlab.vectors import ProbabilityVector
     n, rounds = 8, 2000
-    state = new_state(n)
+    loads = np.zeros(n)
     rng = make_generator(11, 0)
     for _ in range(rounds):
-        batched_round(ProbabilityVector.uniform(n), state, n, rng)
+        _batched_round(loads, np.full(n, 1 / n), n, rng)
     expect = rounds  # n*rounds balls over n bins
-    chi2 = sum((v - expect) ** 2 / expect for v in state.loads)
+    chi2 = sum((v - expect) ** 2 / expect for v in loads)
     # df = 7; chi2 above 30 has probability ~ 1e-4
-    assert chi2 < 30, state.loads
+    assert chi2 < 30, loads
 
 
 def test_run_batched_basics():
