@@ -5,7 +5,8 @@
  * through the refill callback, which the loops call at exactly the points
  * where the Python reference engines call their draw source, including
  * the rule that a decision needing k bins discards the rest of a chunk
- * holding fewer than k.  So both paths consume one stream identically.
+ * holding fewer than k (a fresh chunk that short is an error).  So both
+ * paths consume one stream identically.
  * The Python side checks that every bin or edge index is in range.
  *
  * Loads are doubles.  Unit counts stay exact below 2^53, and weighted sums
@@ -49,11 +50,11 @@ static int pull(engine_t *e, int w, int64_t need)
     return e->s[w].len < need ? SHORT_CHUNK : OK;
 }
 
-/* Make k draws of stream w available (at least `need` of them right after
- * a refill), or leave the loop with an error code in rc. */
-#define NEED(w, k, need)                                                  \
+/* Make k draws of stream w available, or leave the loop with an error
+ * code in rc. */
+#define NEED(w, k)                                                        \
     do {                                                                  \
-        if (e->s[w].pos + (k) > e->s[w].len && (rc = pull(e, w, need)))   \
+        if (e->s[w].pos + (k) > e->s[w].len && (rc = pull(e, w, k)))      \
             goto done;                                                    \
     } while (0)
 #define INTS(w) ((const int64_t *)e->s[w].buf + e->s[w].pos)
@@ -61,16 +62,16 @@ static int pull(engine_t *e, int w, int64_t need)
 
 #define NEXT_BIN(b)                                                       \
     do {                                                                  \
-        NEED(BINS, 1, 1);                                                 \
+        NEED(BINS, 1);                                                    \
         b = *INTS(BINS);                                                  \
         e->s[BINS].pos++;                                                 \
     } while (0)
 #define NEXT_FLOAT(f)                                                     \
-    do { NEED(FLOATS, 1, 1); f = *DBLS(FLOATS); e->s[FLOATS].pos++; } while (0)
+    do { NEED(FLOATS, 1); f = *DBLS(FLOATS); e->s[FLOATS].pos++; } while (0)
 #define NEXT_WEIGHT(x)                                                    \
     do {                                                                  \
         if (e->unit) { x = 1.0; break; }                                  \
-        NEED(WEIGHTS, 1, 1);                                              \
+        NEED(WEIGHTS, 1);                                                 \
         x = *DBLS(WEIGHTS);                                               \
         e->s[WEIGHTS].pos++;                                              \
     } while (0)
@@ -145,13 +146,8 @@ static int advance_choice(engine_t *e, int64_t target)
             NEXT_FLOAT(f);
             k = 1 + (f < e->beta);
         }
-        /* past two samples, a short final chunk gives fewer, as a Python
-         * slice would */
-        NEED(BINS, k, k == 2 ? 2 : 1);
+        NEED(BINS, k);
         const int64_t *c = INTS(BINS);
-        int64_t cnt = e->s[BINS].len - e->s[BINS].pos;
-        if (cnt > k)
-            cnt = k;
         e->s[BINS].pos += k;
         b = c[0];
         if (k <= 2) {  /* with k = 1, j is b itself */
@@ -162,17 +158,17 @@ static int advance_choice(engine_t *e, int64_t target)
             } else
                 b = lighter(L, b, j);
         } else if (!e->random_ties) {
-            for (int64_t i = 1; i < cnt; i++)
+            for (int64_t i = 1; i < k; i++)
                 b = lighter(L, c[i], b);
-        } else if (cnt > 1) {
+        } else {
             /* a coin picks among the distinct lightest candidates, taken
              * in order of first appearance */
             double bl = L[c[0]];
             int64_t m = 0, pick = 0;
-            for (int64_t i = 1; i < cnt; i++)
+            for (int64_t i = 1; i < k; i++)
                 if (L[c[i]] < bl)
                     bl = L[c[i]];
-            for (int64_t i = 0; i < cnt; i++)
+            for (int64_t i = 0; i < k; i++)
                 m += L[c[i]] == bl && first_seen(c, i);
             if (m > 1) {
                 NEXT_FLOAT(f);
@@ -240,7 +236,7 @@ static int advance_reset(engine_t *e, int64_t target)
     int64_t balls = e->balls, steps = e->steps;
     int rc = OK;
     while (balls < target) {
-        NEED(BINS, 2, 2);
+        NEED(BINS, 2);
         int64_t i1 = INTS(BINS)[0], i2 = INTS(BINS)[1], b;
         e->s[BINS].pos += 2;
         double l1 = L[i1], x, f;

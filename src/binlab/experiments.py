@@ -16,6 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .graphs import RegularGraph, build_graph, conductance_bounds
+from .potentials import gamma_for_weighted
 from .processes import (ProbeConfig, ProcessSpec, UnsupportedProcessError,
                         canonical_conditions, parse_process, run, run_batched)
 from .tableio import Table
@@ -98,7 +99,7 @@ class ExperimentConfig:
 
 def _auto_gamma(spec: ProcessSpec, n: int, wdist: WeightDistribution):
     """gamma = eps*delta/(16*C*S) from the process's canonical conditions,
-    or None when the process has no bias margin."""
+    with (delta, eps, C, S); all None when the process has no bias margin."""
     try:
         if spec.kind == "graphical":
             eps = conductance_bounds(spec.graph)[0]
@@ -106,41 +107,13 @@ def _auto_gamma(spec: ProcessSpec, n: int, wdist: WeightDistribution):
         else:
             cond = canonical_conditions(spec, n)
     except UnsupportedProcessError:
-        return None, None
+        return None, (None,) * 4
     s = s_for_gamma(wdist)
-    gamma = cond.epsilon * cond.delta / (16 * cond.c_cap * s)
-    return gamma, (cond.delta, cond.epsilon, cond.c_cap, s)
-
-
-@dataclass(frozen=True)
-class RunRecord:
-    point: str
-    kind: str
-    n: int
-    d: int | None
-    beta: float | None
-    delta: float | None
-    b: int
-    seed: int
-    step: int
-    gap: float
-    max_abs_y: float
-    gamma_value: float | None
-    gamma_total: float | None
-    cond_delta: float | None
-    cond_epsilon: float | None
-    cond_c: float | None
-    cond_s: float | None
-    bins_ge: tuple[int, ...] = ()
-
-    def to_row(self) -> tuple:
-        return (self.point, self.kind, self.n, self.d, self.beta, self.delta,
-                self.b, self.seed, self.step, self.gap, self.max_abs_y,
-                self.gamma_value, self.gamma_total, self.cond_delta,
-                self.cond_epsilon, self.cond_c, self.cond_s, *self.bins_ge)
+    return gamma_for_weighted(cond, cond.c_cap, s), (cond.delta, cond.epsilon, cond.c_cap, s)
 
 
 def record_headers(thresholds: tuple[float, ...] = ()) -> tuple[str, ...]:
+    """Sweep CSV columns; ``sweep`` appends each row in this order."""
     base = ("point", "kind", "n", "d", "beta", "delta", "b", "seed", "step",
             "gap", "max_abs_y", "gamma_value", "gamma_total", "cond_delta",
             "cond_epsilon", "cond_c", "cond_s")
@@ -172,12 +145,11 @@ def sweep(cfg: ExperimentConfig) -> Table:
             for bi, btext in enumerate(cfg.batches):
                 b = scaled_count(btext, n)
                 m = scaled_count(cfg.m, n, b)
+                gamma, cond = None, (None,) * 4
                 if cfg.gamma == "auto":
                     gamma, cond = _auto_gamma(spec, n, wdist)
                 elif cfg.gamma:
-                    gamma, cond = float(cfg.gamma), None
-                else:
-                    gamma, cond = None, None
+                    gamma = float(cfg.gamma)
                 # keep = final records one row per run: probe only at m
                 steps = (m,) if cfg.keep == "final" else cfg.probe_steps
                 probe = ProbeConfig(steps=steps, gamma=gamma,
@@ -189,18 +161,9 @@ def sweep(cfg: ExperimentConfig) -> Table:
                     else:
                         rows = run(spec, n, m, seed, probe)
                     for r in rows:
-                        rec = RunRecord(
-                            point=spec.label(), kind=spec.kind, n=n,
-                            d=spec.d, beta=spec.beta, delta=spec.delta,
-                            b=b, seed=seed, step=r.step, gap=r.gap,
-                            max_abs_y=r.max_abs, gamma_value=r.gamma_value,
-                            gamma_total=r.gamma_total,
-                            cond_delta=cond[0] if cond else None,
-                            cond_epsilon=cond[1] if cond else None,
-                            cond_c=cond[2] if cond else None,
-                            cond_s=cond[3] if cond else None,
-                            bins_ge=r.bins_ge)
-                        table.append(rec.to_row())
+                        table.append((spec.label(), spec.kind, n, spec.d, spec.beta,
+                                      spec.delta, b, seed, r.step, r.gap, r.max_abs,
+                                      r.gamma_value, r.gamma_total, *cond, *r.bins_ge))
     return table
 
 

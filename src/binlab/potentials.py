@@ -15,6 +15,14 @@ on a concrete (state, vector) instance, where dphi_bar/dpsi_bar are the
 first-order expected changes and c(delta) is the closed-form constant from
 ``drift_constant``.  The relaxed 8n variant used by the expectation bound
 is certified alongside.
+
+Overflow rule.  Every e^{+-gamma*y} is evaluated by ``scaled_exp``: the
+exponents share one shift s = max(0, max(x) - 300), so no term exceeds
+e^300.  float64 exp overflows past e^709.78, and 300 leaves room for the
+squares the step-bound check's standard error forms (e^600; e^800 is inf).
+Certificates report s as ``log_scale``, ``potential`` adds it to its log
+fields, and a sweep's ``gamma_total`` multiplies e^s back in, stopping
+with an error when Gamma itself leaves the float64 range.
 """
 from __future__ import annotations
 
@@ -29,18 +37,33 @@ from .core import LoadState
 from .rng import make_generator
 from .vectors import ConditionParams, ProbabilityVector, check_c1, quantile_index
 
-# overflow guard: switch to log-space aggregation past this many nats
-_LOG_GUARD = 500.0
-# keep scaled terms around exp(400) at most when the guard trips
-_LOG_KEEP = 400.0
+# log of the largest term scaled_exp returns (see the module docstring)
+_EXP_MAX = 300.0
+
+
+def scaled_exp(x: np.ndarray) -> tuple[np.ndarray, float]:
+    """``(exp(x - s), s)`` with ``s = max(0, max(x) - _EXP_MAX)``; for
+    s = 0 the terms are exactly ``np.exp(x)``."""
+    s = max(0.0, float(np.max(x)) - _EXP_MAX)
+    return np.exp(x - s), s
+
+
+def unscaled(total: float, s: float) -> float:
+    """``total * e^s``, or inf when its log reaches 709 (float64 overflows
+    past e^709.78)."""
+    if not s:
+        return total
+    return total * math.exp(s) if s + math.log(total) < 709 else math.inf
 
 
 @dataclass(frozen=True)
 class PotentialReport:
     """Potential values for one state at one smoothing gamma.
 
-    Per-bin arrays are in rank order.  When ``used_log_space`` is set the
-    scalar fields may be inf; the log fields are always finite.
+    Per-bin arrays are in rank order, as ``scaled_exp`` returns them (times
+    e^{log(sum) - log_phi}, or log_psi, when ``used_log_space`` is set).
+    Scalar fields are inf only when their log is 709 or more; log fields
+    are always finite.
     """
 
     gamma: float
@@ -55,97 +78,30 @@ class PotentialReport:
     used_log_space: bool
 
 
-@dataclass(frozen=True)
-class DriftValues:
-    """First-order expected potential changes for one allocation step."""
-
-    dphi: float
-    dpsi: float
-    dgamma: float
-
-
-@dataclass(frozen=True)
-class DriftParams:
-    """Parameters for the expectation drift bound.
-
-    k is the quadratic (second-order) coefficient of the per-step moment
-    bound, r the ball-count scale of one round; gamma must respect
-    gamma <= min(1, eps*delta/(8k)).
-    """
-
-    cond: ConditionParams
-    k: float
-    r: float
-    gamma: float
-    s: float | None = None
-
-    def __post_init__(self):
-        if self.k <= 0 or self.r <= 0:
-            raise ValueError("k and r must be positive")
-        cap = min(1.0, self.cond.epsilon * self.cond.delta / (8 * self.k))
-        if not 0 < self.gamma <= cap:
-            raise ValueError(
-                f"gamma={self.gamma} outside (0, {cap:g}] for k={self.k}")
-
-
-def _logsumexp(v: np.ndarray) -> float:
-    m = float(np.max(v))
-    return m + math.log(float(np.sum(np.exp(v - m))))
-
-
-def potential(state: LoadState, gamma: float, mode: str = "auto") -> PotentialReport:
-    """Evaluate the potential; switches to log-space aggregation when the
-    exponents would overflow (|gamma*y| > 500)."""
+def potential(state: LoadState, gamma: float) -> PotentialReport:
+    """Evaluate the potential, each side through ``scaled_exp``."""
     if not 0 < gamma <= 1:
         raise ValueError(f"gamma must lie in (0, 1], got {gamma}")
-    if mode not in ("auto", "direct", "log"):
-        raise ValueError(f"unknown mode {mode!r}")
-    y = state.sorted_normalized()
-    ex = gamma * y
-    peak = float(np.max(np.abs(ex))) if len(ex) else 0.0
-    use_log = mode == "log" or (mode == "auto" and peak > _LOG_GUARD)
-    log_phi = _logsumexp(ex)
-    log_psi = _logsumexp(-ex)
-    with np.errstate(over="ignore"):
-        phi_per_bin = np.exp(ex)
-        psi_per_bin = np.exp(-ex)
-        if use_log:
-            phi = math.exp(log_phi) if log_phi < 709 else math.inf
-            psi = math.exp(log_psi) if log_psi < 709 else math.inf
-        else:
-            phi = float(np.sum(phi_per_bin))
-            psi = float(np.sum(psi_per_bin))
-    total = phi + psi
+    ex = gamma * state.sorted_normalized()
+    phi_per_bin, s_phi = scaled_exp(ex)
+    psi_per_bin, s_psi = scaled_exp(-ex)
+    phi = float(np.sum(phi_per_bin))
+    psi = float(np.sum(psi_per_bin))
+    log_phi = s_phi + math.log(phi)
+    log_psi = s_psi + math.log(psi)
+    phi, psi = unscaled(phi, s_phi), unscaled(psi, s_psi)
     return PotentialReport(
         gamma=gamma,
         phi_per_bin=phi_per_bin,
         psi_per_bin=psi_per_bin,
         phi=phi,
         psi=psi,
-        gamma_total=total,
+        gamma_total=phi + psi,
         log_phi=log_phi,
         log_psi=log_psi,
         log_gamma_total=np.logaddexp(log_phi, log_psi),
-        used_log_space=use_log,
+        used_log_space=bool(s_phi or s_psi),
     )
-
-
-def expected_drift(state: LoadState, p: ProbabilityVector, gamma: float) -> DriftValues:
-    """First-order expected change of (phi, psi, Gamma) for one unit ball
-    allocated by the rank-indexed vector p."""
-    if p.n != state.n:
-        raise ValueError(f"vector has {p.n} entries but state has {state.n} bins")
-    if not 0 < gamma <= 1:
-        raise ValueError(f"gamma must lie in (0, 1], got {gamma}")
-    y = state.sorted_normalized()
-    n = state.n
-    probs = np.asarray(p.probs)
-    bias = probs - 1.0 / n
-    phi_i = np.exp(gamma * y)
-    psi_i = np.exp(-gamma * y)
-    dphi = gamma * float(np.dot(phi_i, bias))
-    dpsi = gamma * float(np.dot(psi_i, -bias))
-    return DriftValues(dphi=dphi, dpsi=dpsi, dgamma=dphi + dpsi)
 
 
 def drift_constant(delta: float) -> float:
@@ -168,9 +124,9 @@ def certify_drift(state: LoadState, p: ProbabilityVector, params: ConditionParam
 
     The vector must satisfy C1(delta, eps) — violations raise
     PreconditionError rather than producing a failed certificate.  Both the
-    tight (4n) and relaxed (8n) additive forms are evaluated.  When the
-    exponents are large, everything is computed under a common exp(-shift)
-    scaling, recorded as log_scale; the inequality is scale-invariant.
+    tight (4n) and relaxed (8n) additive forms are evaluated.  Everything is
+    computed under the common factor exp(-shift) of ``scaled_exp``, recorded
+    as log_scale; the inequality is scale-invariant.
     """
     if p.n != state.n:
         raise PreconditionError(f"vector has {p.n} entries but state has {state.n} bins")
@@ -184,11 +140,9 @@ def certify_drift(state: LoadState, p: ProbabilityVector, params: ConditionParam
     n = state.n
     y = state.sorted_normalized()
     ex = gamma * y
-    peak = float(np.max(np.abs(ex)))
-    shift = max(0.0, peak - _LOG_KEEP) if peak > _LOG_GUARD else 0.0
+    terms, shift = scaled_exp(np.concatenate((ex, -ex)))
+    phi_i, psi_i = terms[:n], terms[n:]
     scale = math.exp(-shift)
-    phi_i = np.exp(ex - shift)
-    psi_i = np.exp(-ex - shift)
     bias = np.asarray(p.probs) - 1.0 / n
     value = gamma * (float(np.dot(phi_i, bias)) - float(np.dot(psi_i, bias)))
     total = float(np.sum(phi_i) + np.sum(psi_i))
@@ -228,21 +182,20 @@ def drift_step_bound_check(state: LoadState, p: ProbabilityVector,
 
         sum_i pot_i * ((+/-)(p_i - 1/n) * r * gamma  +  k * r * gamma^2 / n)
 
-    with a three-standard-error allowance folded into the bound.
+    with a three-standard-error allowance folded into the bound.  Value
+    and bound share the factor e^{-s} of ``scaled_exp``, so they stay finite.
     """
     if side not in ("phi", "psi"):
         raise ValueError(f"side must be 'phi' or 'psi', got {side!r}")
     if trials < 2:
         raise ValueError("need at least 2 trials")
     n = state.n
-    y_rank = state.sorted_normalized()
     sign = 1.0 if side == "phi" else -1.0
-    pot_rank = np.exp(sign * gamma * y_rank)
-    bias = np.asarray(p.probs) - 1.0 / n
-    bound = float(np.dot(pot_rank, sign * bias * r * gamma + k * r * gamma * gamma / n))
-    # per-bin potentials for evaluating sampled rounds
     y_bin = state.normalized()
-    pot_bin = np.exp(sign * gamma * y_bin)
+    pot_bin, _ = scaled_exp(sign * gamma * y_bin)
+    rank = np.asarray(state.sorted_index)
+    bias = np.asarray(p.probs) - 1.0 / n
+    bound = float(np.dot(pot_bin[rank], sign * bias * r * gamma + k * r * gamma * gamma / n))
     pot_total = float(np.sum(pot_bin))
     samples = np.empty(trials)
     for t in range(trials):
@@ -264,7 +217,7 @@ def drift_step_bound_check(state: LoadState, p: ProbabilityVector,
         value=mean,
         bound=bound + 3 * se,
         passed=mean <= bound + 3 * se,
-        inputs=inputs_hash(y_rank, np.asarray(p.probs), gamma, k, r, trials, seed),
+        inputs=inputs_hash(y_bin[rank], np.asarray(p.probs), gamma, k, r, trials, seed),
     )
 
 

@@ -62,6 +62,7 @@ import numpy as np
 from . import kernel
 from .core import LoadState
 from .graphs import RegularGraph
+from .potentials import scaled_exp, unscaled
 from .rng import make_generator
 from .vectors import ConditionParams, ProbabilityVector, quantile_index
 from .weights import WeightDistribution, parse_weights
@@ -530,20 +531,23 @@ def _batched_round(loads: np.ndarray, pv: np.ndarray, b: int,
 # -- fast engines --------------------------------------------------------------
 
 class _ChunkSource:
-    """Draws for the engines in chunks of ``_CHUNK`` per call; tests
+    """Draws for the engines in chunks of ``_CHUNK`` per call, and bins in
+    chunks of ``bins_size`` (at least one decision's worth); tests
     substitute scripted chunks.  The chunk size is part of the stream:
     numpy drops its buffered 32-bit half at the end of each ``integers``
     call."""
 
     def __init__(self, rng: np.random.Generator, n: int,
-                 wdist: WeightDistribution, n_edges: int = 0):
+                 wdist: WeightDistribution, n_edges: int = 0,
+                 bins_size: int = _CHUNK):
         self.rng = rng
         self.n = n
         self.wdist = wdist
         self.n_edges = n_edges
+        self.bins_size = bins_size
 
     def bins(self) -> np.ndarray:
-        return self.rng.integers(0, self.n, size=_CHUNK)
+        return self.rng.integers(0, self.n, size=self.bins_size)
 
     def edges(self) -> np.ndarray:
         return self.rng.integers(0, self.n_edges, size=_CHUNK)
@@ -651,6 +655,8 @@ class _ChoiceEngine(_EngineBase):
             if ii + k > len(ib):
                 ib = src.bins()
                 ii = 0
+                if len(ib) < k:
+                    raise IndexError("draw chunk shorter than one decision needs")
             if k == 1:
                 b = ib[ii]
                 ii += 1
@@ -958,7 +964,7 @@ def _source(spec: ProcessSpec, n: int, rng, source):
     if rng is None:
         raise ValueError("need rng or source")
     n_edges = len(spec.graph.edges) if spec.graph is not None else 0
-    return _ChunkSource(rng, n, spec.weights, n_edges)
+    return _ChunkSource(rng, n, spec.weights, n_edges, max(_CHUNK, spec.d or 0))
 
 
 # -- runs and probes ------------------------------------------------------------
@@ -1005,9 +1011,12 @@ def _snapshot(loads, balls: int, probe: ProbeConfig | None, seed: int) -> ProbeR
     max_abs = max(gap, float(-y.min()))
     gamma = probe.gamma if probe is not None else None
     if gamma is not None:
-        with np.errstate(over="ignore"):
-            ex = gamma * y
-            total = float(np.sum(np.exp(ex)) + np.sum(np.exp(-ex)))
+        n = len(y)
+        terms, s = scaled_exp(gamma * np.concatenate((y, -y)))
+        total = unscaled(float(np.sum(terms[:n]) + np.sum(terms[n:])), s)
+        if total == math.inf:
+            raise ValueError(f"the potential overflows float64 at gamma={gamma:g}, "
+                             f"n={n}, step {balls}; use a smaller gamma")
     else:
         total = None
     thresholds = probe.thresholds if probe is not None else ()

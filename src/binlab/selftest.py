@@ -123,13 +123,16 @@ def check_potential_flat_and_shift():
 
 
 def check_log_space_agreement():
-    loads = [0, 1, 2, 3, 5, 8, 13, 21]
-    st = core.LoadState.from_loads(loads)
-    for gamma in (0.01, 0.25, 1.0):
-        d = potentials.potential(st, gamma, mode="direct")
-        l = potentials.potential(st, gamma, mode="log")
-        _assert(abs(d.log_gamma_total - l.log_gamma_total) < 1e-9,
-                f"log/direct agree at gamma={gamma}")
+    fib = [0, 1, 2, 3, 5, 8, 13, 21]
+    # the last case has gamma*y = +-350 and runs the shifted branch
+    for loads, gamma in ((fib, 0.01), (fib, 0.25), (fib, 1.0), ([0, 700], 1.0)):
+        st = core.LoadState.from_loads(loads)
+        y = st.sorted_normalized().tolist()
+        rep = potentials.potential(st, gamma)
+        want = math.fsum(math.exp(s * gamma * v) for v in y for s in (1, -1))
+        _assert(abs(rep.gamma_total - want) < 1e-12 * want
+                and abs(rep.log_gamma_total - math.log(want)) < 1e-12,
+                f"potential matches an fsum of exp terms on {loads} at gamma={gamma}")
 
 
 def check_certify_random_instances():

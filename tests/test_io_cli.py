@@ -285,6 +285,18 @@ def test_cli_simulate_rejects_non_finite_inputs(tmp_path, monkeypatch, capsys,
     assert not (tmp_path / "runs.csv").exists()
 
 
+def test_cli_simulate_potential_overflow_exits_1(tmp_path, monkeypatch, capsys):
+    # one-choice at n = 8 reaches gamma*gap > 709 by m = 100n at gamma = 30
+    cfg = tmp_path / "over.cfg"
+    cfg.write_text("processes = one-choice,two-choice\nns = 8,16\nm = 100n\n"
+                   "reps = 20\nseed = 3\ngamma = 30\n")
+    monkeypatch.setenv("BINLAB_OUT", str(tmp_path))
+    assert main(["simulate", str(cfg)]) == 1
+    err = capsys.readouterr().err
+    assert "overflows" in err and "gamma=30" in err and "n=8" in err
+    assert not (tmp_path / "runs.csv").exists()
+
+
 def test_cli_drift_check_passes(tmp_path, monkeypatch, capsys):
     cfg = tmp_path / "drift.cfg"
     cfg.write_text("processes = two-choice\nns = 8\nm = 2n\n")

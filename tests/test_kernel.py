@@ -143,7 +143,7 @@ def test_script_exhaustion_raises_through_kernel(compiled):
 @pytest.mark.parametrize("d,tie", [(300, "higher-index"), (300, "random"),
                                    (_CHUNK + 5, "higher-index")])
 def test_d_choice_beyond_any_fixed_buffer(compiled, d, tie):
-    # d above the chunk size: each ball takes a short slice of a fresh chunk
+    # d above the chunk size: each ball takes a fresh chunk of d bins
     spec = parse_process(f"d-choice:d={d}", tie_rule=tie)
     n, target = 16, 40 if d > _CHUNK else 400
     eng = make_engine(spec, n, make_generator(3, d))
@@ -151,6 +151,28 @@ def test_d_choice_beyond_any_fixed_buffer(compiled, d, tie):
     eng.advance(target)
     ref.advance(target)
     assert _same(eng, ref)
+
+
+def test_d_choice_compares_all_d_candidates(monkeypatch):
+    d = _CHUNK + 5
+    seen = []
+    lightest = processes._lightest
+
+    def spy(loads, cands):
+        seen.append(len(cands))
+        return lightest(loads, cands)
+
+    monkeypatch.setattr(processes, "_lightest", spy)
+    eng = reference_engine(parse_process(f"d-choice:d={d}"), 16, make_generator(3, d))
+    eng.advance(3)
+    assert seen == [d] * 3
+
+
+@pytest.mark.parametrize("build", [make_engine, reference_engine])
+def test_chunk_shorter_than_a_decision_raises(build):
+    eng = build(parse_process("d-choice:d=3"), 4, source=_ScriptSource(bins=[0, 1]))
+    with pytest.raises(IndexError, match="shorter"):
+        eng.advance(1)
 
 
 def test_draw_out_of_range_raises(compiled):

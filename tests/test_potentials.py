@@ -18,10 +18,9 @@ from hypothesis import strategies as st
 
 from binlab.checks import PreconditionError
 from binlab.core import LoadState, new_state
-from binlab.potentials import (DriftParams, certify_drift, drift_constant,
-                               drift_step_bound_check, expected_drift,
-                               gamma_expectation_bound, gamma_for_weighted,
-                               potential)
+from binlab.potentials import (certify_drift, drift_constant,
+                               drift_step_bound_check, gamma_expectation_bound,
+                               gamma_for_weighted, potential)
 from binlab.rng import make_generator
 from binlab.vectors import ConditionParams, ProbabilityVector, worst_case_vector
 
@@ -51,24 +50,30 @@ def test_potential_per_bin_in_rank_order():
     assert rep.phi_per_bin[0] == np.max(rep.phi_per_bin)
 
 
-def test_potential_modes_agree():
-    rng = make_generator(5, 0)
-    loads = rng.integers(0, 40, size=12).tolist()
-    for gamma in (0.01, 0.25, 1.0):
-        a = potential(LoadState.from_loads(loads), gamma, mode="direct")
-        b = potential(LoadState.from_loads(loads), gamma, mode="log")
-        assert b.log_gamma_total == pytest.approx(a.log_gamma_total, rel=1e-12)
-        assert b.gamma_total == pytest.approx(a.gamma_total, rel=1e-9)
+def test_potential_matches_fsum_of_exp_terms():
+    drawn = make_generator(5, 0).integers(0, 40, size=12).tolist()
+    # the last case has gamma*y near +-350: the shifted branch runs
+    cases = ((drawn, 0.01, False), (drawn, 0.25, False), (drawn, 1.0, False),
+             ([0, 5, 700], 1.0, True))
+    for loads, gamma, shifted in cases:
+        state = LoadState.from_loads(loads)
+        y = state.sorted_normalized().tolist()
+        rep = potential(state, gamma)
+        phi = math.fsum(math.exp(gamma * v) for v in y)
+        psi = math.fsum(math.exp(-gamma * v) for v in y)
+        assert rep.phi == pytest.approx(phi, rel=1e-13)
+        assert rep.psi == pytest.approx(psi, rel=1e-13)
+        assert rep.log_gamma_total == pytest.approx(math.log(phi + psi), rel=1e-14)
+        assert rep.used_log_space == shifted
 
 
 def test_potential_log_space_guard():
-    # normalized loads ~ +/-1000 overflow float64 exp; the log route stays finite
+    # normalized loads ~ +/-1000 overflow float64 exp; the log fields stay finite
     rep = potential(LoadState.from_loads([2000, 0]), 1.0)
     assert rep.used_log_space
     assert rep.gamma_total == math.inf
     assert rep.log_gamma_total == pytest.approx(1000.0 + math.log(2), abs=1e-6)
-    direct = potential(LoadState.from_loads([2000, 0]), 1.0, mode="direct")
-    assert not direct.used_log_space and direct.gamma_total == math.inf
+    assert np.all(np.isfinite(rep.phi_per_bin)) and np.max(rep.phi_per_bin) > 0
 
 
 def test_potential_validates():
@@ -76,8 +81,6 @@ def test_potential_validates():
         potential(new_state(2), 0.0)
     with pytest.raises(ValueError):
         potential(new_state(2), 1.5)
-    with pytest.raises(ValueError):
-        potential(new_state(2), 0.5, mode="fast")
 
 
 @settings(max_examples=60, deadline=None)
@@ -90,29 +93,22 @@ def test_property_potential_translation_invariant(loads, shift):
 
 
 def test_expected_drift_flat_is_zero():
+    # certify_drift.value is the first-order drift dphi + dpsi
     p = ProbabilityVector((0.0625, 0.1875, 0.3125, 0.4375))
-    d = expected_drift(new_state(4), p, 0.5)
-    assert d.dphi == pytest.approx(0.0, abs=1e-15)
-    assert d.dpsi == pytest.approx(0.0, abs=1e-15)
+    res = certify_drift(new_state(4), p, ConditionParams(0.5, 0.25), 0.5)
+    assert res.value == pytest.approx(0.0, abs=1e-15)
 
 
 def test_expected_drift_frozen_two_bins():
     # y = (1, -1), p = (1/4, 3/4), gamma = 1/2:
-    # dphi = g*(e^g*(-1/4) + e^-g*(1/4)) = (e^-g - e^g)/8 ... with g = 1/2
+    # dphi = g*(e^g*(-1/4) + e^-g*(1/4)) = (e^-g - e^g)/8 = dpsi, with g = 1/2
     state = LoadState.from_loads([2, 0])
-    d = expected_drift(state, ProbabilityVector((0.25, 0.75)), 0.5)
+    res = certify_drift(state, ProbabilityVector((0.25, 0.75)),
+                        ConditionParams(0.5, 0.5), 0.5)
     expect = 0.125 * (math.exp(-0.5) - math.exp(0.5))
-    assert d.dphi == pytest.approx(expect, rel=1e-13)
-    assert d.dpsi == pytest.approx(expect, rel=1e-13)
-    assert d.dgamma == pytest.approx(-0.2605476527468737, rel=1e-12)
-    assert d.dgamma < 0  # biased vector contracts a skewed state
-
-
-def test_expected_drift_validates():
-    with pytest.raises(ValueError):
-        expected_drift(new_state(3), ProbabilityVector((0.5, 0.5)), 0.5)
-    with pytest.raises(ValueError):
-        expected_drift(new_state(2), ProbabilityVector((0.5, 0.5)), 0.0)
+    assert res.value == pytest.approx(2 * expect, rel=1e-13)
+    assert res.value == pytest.approx(-0.2605476527468737, rel=1e-12)
+    assert res.value < 0  # biased vector contracts a skewed state
 
 
 def test_drift_constant_frozen():
@@ -189,17 +185,6 @@ def test_gamma_rule_frozen():
         gamma_for_weighted(ConditionParams(0.25, 0.5), 2.0, -1.0)
 
 
-def test_drift_params_gamma_cap():
-    cond = ConditionParams(0.25, 0.5)
-    DriftParams(cond=cond, k=4.0, r=1.0, gamma=1 / 256)  # exactly at the cap
-    with pytest.raises(ValueError):
-        DriftParams(cond=cond, k=4.0, r=1.0, gamma=1 / 255)
-    with pytest.raises(ValueError):
-        DriftParams(cond=cond, k=0.0, r=1.0, gamma=1 / 512)
-    with pytest.raises(ValueError):
-        DriftParams(cond=cond, k=4.0, r=-1.0, gamma=1 / 512)
-
-
 def _two_choice_round(state, rng):
     i, j = (int(v) for v in rng.integers(0, state.n, size=2))
     li, lj = state.loads[i], state.loads[j]
@@ -217,6 +202,17 @@ def test_drift_step_bound_check_two_choice(side):
     res = drift_step_bound_check(state, p, _two_choice_round,
                                  gamma=1 / 256, k=4.0, r=1.0,
                                  trials=600, seed=11, side=side)
+    assert res.passed, (res.value, res.bound)
+
+
+@pytest.mark.parametrize("side", ["phi", "psi"])
+def test_drift_step_bound_check_finite_past_exp_range(side):
+    # gamma*y reaches 1500: a bare exp of the potentials would be inf
+    state = LoadState.from_loads([2000, 0, 0, 0])
+    p = ProbabilityVector(tuple((2 * i + 1) / 16 for i in range(4)))
+    res = drift_step_bound_check(state, p, _two_choice_round, gamma=1.0, k=4.0,
+                                 r=1.0, trials=200, seed=3, side=side)
+    assert math.isfinite(res.value) and math.isfinite(res.bound)
     assert res.passed, (res.value, res.bound)
 
 
