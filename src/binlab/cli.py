@@ -14,18 +14,18 @@ from fractions import Fraction
 
 from .checks import CERT_CSV_HEADER, CHECK_CSV_HEADER, PreconditionError
 from .configfile import load_config
+from .core import LoadState
 from .experiments import aggregate, scaled_count, sweep
 from .graphs import EXACT_LIMIT, conductance_bounds, conductance_exact, read_graph_file
-from .potentials import certify_drift, drift_step_bound_check, gamma_for_weighted
+from .potentials import certify_drift, drift_step_bound_exact, gamma_for_weighted
 from .processes import (UnsupportedProcessError, allocation_vector,
-                        canonical_conditions, comparison_vector, parse_process,
-                        sample_round, step)
+                        canonical_conditions, comparison_vector, make_engine,
+                        parse_process, round_law)
 from .rng import make_generator
 from .selftest import run_selftest
 from .tableio import read_csv, write_csv
 from .vectors import check_conditions
 from .weights import parse_weights, s_for_gamma
-from . import core
 from .svgplot import PlotSpec, render_svg
 
 
@@ -63,13 +63,44 @@ def _cmd_simulate(args) -> int:
     return 0
 
 
+def _drift_check_unsupported(cfg) -> str | None:
+    """The first config setting drift-check would ignore, as a message."""
+    ignored = (
+        ("batches", any(scaled_count(b, 2) > 0 for b in cfg.batches)),
+        ("probe_steps", cfg.probe_steps is not None),
+        ("thresholds", bool(cfg.thresholds)),
+        ("keep", cfg.keep == "trajectory"),
+        ("reps", cfg.reps > 1),
+        ("graph", bool(cfg.graph)),
+    )
+    for key, is_set in ignored:
+        if is_set:
+            return f"config key {key} is not supported by drift-check"
+    for ptext in cfg.processes:
+        if ptext.strip().partition(":")[0] == "graphical":
+            return "graphical processes are not supported by drift-check"
+    return None
+
+
+def _tightest(results) -> str:
+    """Smallest slack relative to |bound|, with its inputs hash."""
+    def relative(res):
+        return res.slack / (abs(res.bound) or 1.0)
+
+    worst = min(results, key=relative)
+    return f"{relative(worst):.3g} of |bound| (inputs {worst.inputs})"
+
+
 def _cmd_drift_check(args) -> int:
     cfg = load_config(args.config)
+    problem = _drift_check_unsupported(cfg)
+    if problem:
+        print(f"error: {problem}", file=sys.stderr)
+        return 1
     seed = args.seed if args.seed is not None else cfg.seed
     wdist = parse_weights(cfg.weights)
-    cert_lines = [CERT_CSV_HEADER]
-    check_lines = [CHECK_CSV_HEADER]
-    n_fail = 0
+    unit = wdist.kind == "unit"
+    certs, checks = [], []
     for pi, ptext in enumerate(cfg.processes):
         spec = parse_process(ptext, weights=wdist, tie_rule=cfg.tie_rule)
         for ni, n in enumerate(cfg.ns):
@@ -85,38 +116,28 @@ def _cmd_drift_check(args) -> int:
             else:
                 gamma = float(cfg.gamma)
             p = comparison_vector(spec, n)
-            state = core.new_state(n, exact=wdist.kind == "unit")
-            rng = make_generator(seed, pi, ni)
+            eng = make_engine(spec, n, make_generator(seed, pi, ni))
             m = scaled_count(cfg.m, n)
             k_quad = 2.0 * cond.c_cap * s
-
-            def sampler(st, r):
-                return list(sample_round(spec, st, rng=r).bins_hit)
-
-            probes = list(range(0, m + 1, max(n, 1)))
-            balls = 0
-            for probe_at in probes:
-                while balls < probe_at:
-                    balls += step(spec, state, rng=rng).balls()
-                cert = certify_drift(state, p, cond, gamma)
-                cert_lines.append(cert.csv_row())
-                n_fail += not cert.passed
+            for probe_at in range(0, m + 1, max(n, 1)):
+                eng.advance(probe_at)
+                state = LoadState.from_loads(eng.loads, exact=unit)
+                certs.append(certify_drift(state, p, cond, gamma))
+                law = round_law(spec, state)
                 for side in ("phi", "psi"):
-                    res = drift_step_bound_check(
-                        state, p, sampler, gamma, k=k_quad, r=1.0,
-                        trials=args.trials, seed=seed + 7 * probe_at + (side == "psi"))
-                    check_lines.append(res.csv_row())
-                    n_fail += not res.passed
+                    checks.append(drift_step_bound_exact(
+                        state, p, law, wdist, gamma, k=k_quad, r=1.0, side=side))
     cert_out = _out_path(args.out)
     with open(cert_out, "w", newline="") as fh:
-        fh.write("\n".join(cert_lines) + "\n")
+        fh.write("\n".join([CERT_CSV_HEADER] + [c.csv_row() for c in certs]) + "\n")
     checks_out = _out_path(args.checks_out)
     with open(checks_out, "w", newline="") as fh:
-        fh.write("\n".join(check_lines) + "\n")
-    n_certs = len(cert_lines) - 1
-    n_checks = len(check_lines) - 1
-    print(f"drift-check: {n_certs} certificates + {n_checks} step-bound checks, "
+        fh.write("\n".join([CHECK_CSV_HEADER] + [c.csv_row() for c in checks]) + "\n")
+    n_fail = sum(not res.passed for res in certs + checks)
+    print(f"drift-check: {len(certs)} certificates + {len(checks)} step-bound checks, "
           f"{n_fail} failures -> {cert_out}, {checks_out}")
+    print(f"drift-check: smallest certificate slack {_tightest(certs)}")
+    print(f"drift-check: smallest step-bound slack {_tightest(checks)}")
     return 2 if n_fail else 0
 
 
@@ -187,8 +208,6 @@ def main(argv=None) -> int:
                           help="certify the drift inequality along runs")
     p_dc.add_argument("config")
     p_dc.add_argument("--seed", type=int, default=None)
-    p_dc.add_argument("--trials", type=int, default=400,
-                      help="Monte-Carlo trials per step-bound check")
     p_dc.add_argument("--out", default="drift-certs.csv")
     p_dc.add_argument("--checks-out", default="drift-checks.csv")
 

@@ -23,6 +23,14 @@ squares the step-bound check's standard error forms (e^600; e^800 is inf).
 Certificates report s as ``log_scale``, ``potential`` adds it to its log
 fields, and a sweep's ``gamma_total`` multiplies e^s back in, stopping
 with an error when Gamma itself leaves the float64 range.
+
+Per-round precondition.  ``drift_step_bound_exact`` computes E[change of
+phi or psi over one round] exactly from the round's law
+(``processes.round_law``) and the weight law's log-MGF, with no random
+draws.  Its rounding error is below 40u * size, for u = 2^-53 and size
+the sum of the absolute sizes of the terms it adds (defined in its
+docstring); it passes when value <= bound + 64u * size.  ``drift_step_bound_check`` is
+the Monte-Carlo estimate of the same expectation, kept as its cross-check.
 """
 from __future__ import annotations
 
@@ -36,6 +44,7 @@ from .checks import CertResult, CheckResult, PreconditionError, inputs_hash
 from .core import LoadState
 from .rng import make_generator
 from .vectors import ConditionParams, ProbabilityVector, check_c1, quantile_index
+from .weights import WeightDistribution, log_mgf
 
 # log of the largest term scaled_exp returns (see the module docstring)
 _EXP_MAX = 300.0
@@ -168,13 +177,86 @@ def gamma_for_weighted(params: ConditionParams, c_cap: float, s: float) -> float
     return params.epsilon * params.delta / (16.0 * c_cap * s)
 
 
+# tolerance of drift_step_bound_exact in units of its size sum (derivation
+# in its docstring: the rounding error is below 40u * size)
+_EXACT_TOL = 64 * 2.0 ** -53
+
+
+def drift_step_bound_exact(state: LoadState, p: ProbabilityVector,
+                           law: dict[tuple[int, int], np.ndarray],
+                           weights: WeightDistribution, gamma: float, k: float,
+                           r: float, side: str = "phi") -> CheckResult:
+    """Exact check of the per-round expectation precondition.
+
+    ``law`` maps (K, c) to the rank-indexed P(the round allocates K balls
+    and c of them land in rank r), as ``processes.round_law`` gives it.
+    With s = +1 for phi and -1 for psi, M the weight law's MGF and
+    la = log M(s*gamma*(1-1/n)), lb = log M(-s*gamma/n), the expected
+    change of the potential over one round is
+
+        value = sum_r pot_r * sum_{K,c} P_r(K,c) * expm1(L),
+        L = c*la + (K-c)*lb,
+
+    exact because weights are i.i.d. and independent of the sampled bins.
+    It is compared against the nominal bound of ``drift_step_bound_check``,
+
+        bound = sum_r pot_r * (s*(p_r - 1/n)*r*gamma + k*r*gamma^2/n).
+
+    Rounding.  With u = 2^-53 and m = (c|la| + (K-c)|lb|) * e^max(L, 0),
+    which bounds |expm1(L)|: for gamma <= 1/2, la and lb (``weights.log_mgf``)
+    are within 8u relative, so fl(L) is within 9u (c|la| + (K-c)|lb|) and
+    fl(expm1(L)) within 11u * m; every law entry is within 8u absolute
+    (correctly rounded integer ratios, or a few sums and complements of
+    them); the at most four products and sums per rank add 8u * sum m; the
+    product with pot and ``math.fsum`` add 2u.  The bound's coefficients
+    are within 4u * (r*gamma*(p_r + 1/n) + k*r*gamma^2/n), and its product
+    and sum add 2u.  So value - bound is off by less than 40u * size, with
+
+        size = sum_r pot_r * (sum_{K,c} m + r*gamma*(p_r + 1/n) + k*r*gamma^2/n),
+
+    and the check passes when value <= bound + 64u * size.  The tolerance is
+    not added to ``bound``.  pot comes from ``scaled_exp``, so value and
+    bound share its factor e^{-shift} and stay finite.
+    """
+    if side not in ("phi", "psi"):
+        raise ValueError(f"side must be 'phi' or 'psi', got {side!r}")
+    n = state.n
+    sign = 1.0 if side == "phi" else -1.0
+    la = log_mgf(weights, sign * gamma * (1.0 - 1.0 / n))
+    lb = log_mgf(weights, -sign * gamma / n)
+    y = state.sorted_normalized()
+    pot, _ = scaled_exp(sign * gamma * y)
+    change = np.zeros(n)
+    mag = 0.0
+    for (balls, c), prob in law.items():
+        ell = c * la + (balls - c) * lb
+        change += prob * math.expm1(ell)
+        mag += (c * abs(la) + (balls - c) * abs(lb)) * math.exp(max(ell, 0.0))
+    probs = np.asarray(p.probs)
+    coef = sign * (probs - 1.0 / n) * r * gamma + k * r * gamma * gamma / n
+    value = math.fsum((pot * change).tolist())
+    bound = math.fsum((pot * coef).tolist())
+    size = math.fsum((pot * (mag + r * gamma * (probs + 1.0 / n)
+                             + k * r * gamma * gamma / n)).tolist())
+    atoms = sorted(law)
+    return CheckResult(
+        name=f"drift_step_bound({side})",
+        value=value,
+        bound=bound,
+        passed=value <= bound + _EXACT_TOL * size,
+        inputs=inputs_hash(y, probs, gamma, k, r, side, weights.label(), atoms,
+                           *(law[a] for a in atoms)),
+    )
+
+
 RoundSampler = Callable[[LoadState, np.random.Generator], list]
 
 
 def drift_step_bound_check(state: LoadState, p: ProbabilityVector,
                            sampler: RoundSampler, gamma: float, k: float, r: float,
                            trials: int, seed: int, side: str = "phi") -> CheckResult:
-    """Monte-Carlo check of the per-round expectation precondition.
+    """Monte-Carlo check of the per-round expectation precondition; the
+    cross-check of ``drift_step_bound_exact`` in the tests.
 
     ``sampler(state, rng)`` must return the balls of one round as
     (bin, weight) pairs without mutating the state.  The empirical mean of
@@ -205,11 +287,13 @@ def drift_step_bound_check(state: LoadState, p: ProbabilityVector,
         for b, w in sampler(state, rng):
             hits[b] = hits.get(b, 0.0) + w
             added += w
-        # all bins shift by -added/n; hit bins additionally gain their weight
-        new_total = pot_total
-        for b, w in hits.items():
-            new_total += pot_bin[b] * math.expm1(sign * gamma * w)
-        samples[t] = new_total * math.exp(-sign * gamma * added / n) - pot_total
+        # all bins shift by -added/n; hit bins additionally gain their
+        # weight.  Kept as expm1 terms: at gamma ~ 1e-11 the difference of
+        # the new and old totals would be rounding noise.
+        shift = -sign * gamma * added / n
+        gained = sum(pot_bin[b] * math.expm1(sign * gamma * w)
+                     for b, w in hits.items())
+        samples[t] = pot_total * math.expm1(shift) + math.exp(shift) * gained
     mean = float(np.mean(samples))
     se = float(np.std(samples, ddof=1)) / math.sqrt(trials)
     return CheckResult(

@@ -21,7 +21,10 @@ graphical       uniform random edge of a regular graph, ball to the lesser
 Three execution paths exist and are tested against each other:
 
 exact       ``sample_round``/``step`` over a ``LoadState``: the oracle, with
-            rational enumeration of one step's allocation law beside it.
+            rational enumeration of one step's allocation law
+            (``expected_ball_counts``) beside it, and ``round_law``, the
+            O(n) float law of one round that ``binlab drift-check`` uses,
+            pinned to the sampler and to that enumeration by the tests.
 kernel      what ``make_engine`` returns: the per-ball decision loops of
             ``_kernel.c``, compiled on first use (see ``kernel.py``), over a
             float64 load array.  ``run`` uses it for every sweep.
@@ -43,10 +46,10 @@ reference engines and the kernel inline it and are pinned to the exact path
 by the differential tests.
 
 The exact path reads its draws through ``_Draws`` in one of two ways: one
-scalar numpy call per draw from a generator (the stream of
-``binlab drift-check``), or one value at a time from a chunk source with
-the engine protocol (``bins``/``floats``/``weights``/``edges``), such as a
-``_ScriptSource`` that the tests and selftest share with the engines.
+scalar numpy call per draw from a generator, or one value at a time from a
+chunk source with the engine protocol (``bins``/``floats``/``weights``/
+``edges``), such as a ``_ScriptSource`` that the tests and selftest share
+with the engines.
 """
 from __future__ import annotations
 
@@ -60,7 +63,7 @@ from typing import Sequence
 import numpy as np
 
 from . import kernel
-from .core import LoadState
+from .core import LoadState, tie_blocks
 from .graphs import RegularGraph
 from .potentials import scaled_exp, unscaled
 from .rng import make_generator
@@ -373,6 +376,91 @@ def empirical_allocation_vector(spec: ProcessSpec, state: LoadState,
     """Float view of ``empirical_allocation_fractions``."""
     return ProbabilityVector(probs=tuple(
         float(f) for f in empirical_allocation_fractions(spec, state, ball=ball)))
+
+
+# -- the law of one round -----------------------------------------------------
+
+def _block_law(state: LoadState, tie_rule: str, cum, denom: int) -> np.ndarray:
+    """Per rank r, (cum(r+1) - cum(r)) / denom; under random ties each tie
+    block [a, b) gets its average (cum(b) - cum(a)) / (denom * (b - a)).
+    ``cum`` maps integers to integers, so every entry is correctly rounded."""
+    if tie_rule == "random":
+        ends = [0] + [b for _, b in tie_blocks(state)]
+    else:
+        ends = range(state.n + 1)
+    c = [cum(k) for k in ends]
+    vals = [(c1 - c0) / (denom * (b - a))
+            for c0, c1, a, b in zip(c, c[1:], ends, ends[1:])]
+    return np.repeat(vals, np.diff(ends))
+
+
+def _choice_law(state: LoadState, d: int, tie_rule: str) -> np.ndarray:
+    """P(the lesser loaded of d uniform samples has rank r).  On LoadState
+    ranks "lesser loaded, ties to the higher id" is "higher rank", so this
+    is ((r+1)^d - r^d)/n^d; a random tie is uniform over its block."""
+    return _block_law(state, tie_rule, lambda k: k ** d, state.n ** d)
+
+
+def _edge_law(spec: ProcessSpec, state: LoadState) -> np.ndarray:
+    """P(a uniform edge's lesser-loaded endpoint has rank r), O(|E|)."""
+    edges = np.asarray(spec.graph.edges)
+    eu, ev = edges[:, 0], edges[:, 1]
+    rank = np.asarray(state.rank_of)
+    loads = np.asarray(state.loads)
+    ru, rv = rank[eu], rank[ev]
+    if spec.tie_rule == "random":
+        half = np.where((loads[eu] == loads[ev]) & (eu != ev), 0.5, 0.0)
+    else:
+        half = np.zeros(len(eu))
+    n = state.n
+    counts = (np.bincount(np.maximum(ru, rv), 1.0 - half, minlength=n)
+              + np.bincount(np.minimum(ru, rv), half, minlength=n))
+    return counts / len(eu)
+
+
+def round_law(spec: ProcessSpec, state: LoadState) -> dict[tuple[int, int], np.ndarray]:
+    """The law of one round on this state, in O(n) (graphical: O(|E|)).
+
+    Maps (K, c) to the rank-indexed array of P(the round allocates K balls
+    and c of them land in rank r); for each rank the atoms sum to 1.  It is
+    the law of ``sample_round``, pinned by the tests to a brute force over
+    scripted draws, and its ball counts sum_{K,c} c * P_r(K, c) are
+    ``expected_ball_counts``.  Weights are i.i.d. and independent of the
+    bins in every kind, so the law and the weight law give the exact
+    expectation of anything the round does to a potential.
+    """
+    n = state.n
+    kind = spec.kind
+    t = quantile_index(spec.delta, n) if spec.delta is not None else 0
+    light = (np.arange(n) >= t).astype(float)  # rank past the quantile
+    if kind == "twinning":
+        # one sample: one ball if it ranks below t, else two balls to it
+        return {(1, 1): (1.0 - light) / n, (1, 0): (t - (1.0 - light)) / n,
+                (2, 2): light / n, (2, 0): (n - t - light) / n}
+    if kind == "penalty":
+        # a light first sample takes one ball, else a fresh one takes two
+        return {(1, 1): light / n, (1, 0): (n - t - light) / n,
+                (2, 2): np.full(n, t / (n * n)), (2, 0): np.full(n, t * (n - 1) / (n * n))}
+    if kind == "reset-memory":
+        # ball 1 to a uniform i1, ball 2 to the lesser of i1 and a fresh
+        # sample; u_r = P(rank r beats one uniform sample)
+        u = _block_law(state, spec.tie_rule, lambda k: k * (k + 1) // 2, n)
+        q = _choice_law(state, 2, spec.tie_rule)
+        both = u / n
+        one = (1.0 - u) / n + q - both
+        return {(2, 2): both, (2, 1): one, (2, 0): 1.0 - both - one}
+    if kind in ("one-choice", "two-choice", "d-choice"):
+        d = {"one-choice": 1, "two-choice": 2}.get(kind, spec.d)
+        q = _choice_law(state, d, spec.tie_rule)
+    elif kind == "one-plus-beta":
+        q = (1 - spec.beta) / n + spec.beta * _choice_law(state, 2, spec.tie_rule)
+    elif kind == "quantile":
+        q = (n * light + t) / (n * n)
+    else:  # graphical
+        if spec.graph.n != n:
+            raise ValueError("graph size does not match state")
+        q = _edge_law(spec, state)
+    return {(1, 1): q, (1, 0): 1.0 - q}
 
 
 # -- exact single rounds over LoadState ---------------------------------------

@@ -124,6 +124,24 @@ def _mgf_closed(dist: WeightDistribution, z: float) -> float:
     return math.exp(lam * math.expm1(z / lam))
 
 
+def log_mgf(dist: WeightDistribution, z: float) -> float:
+    """log E[e^{zW}] without the cancellation of ``math.log(mgf(...))``,
+    which loses about 1e-4 relative at z = 1e-12.  Each form is a few
+    correctly rounded steps, well conditioned for |z| <= 1/2."""
+    if z >= dist.mgf_sup():
+        raise MgfDivergenceError(
+            f"mgf of {dist.label()} diverges at z={z} (finite for z < {dist.mgf_sup():g})")
+    if dist.kind == "unit":
+        return z
+    if dist.kind == "exp1":
+        return -math.log1p(-z)
+    if dist.kind == "geom":
+        p = dist.param
+        return p * z - math.log1p(-(1.0 - p) * math.expm1(p * z) / p)
+    lam = dist.param
+    return lam * math.expm1(z / lam)
+
+
 def _mgf_numeric(dist: WeightDistribution, z: float) -> float:
     """Quadrature / series fallback, relative tolerance 1e-8."""
     if dist.kind == "exp1":

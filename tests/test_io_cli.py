@@ -301,14 +301,37 @@ def test_cli_drift_check_passes(tmp_path, monkeypatch, capsys):
     cfg = tmp_path / "drift.cfg"
     cfg.write_text("processes = two-choice\nns = 8\nm = 2n\n")
     monkeypatch.setenv("BINLAB_OUT", str(tmp_path))
-    assert main(["drift-check", str(cfg), "--trials", "50"]) == 0
+    assert main(["drift-check", str(cfg)]) == 0
     out = capsys.readouterr().out
     assert "0 failures" in out
+    assert "smallest certificate slack" in out and "smallest step-bound slack" in out
     certs = (tmp_path / "drift-certs.csv").read_text().splitlines()
     assert certs[0].startswith("inputs_hash,")
     assert len(certs) == 1 + 3  # probes at 0, 8, 16 balls
     checks = (tmp_path / "drift-checks.csv").read_text().splitlines()
     assert len(checks) == 1 + 6  # phi and psi per probe
+
+
+@pytest.mark.parametrize("line,key", [
+    ("batches = 2n", "batches"), ("probe_steps = 3,5", "probe_steps"),
+    ("thresholds = 1", "thresholds"), ("keep = trajectory", "keep"),
+    ("reps = 5", "reps"), ("graph = cycle", "graph")])
+def test_cli_drift_check_rejects_ignored_keys(tmp_path, monkeypatch, capsys, line, key):
+    cfg = tmp_path / "drift.cfg"
+    cfg.write_text(f"processes = two-choice\nns = 8\nm = 2n\n{line}\n")
+    monkeypatch.setenv("BINLAB_OUT", str(tmp_path))
+    assert main(["drift-check", str(cfg)]) == 1
+    err = capsys.readouterr().err
+    assert f"config key {key} is not supported by drift-check" in err
+    assert not (tmp_path / "drift-certs.csv").exists()
+
+
+def test_cli_drift_check_rejects_graphical(tmp_path, monkeypatch, capsys):
+    cfg = tmp_path / "drift.cfg"
+    cfg.write_text("processes = two-choice,graphical\nns = 8\nm = 2n\n")
+    monkeypatch.setenv("BINLAB_OUT", str(tmp_path))
+    assert main(["drift-check", str(cfg)]) == 1
+    assert "graphical processes are not supported by drift-check" in capsys.readouterr().err
 
 
 def test_cli_drift_check_precondition_violation(tmp_path, monkeypatch, capsys):

@@ -9,7 +9,10 @@ and c(1/2) = 4 * max(1, 1, sqrt(8/3), sqrt(8/3)/2) = 4*sqrt(8/3).
 """
 from __future__ import annotations
 
+import decimal
+import itertools
 import math
+from decimal import Decimal
 
 import numpy as np
 import pytest
@@ -19,10 +22,15 @@ from hypothesis import strategies as st
 from binlab.checks import PreconditionError
 from binlab.core import LoadState, new_state
 from binlab.potentials import (certify_drift, drift_constant,
-                               drift_step_bound_check, gamma_expectation_bound,
-                               gamma_for_weighted, potential)
+                               drift_step_bound_check, drift_step_bound_exact,
+                               gamma_expectation_bound, gamma_for_weighted,
+                               potential, scaled_exp)
+from binlab.processes import (_Draws, _ScriptSource, canonical_conditions,
+                              comparison_vector, make_engine, parse_process,
+                              round_law, sample_round)
 from binlab.rng import make_generator
 from binlab.vectors import ConditionParams, ProbabilityVector, worst_case_vector
+from binlab.weights import log_mgf, parse_weights, s_for_gamma
 
 
 def test_potential_flat_state_is_2n():
@@ -236,3 +244,128 @@ def test_gamma_expectation_bound():
     assert not bad.passed
     with pytest.raises(ValueError):
         gamma_expectation_bound([1.0] * 29, delta, n)
+
+
+# -- the exact per-round check -----------------------------------------------------
+
+U = 2.0 ** -53
+WEIGHT_LAWS = ("unit", "exp1", "geom:p=0.5", "poisson:l=2")
+
+
+def _decimal_mgf(w, z: Decimal) -> Decimal:
+    """The closed-form MGF in the current decimal context."""
+    if w.kind == "unit":
+        return z.exp()
+    if w.kind == "exp1":
+        return 1 / (1 - z)
+    par = Decimal(w.param)
+    if w.kind == "geom":
+        e = (par * z).exp()
+        return par * e / (1 - (1 - par) * e)
+    return (par * ((z / par).exp() - 1)).exp()
+
+
+def _brute_force_change(spec, state, gamma, side) -> Decimal:
+    """E[change of the potential over one round] by enumerating every bins
+    x floats script of ``sample_round``, with the closed-form MGF."""
+    n = state.n
+    s = 1 if side == "phi" else -1
+    pot, _ = scaled_exp(s * gamma * state.sorted_normalized())
+    pot = [Decimal(float(v)) for v in pot]
+    g = Decimal(gamma)
+    m_in = _decimal_mgf(spec.weights, s * g * (1 - Decimal(1) / n))
+    m_out = _decimal_mgf(spec.weights, -s * g / n)
+    scripts = list(itertools.product(itertools.product(range(n), repeat=2),
+                                     itertools.product((0.25, 0.75), repeat=2)))
+    total = Decimal(0)
+    for bins, floats in scripts:
+        draws = _Draws(n, parse_weights("unit"),
+                       source=_ScriptSource(bins=bins, floats=floats))
+        hit = [state.rank_of[b] for b, _ in sample_round(spec, state, draws=draws).bins_hit]
+        for r in range(n):
+            c = hit.count(r)
+            total += pot[r] * (m_in ** c * m_out ** (len(hit) - c) - 1)
+    return total / len(scripts)
+
+
+def _size(state, p, law, w, gamma, k, r, side) -> float:
+    """The size sum of ``drift_step_bound_exact``'s rounding bound, as its
+    docstring defines it."""
+    n = state.n
+    s = 1.0 if side == "phi" else -1.0
+    la = log_mgf(w, s * gamma * (1 - 1 / n))
+    lb = log_mgf(w, -s * gamma / n)
+    pot, _ = scaled_exp(s * gamma * state.sorted_normalized())
+    mag = sum((c * abs(la) + (kk - c) * abs(lb)) * math.exp(max(c * la + (kk - c) * lb, 0))
+              for kk, c in law)
+    probs = np.asarray(p.probs)
+    return float(np.sum(pot * (mag + r * gamma * (probs + 1 / n) + k * r * gamma ** 2 / n)))
+
+
+EXACT_CASES = [(text, w) for text in ("two-choice", "one-plus-beta:beta=0.5",
+                                      "quantile:delta=0.5", "reset-memory")
+               for w in WEIGHT_LAWS] + [("twinning:delta=0.5", "unit"),
+                                        ("penalty:delta=0.5", "unit")]
+
+
+@pytest.mark.parametrize("tie", ["higher-index", "random"])
+@pytest.mark.parametrize("text,wtext", EXACT_CASES)
+def test_exact_step_bound_matches_brute_force(text, wtext, tie):
+    spec = parse_process(text, weights=parse_weights(wtext), tie_rule=tie)
+    p = comparison_vector(spec, 4)
+    for loads in ((2, 1, 1, 0), (0, 0, 0, 0), (5, 0, 3, 1)):
+        state = LoadState.from_loads(loads)
+        law = round_law(spec, state)
+        for gamma, side in itertools.product((0.3, 0.05, 1e-11), ("phi", "psi")):
+            res = drift_step_bound_exact(state, p, law, spec.weights, gamma,
+                                         k=4.0, r=1.0, side=side)
+            with decimal.localcontext() as ctx:
+                ctx.prec = 60
+                want = _brute_force_change(spec, state, gamma, side)
+                err = abs(Decimal(res.value) - want)
+            size = _size(state, p, law, spec.weights, gamma, 4.0, 1.0, side)
+            assert err <= Decimal(40 * U * size), (loads, gamma, side, res.value, want)
+
+
+@pytest.mark.parametrize("text,wtext", [
+    ("two-choice", "unit"), ("two-choice", "exp1"), ("two-choice", "geom:p=0.5"),
+    ("two-choice", "poisson:l=2"), ("reset-memory", "exp1"),
+    ("quantile:delta=0.5", "geom:p=0.5"), ("penalty:delta=0.25", "unit")])
+@pytest.mark.parametrize("gamma", ["auto", 0.05])
+def test_monte_carlo_step_bound_agrees_with_exact(text, wtext, gamma):
+    """The Monte-Carlo mean lies within 4 standard errors of the exact
+    value; its bound is the exact check's bound plus 3 SE."""
+    n, trials = 64, 400
+    w = parse_weights(wtext)
+    spec = parse_process(text, weights=w)
+    cond = canonical_conditions(spec, n)
+    s = s_for_gamma(w)
+    if gamma == "auto":
+        gamma = gamma_for_weighted(cond, cond.c_cap, s)
+    k = 2.0 * cond.c_cap * s
+    eng = make_engine(spec, n, make_generator(21, len(text), len(wtext)))
+    eng.advance(10 * n)
+    state = LoadState.from_loads(eng.loads)
+    p = comparison_vector(spec, n)
+    law = round_law(spec, state)
+
+    def sampler(st, rng):
+        return list(sample_round(spec, st, rng=rng).bins_hit)
+
+    for i, side in enumerate(("phi", "psi")):
+        exact = drift_step_bound_exact(state, p, law, w, gamma, k=k, r=1.0, side=side)
+        mc = drift_step_bound_check(state, p, sampler, gamma, k=k, r=1.0,
+                                    trials=trials, seed=40 + i, side=side)
+        se = (mc.bound - exact.bound) / 3
+        tol = 64 * U * _size(state, p, law, w, gamma, k, 1.0, side)
+        assert se > 0 and exact.passed
+        assert abs(mc.value - exact.value) <= 4 * se + tol, \
+            (side, mc.value, exact.value, (mc.value - exact.value) / se)
+
+
+def test_exact_step_bound_validates():
+    state = new_state(4)
+    law = round_law(parse_process("two-choice"), state)
+    with pytest.raises(ValueError):
+        drift_step_bound_exact(state, ProbabilityVector.uniform(4), law,
+                               parse_weights("unit"), 0.01, 2.0, 1.0, side="both")

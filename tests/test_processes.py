@@ -27,8 +27,8 @@ from binlab.processes import (ENUM_LIMIT, ProbeConfig, ProcessSpec,
                               empirical_allocation_vector,
                               expected_ball_counts, expected_balls_per_step,
                               make_engine, one_plus_beta_vector_exact,
-                              parse_process, quantile_vector_exact, run,
-                              run_batched, sample_round, step)
+                              parse_process, quantile_vector_exact,
+                              round_law, run, run_batched, sample_round, step)
 from binlab.rng import make_generator
 from binlab.vectors import check_conditions, quantile_index
 from binlab.weights import parse_weights
@@ -417,6 +417,74 @@ def test_sampler_matches_enumeration_on_every_script(text, graph, tie):
             for b, _ in sample_round(spec, state, draws=draws).bins_hit:
                 got[state.rank_of[b]] += share
         assert got == expected_ball_counts(spec, state), loads
+
+
+# -- the round law against the sampler ------------------------------------------
+
+# the delta kinds take delta = 2/n, so the quantile is integral at n = 4 and 5
+LAW_CASES = [
+    ("one-choice", None), ("two-choice", None), ("d-choice:d=3", None),
+    ("one-plus-beta:beta=0.5", None), ("quantile:delta={q}", None),
+    ("twinning:delta={q}", None), ("penalty:delta={q}", None),
+    ("reset-memory", None), ("graphical", cycle_graph(4)),
+    ("graphical", complete_graph(4)),
+]
+LAW_STATES = TIED_STATES + [(1, 0, 1, 0, 1), (2, 2, 2, 0, 1), (0, 0, 0, 0, 0)]
+# midpoints of sixths: int(u * k) is uniform for k = 1, 2, 3 tied candidates,
+# and u < 1/2 for half of them
+LAW_FLOATS = [(2 * j + 1) / 12 for j in range(6)]
+
+
+def round_law_brute_force(spec, state) -> dict:
+    """P_r(K, c) over every bins x floats (x edges) script of one round."""
+    n = state.n
+    edge_scripts = [(e,) for e in range(len(spec.graph.edges))] if spec.graph else [()]
+    bin_scripts = list(itertools.product(range(n), repeat=spec.d or 2))
+    float_scripts = list(itertools.product(LAW_FLOATS, repeat=2))
+    share = F(1, len(edge_scripts) * len(bin_scripts) * len(float_scripts))
+    law: dict = {}
+    for edges, bins, floats in itertools.product(edge_scripts, bin_scripts,
+                                                 float_scripts):
+        draws = scripted(n, bins=bins, floats=floats, edges=edges)
+        hit = [state.rank_of[b] for b, _ in sample_round(spec, state, draws=draws).bins_hit]
+        for r in range(n):
+            row = law.setdefault((len(hit), hit.count(r)), [F(0)] * n)
+            row[r] += share
+    return law
+
+
+@pytest.mark.parametrize("tie", ["higher-index", "random"])
+@pytest.mark.parametrize("text,graph", LAW_CASES,
+                         ids=[f"{t}-{g.d if g else ''}" for t, g in LAW_CASES])
+def test_round_law_matches_every_script(text, graph, tie):
+    for loads in LAW_STATES:
+        if graph is not None and graph.n != len(loads):
+            continue
+        state = LoadState.from_loads(loads)
+        spec = parse_process(text.format(q=2 / state.n), graph=graph, tie_rule=tie)
+        want = round_law_brute_force(spec, state)
+        got = round_law(spec, state)
+        for atom in set(want) | set(got):
+            exact = [float(x) for x in want.get(atom, [F(0)] * state.n)]
+            assert np.allclose(got.get(atom, 0.0), exact, rtol=0, atol=1e-12), (loads, atom)
+
+
+@pytest.mark.parametrize("tie", ["higher-index", "random"])
+@pytest.mark.parametrize("text,graph", ORACLE_CASES[:-2] + [
+    ("graphical", hypercube_graph(8)), ("graphical", cycle_graph(7))],
+    ids=lambda v: v if isinstance(v, str) else (f"d{v.d}n{v.n}" if v else ""))
+def test_round_law_ball_counts_match_enumeration(text, graph, tie):
+    """sum_{K,c} c * P_r(K, c) is ``expected_ball_counts`` on tied states."""
+    rng = make_generator(5, len(text), 1 if tie == "random" else 0)
+    for n in (range(2, 9) if graph is None else (graph.n,)):
+        spec = parse_process(text, graph=graph, tie_rule=tie)
+        for _ in range(5):
+            state = LoadState.from_loads(rng.integers(0, 3, size=n).tolist())
+            if spec.delta is not None and not (spec.delta * n).is_integer():
+                continue
+            counts = sum(c * p for (_, c), p in round_law(spec, state).items())
+            want = [float(x) for x in expected_ball_counts(spec, state)]
+            assert np.allclose(counts, want, rtol=0, atol=1e-15), (n, state.loads)
 
 
 # -- engine vs exact-path agreement -----------------------------------------------

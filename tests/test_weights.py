@@ -8,8 +8,9 @@ import pytest
 
 from binlab.checks import MgfDivergenceError
 from binlab.rng import make_generator
-from binlab.weights import (WeightDistribution, mgf, moment_inequality_check,
-                            parse_weights, s_constant, s_for_gamma)
+from binlab.weights import (WeightDistribution, log_mgf, mgf,
+                            moment_inequality_check, parse_weights, s_constant,
+                            s_for_gamma)
 
 
 @pytest.mark.parametrize("text,kind,param", [
@@ -130,3 +131,21 @@ def test_moment_inequality_validates():
         moment_inequality_check(d, d.zeta, 0.5)  # gamma above zeta/2
     with pytest.raises(ValueError):
         moment_inequality_check(d, d.zeta / 4, 1.5)
+
+
+# variance of each mean-one law: log M(z) = z + var/2 * z^2 + O(z^3)
+LOG_MGF_VAR = {"unit": 0.0, "exp1": 1.0, "geom:p=0.5": 0.5, "poisson:l=2": 0.5}
+
+
+@pytest.mark.parametrize("text", sorted(LOG_MGF_VAR))
+def test_log_mgf_matches_closed_form(text):
+    d = parse_weights(text)
+    for z in (-0.4, -0.05, 0.05, 0.2):
+        assert log_mgf(d, z) == pytest.approx(math.log(mgf(d, z)), rel=1e-14)
+    # at |z| = 1e-12, log(mgf) keeps about 4 digits; the series is exact here
+    for z in (1e-12, -3e-12):
+        want = z + LOG_MGF_VAR[text] / 2 * z * z
+        assert log_mgf(d, z) == pytest.approx(want, rel=4e-16, abs=0)
+    if d.mgf_sup() < math.inf:
+        with pytest.raises(MgfDivergenceError):
+            log_mgf(d, d.mgf_sup())
