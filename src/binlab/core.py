@@ -58,12 +58,13 @@ class LoadState:
         st = cls(len(vals), exact=exact)
         st.loads = vals
         st.total_weight = sum(vals)
-        order = sorted(range(st.n), key=lambda b: (-vals[b], b))
+        neg = [-v for v in vals]
+        order = sorted(range(st.n), key=neg.__getitem__)  # stable: ties by id
         st.sorted_index = order
         st.rank_of = [0] * st.n
         for r, b in enumerate(order):
             st.rank_of[b] = r
-        st._neg_loads = [-vals[b] for b in order]
+        st._neg_loads = [neg[b] for b in order]
         return st
 
     def copy(self) -> "LoadState":

@@ -13,7 +13,9 @@ eigenvector come from one dense LAPACK solve (``scipy.linalg.eigh``,
 second eigenpair only) of the integer matrix dI - A; the lower bound
 subtracts a backward-error margin of n * eps * 2d from the computed
 eigenvalue, so it is a bound and not an estimate.  The solve holds one
-n x n float64 matrix (8 MiB at n = 1024).  Graphical sweeps with
+n x n float64 matrix (8 MiB at n = 1024).  ``scipy.linalg`` is imported
+inside that solve, so only callers of ``conductance_bounds`` and
+``sweep_cut`` pay for loading it.  Graphical sweeps with
 ``gamma = auto`` take their epsilon from this lower bound, so their
 ``cond_epsilon``, ``gamma_value`` and ``gamma_total`` columns differ from
 those of the earlier power-iteration estimate, which overestimated
@@ -25,7 +27,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import linalg
 
 from .rng import make_generator
 
@@ -142,21 +143,13 @@ def random_regular_graph(n: int, d: int, seed: int, retries: int = 20000) -> Reg
     rng = make_generator(seed, n, d)
     stubs = np.repeat(np.arange(n), d)
     for _ in range(retries):
-        perm = rng.permutation(stubs)
-        pairs = [(int(perm[2 * i]), int(perm[2 * i + 1])) for i in range(len(perm) // 2)]
-        seen = set()
-        ok = True
-        for u, v in pairs:
-            if u == v:
-                ok = False
-                break
-            key = (u, v) if u < v else (v, u)
-            if key in seen:
-                ok = False
-                break
-            seen.add(key)
-        if ok and _connected(n, pairs):
-            return RegularGraph(n=n, d=d, edges=tuple(pairs))
+        perm = rng.permutation(stubs).reshape(-1, 2)
+        lo, hi = perm.min(axis=1), perm.max(axis=1)
+        if (lo == hi).any() or len(np.unique(lo * n + hi)) < len(perm):
+            continue  # a self-loop or a repeated edge
+        pairs = tuple(map(tuple, perm.tolist()))
+        if _connected(n, pairs):
+            return RegularGraph(n=n, d=d, edges=pairs)
     raise GraphSamplingError(
         f"no simple connected {d}-regular pairing on {n} vertices found in "
         f"{retries} tries (seed {seed})")
@@ -262,6 +255,7 @@ def _laplacian_pair(g: RegularGraph) -> tuple[float, float, np.ndarray]:
     lambda_2(M) lies within margin of the computed one.  The solve holds
     one n x n float64 matrix, overwritten in place.
     """
+    from scipy import linalg
     n, d = g.n, g.d
     e = np.asarray(g.edges)
     m = np.zeros((n, n), order="F")

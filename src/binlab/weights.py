@@ -13,6 +13,10 @@ valid for gamma in (0, zeta/2] and ell in [-1, 1].  Unit weights admit the
 much smaller constant 1 in that inequality (e^x <= 1 + x + x^2 on |x| <= 1),
 so ``s_for_gamma`` reports 1.0 for them while ``s_constant`` always reports
 the general closed form.
+
+``mgf`` evaluates closed forms; ``method="numeric"`` (quadrature for exp1,
+series for the discrete laws) is the selftest's cross-check, and only it
+imports ``scipy.integrate``.
 """
 from __future__ import annotations
 
@@ -20,7 +24,6 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy import integrate
 
 from .checks import CheckResult, MgfDivergenceError, inputs_hash
 
@@ -145,6 +148,7 @@ def log_mgf(dist: WeightDistribution, z: float) -> float:
 def _mgf_numeric(dist: WeightDistribution, z: float) -> float:
     """Quadrature / series fallback, relative tolerance 1e-8."""
     if dist.kind == "exp1":
+        from scipy import integrate
         val, _err = integrate.quad(lambda w: math.exp(z * w - w), 0, math.inf,
                                    epsrel=1e-8, limit=200)
         return val

@@ -97,6 +97,25 @@ def test_from_loads_and_copy_are_independent():
     assert list(a.sorted_index) == [2, 0, 1]
 
 
+@pytest.mark.parametrize("loads,exact", [
+    ([2.5, 1.0, 2.5, 0.0, 1.0, 2.5, 0.0], False),
+    ([0.0, -0.0, 0.0, -0.0, 1e-300, -1e-300], False),
+    ([-0.0, 0.0], False),
+    ([3.25], False),
+    ([4, 1, 4, 4, 0, 1, 0, 7], True),
+    ([0, 0, 0], True),
+    ([5], True),
+])
+def test_from_loads_order_is_heaviest_first_ties_by_id(loads, exact):
+    st_ = LoadState.from_loads(loads, exact=exact)
+    vals = st_.loads
+    assert st_.sorted_index == sorted(range(len(vals)), key=lambda b: (-vals[b], b))
+    assert [st_.rank_of[b] for b in st_.sorted_index] == list(range(len(vals)))
+    # repr tells -0.0 from 0.0, which == does not
+    assert repr(st_._neg_loads) == repr([-vals[b] for b in st_.sorted_index])
+    check_sorted_invariant(st_)
+
+
 def test_gap_and_max_abs():
     st_ = LoadState.from_loads([6, 0, 0, 0])
     # mean 1.5: normalized (4.5, -1.5, -1.5, -1.5)

@@ -6,6 +6,7 @@ written independently of the Gray-code implementation.
 """
 from __future__ import annotations
 
+import hashlib
 import math
 import sys
 from fractions import Fraction
@@ -163,6 +164,22 @@ def test_random_regular_properties():
         random_regular_graph(9, 3, seed=0)  # odd n*d
     with pytest.raises(ValueError):
         random_regular_graph(4, 4, seed=0)
+
+
+@pytest.mark.parametrize("n,d,seed,digest", [
+    (1024, 4, 1, "11564fd51c304047deaa086f6bde1ab38778beefe18adf099151446a45c0bb43"),
+    (1024, 4, 201, "3101ba80c6b327ef74d2ddbf565161fd5c5dd5b2706db9ff9e21b45c83322306"),
+    (64, 5, 3, "16a4d7bb8c09bb90ee1cc8fafa2d476f85a803400ce0124c08e719d1ffbb9c04"),
+    (16, 4, 9, "b136b93b41c65e3e363884531da65a1e5ac6dedcb85ec436b06efff9964544bf"),
+    (200, 3, 7, "4b866d85f206078dc3436a39b198baeb972286ad4fdfc0275c97de5bb1acf479"),
+    (24, 3, 201, "e16368e613219e76c596e4d5e783dab0e3a3fa0532cdf48daa85d3abcb618cff"),
+    (14, 5, 4, "0a570b8e756dc52f2e64d7543d228f40e472f40f9335ed971ff5e543d98bba53"),
+])
+def test_random_regular_edges_pinned(n, d, seed, digest):
+    """The draw stream and the rejection rule fix the edge tuple, order and
+    orientation included, so every graph-seeded sweep depends on them."""
+    g = random_regular_graph(n, d, seed=seed)
+    assert hashlib.sha256(repr(g.edges).encode()).hexdigest() == digest
 
 
 def test_random_regular_budget_exhausted_is_a_value_error(tmp_path, monkeypatch, capsys):

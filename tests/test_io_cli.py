@@ -5,6 +5,12 @@ captured output; the printed vector/conductance lines are golden.
 """
 from __future__ import annotations
 
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
 from binlab.cli import main
@@ -349,3 +355,60 @@ def test_cli_selftest_single_group(capsys):
     out = capsys.readouterr().out
     assert "ok   io." in out
     assert "selftest: 0 failures" in out
+
+
+# -- import hygiene ----------------------------------------------------------
+# scipy is imported inside the two functions that use it, so commands that
+# never reach them do not pay for it.  Each case runs in a fresh interpreter
+# and reports the scipy modules left in sys.modules.
+
+_SRC = Path(__file__).resolve().parents[1] / "src"
+
+
+def _scipy_modules(tmp_path, body: str) -> list[str]:
+    code = (f"import json, sys\n{body}\n"
+            "print(json.dumps(sorted(k for k in sys.modules "
+            "if k.partition('.')[0] == 'scipy')))\n")
+    env = {**os.environ, "PYTHONPATH": str(_SRC), "BINLAB_OUT": str(tmp_path)}
+    res = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                         text=True, check=True)
+    return json.loads(res.stdout.splitlines()[-1])
+
+
+def _cli_body(*argv: str) -> str:
+    return f"from binlab.cli import main\nassert main({list(argv)!r}) == 0"
+
+
+def test_import_cli_loads_no_scipy(tmp_path):
+    assert _scipy_modules(tmp_path, "import binlab.cli") == []
+
+
+def test_simulate_without_graph_loads_no_scipy(tmp_path):
+    cfg = tmp_path / "plain.cfg"
+    cfg.write_text("processes = two-choice,one-plus-beta:beta=0.5\nns = 16\nm = 10n\n"
+                   "reps = 2\ngamma = auto\nthresholds = 2\n")
+    assert _scipy_modules(tmp_path, _cli_body("simulate", str(cfg))) == []
+    assert (tmp_path / "runs.csv").exists()
+
+
+def test_drift_check_loads_no_scipy(tmp_path):
+    cfg = tmp_path / "drift.cfg"
+    cfg.write_text("processes = two-choice\nns = 8\nm = 2n\ngamma = auto\n")
+    assert _scipy_modules(tmp_path, _cli_body("drift-check", str(cfg))) == []
+    assert (tmp_path / "drift-certs.csv").exists()
+
+
+def test_graphical_auto_gamma_loads_scipy_linalg(tmp_path):
+    # positive control: the certified conductance bound runs the eigensolve
+    cfg = tmp_path / "cycle.cfg"
+    cfg.write_text("processes = graphical\nns = 16\nm = 10n\ngraph = cycle\ngamma = auto\n")
+    assert "scipy.linalg" in _scipy_modules(tmp_path, _cli_body("simulate", str(cfg)))
+
+
+def test_numeric_mgf_loads_scipy_integrate_and_matches_closed_form(tmp_path):
+    body = ("from binlab.weights import mgf, parse_weights\n"
+            "d = parse_weights('exp1')\n"
+            "for z in (-1.0, 0.1, 0.45):\n"
+            "    closed, numeric = mgf(d, z), mgf(d, z, method='numeric')\n"
+            "    assert abs(numeric - closed) <= 1e-7 * closed, (z, closed, numeric)")
+    assert "scipy.integrate" in _scipy_modules(tmp_path, body)
