@@ -17,7 +17,8 @@ from .configfile import load_config
 from .core import LoadState
 from .experiments import aggregate, scaled_count, sweep
 from .graphs import EXACT_LIMIT, conductance_bounds, conductance_exact, read_graph_file
-from .potentials import certify_drift, drift_step_bound_exact, gamma_for_weighted
+from .potentials import (certify_drift, drift_step_bound_exact, gamma_for_weighted,
+                         require_c1)
 from .processes import (UnsupportedProcessError, allocation_vector,
                         canonical_conditions, comparison_vector, make_engine,
                         parse_process, round_law)
@@ -116,13 +117,14 @@ def _cmd_drift_check(args) -> int:
             else:
                 gamma = float(cfg.gamma)
             p = comparison_vector(spec, n)
+            require_c1(p, cond)
             eng = make_engine(spec, n, make_generator(seed, pi, ni))
             m = scaled_count(cfg.m, n)
             k_quad = 2.0 * cond.c_cap * s
             for probe_at in range(0, m + 1, max(n, 1)):
                 eng.advance(probe_at)
                 state = LoadState.from_loads(eng.loads, exact=unit)
-                certs.append(certify_drift(state, p, cond, gamma))
+                certs.append(certify_drift(state, p, cond, gamma, c1_checked=True))
                 law = round_law(spec, state)
                 for side in ("phi", "psi"):
                     checks.append(drift_step_bound_exact(

@@ -127,25 +127,36 @@ def drift_constant(delta: float) -> float:
     )
 
 
+def require_c1(p: ProbabilityVector, params: ConditionParams) -> None:
+    """Raise PreconditionError unless ``p`` satisfies C1(delta, eps), the
+    precondition of ``certify_drift``; it depends on the vector and the
+    conditions only, not on the load state."""
+    delta, eps = params.delta, params.epsilon
+    quantile_index(delta, p.n)
+    if not check_c1(p, delta, eps):
+        raise PreconditionError(
+            f"vector fails C1(delta={delta}, eps={eps}); cannot certify")
+
+
 def certify_drift(state: LoadState, p: ProbabilityVector, params: ConditionParams,
-                  gamma: float) -> CertResult:
+                  gamma: float, *, c1_checked: bool = False) -> CertResult:
     """Certify the one-step drift inequality on a concrete instance.
 
     The vector must satisfy C1(delta, eps) — violations raise
-    PreconditionError rather than producing a failed certificate.  Both the
-    tight (4n) and relaxed (8n) additive forms are evaluated.  Everything is
-    computed under the common factor exp(-shift) of ``scaled_exp``, recorded
-    as log_scale; the inequality is scale-invariant.
+    PreconditionError rather than producing a failed certificate.  A caller
+    that certifies many states against one vector runs ``require_c1`` once
+    and passes ``c1_checked=True``.  Both the tight (4n) and relaxed (8n)
+    additive forms are evaluated.  Everything is computed under the common
+    factor exp(-shift) of ``scaled_exp``, recorded as log_scale; the
+    inequality is scale-invariant.
     """
     if p.n != state.n:
         raise PreconditionError(f"vector has {p.n} entries but state has {state.n} bins")
     if not 0 < gamma <= 1:
         raise PreconditionError(f"gamma must lie in (0, 1], got {gamma}")
+    if not c1_checked:
+        require_c1(p, params)
     delta, eps = params.delta, params.epsilon
-    quantile_index(delta, state.n)
-    if not check_c1(p, delta, eps):
-        raise PreconditionError(
-            f"vector fails C1(delta={delta}, eps={eps}); cannot certify")
     n = state.n
     y = state.sorted_normalized()
     ex = gamma * y

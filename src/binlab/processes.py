@@ -611,8 +611,14 @@ def _batched_round(loads: np.ndarray, pv: np.ndarray, b: int,
                    rng: np.random.Generator) -> None:
     """Add b unit balls to ``loads`` i.i.d. from the rank-indexed vector
     ``pv``, all against the round-start ranking: heaviest first, ties by
-    ascending id."""
-    order = np.lexsort((np.arange(len(loads)), -loads))
+    ascending id.  Unit balls keep ``loads`` whole numbers, so while their
+    spread fits in 16 bits the ranking is a stable (radix, O(n)) sort of
+    each bin's distance below the heaviest."""
+    top = loads.max()
+    if top - loads.min() < 1 << 16:
+        order = np.argsort((top - loads).astype(np.uint16), kind="stable")
+    else:
+        order = np.lexsort((np.arange(len(loads)), -loads))
     loads[order] += rng.multinomial(b, pv)
 
 

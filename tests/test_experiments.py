@@ -2,9 +2,11 @@
 from __future__ import annotations
 
 import math
+import multiprocessing.pool
 
 import pytest
 
+from binlab import experiments
 from binlab.experiments import (ExperimentConfig, aggregate,
                                 count_bins_outside, final_gaps,
                                 gap_scaling_report, lower_bound_trials,
@@ -154,6 +156,29 @@ def test_sweep_batched_and_graphical():
     assert len(gt) == 1
     with pytest.raises(ValueError, match="graph"):
         sweep(ExperimentConfig(processes=("graphical",), ns=(16,), m="5n"))
+
+
+@pytest.mark.parametrize("cfg", [
+    ExperimentConfig(processes=("two-choice", "one-plus-beta:beta=0.5"), ns=(16, 32),
+                     m="20b", batches=("1n", "4n"), reps=3, seed=4),
+    ExperimentConfig(processes=("two-choice", "twinning:delta=0.5", "reset-memory"),
+                     ns=(16, 32), m="20n", reps=3, seed=6, gamma="0.5",
+                     thresholds=(1.0, 2.0), keep="trajectory"),
+    ExperimentConfig(processes=("graphical",), ns=(16, 32), m="10n", reps=3, seed=8,
+                     graph="random-regular:d=4", gamma="auto"),
+], ids=["batched", "per-ball", "graphical-auto-gamma"])
+def test_sweep_bytes_do_not_depend_on_fan_out(monkeypatch, cfg):
+    pooled = []
+    imap = multiprocessing.pool.Pool.imap
+    monkeypatch.setattr(multiprocessing.pool.Pool, "imap",
+                        lambda self, *a: pooled.append(1) or imap(self, *a))
+    monkeypatch.setattr(experiments, "FANOUT_MIN_BALLS", 0)
+    out = []
+    for workers in (1, 2):
+        monkeypatch.setattr(experiments, "_usable_cpus", lambda: workers)
+        out.append(dumps_csv(sweep(cfg)))
+    assert pooled == [1]  # one worker ran in this process, two in a pool
+    assert out[0] == out[1]
 
 
 def test_aggregate_medians_and_idempotence():

@@ -13,6 +13,7 @@ from pathlib import Path
 
 import pytest
 
+from binlab import experiments
 from binlab.cli import main
 from binlab.configfile import parse_config_text
 from binlab.graphs import complete_graph, cycle_graph, write_graph_file
@@ -292,7 +293,8 @@ def test_cli_simulate_rejects_non_finite_inputs(tmp_path, monkeypatch, capsys,
 
 
 def test_cli_simulate_potential_overflow_exits_1(tmp_path, monkeypatch, capsys):
-    # one-choice at n = 8 reaches gamma*gap > 709 by m = 100n at gamma = 30
+    # one-choice at n = 8 reaches gamma*gap > 709 by m = 100n at gamma = 30;
+    # through a worker pool the error and its message are the same
     cfg = tmp_path / "over.cfg"
     cfg.write_text("processes = one-choice,two-choice\nns = 8,16\nm = 100n\n"
                    "reps = 20\nseed = 3\ngamma = 30\n")
@@ -300,6 +302,10 @@ def test_cli_simulate_potential_overflow_exits_1(tmp_path, monkeypatch, capsys):
     assert main(["simulate", str(cfg)]) == 1
     err = capsys.readouterr().err
     assert "overflows" in err and "gamma=30" in err and "n=8" in err
+    monkeypatch.setattr(experiments, "FANOUT_MIN_BALLS", 0)
+    monkeypatch.setattr(experiments, "_usable_cpus", lambda: 2)
+    assert main(["simulate", str(cfg)]) == 1
+    assert capsys.readouterr().err == err
     assert not (tmp_path / "runs.csv").exists()
 
 
@@ -358,17 +364,19 @@ def test_cli_selftest_single_group(capsys):
 
 
 # -- import hygiene ----------------------------------------------------------
-# scipy is imported inside the two functions that use it, so commands that
-# never reach them do not pay for it.  Each case runs in a fresh interpreter
-# and reports the scipy modules left in sys.modules.
+# scipy is imported inside the two functions that use it, and multiprocessing
+# only when a sweep fans out, so commands that never reach them do not pay
+# for them.  Each case runs in a fresh interpreter and reports the modules of
+# both packages left in sys.modules.
 
 _SRC = Path(__file__).resolve().parents[1] / "src"
+_NOTHING = {"scipy": [], "multiprocessing": []}
 
 
-def _scipy_modules(tmp_path, body: str) -> list[str]:
+def _loaded(tmp_path, body: str) -> dict[str, list[str]]:
     code = (f"import json, sys\n{body}\n"
-            "print(json.dumps(sorted(k for k in sys.modules "
-            "if k.partition('.')[0] == 'scipy')))\n")
+            "print(json.dumps({p: sorted(k for k in sys.modules "
+            "if k.partition('.')[0] == p) for p in ('scipy', 'multiprocessing')}))\n")
     env = {**os.environ, "PYTHONPATH": str(_SRC), "BINLAB_OUT": str(tmp_path)}
     res = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
                          text=True, check=True)
@@ -380,21 +388,21 @@ def _cli_body(*argv: str) -> str:
 
 
 def test_import_cli_loads_no_scipy(tmp_path):
-    assert _scipy_modules(tmp_path, "import binlab.cli") == []
+    assert _loaded(tmp_path, "import binlab.cli") == _NOTHING
 
 
 def test_simulate_without_graph_loads_no_scipy(tmp_path):
     cfg = tmp_path / "plain.cfg"
     cfg.write_text("processes = two-choice,one-plus-beta:beta=0.5\nns = 16\nm = 10n\n"
                    "reps = 2\ngamma = auto\nthresholds = 2\n")
-    assert _scipy_modules(tmp_path, _cli_body("simulate", str(cfg))) == []
+    assert _loaded(tmp_path, _cli_body("simulate", str(cfg))) == _NOTHING
     assert (tmp_path / "runs.csv").exists()
 
 
 def test_drift_check_loads_no_scipy(tmp_path):
     cfg = tmp_path / "drift.cfg"
     cfg.write_text("processes = two-choice\nns = 8\nm = 2n\ngamma = auto\n")
-    assert _scipy_modules(tmp_path, _cli_body("drift-check", str(cfg))) == []
+    assert _loaded(tmp_path, _cli_body("drift-check", str(cfg))) == _NOTHING
     assert (tmp_path / "drift-certs.csv").exists()
 
 
@@ -402,7 +410,17 @@ def test_graphical_auto_gamma_loads_scipy_linalg(tmp_path):
     # positive control: the certified conductance bound runs the eigensolve
     cfg = tmp_path / "cycle.cfg"
     cfg.write_text("processes = graphical\nns = 16\nm = 10n\ngraph = cycle\ngamma = auto\n")
-    assert "scipy.linalg" in _scipy_modules(tmp_path, _cli_body("simulate", str(cfg)))
+    assert "scipy.linalg" in _loaded(tmp_path, _cli_body("simulate", str(cfg)))["scipy"]
+
+
+def test_fanned_out_sweep_loads_multiprocessing(tmp_path):
+    # positive control: a sweep at the fan-out threshold starts a worker pool
+    cfg = tmp_path / "plain.cfg"
+    cfg.write_text("processes = two-choice\nns = 16\nm = 10n\nreps = 2\n")
+    body = ("import binlab.experiments as e\n"
+            "e.FANOUT_MIN_BALLS = 0\n"
+            "e._usable_cpus = lambda: 2\n" + _cli_body("simulate", str(cfg)))
+    assert "multiprocessing.pool" in _loaded(tmp_path, body)["multiprocessing"]
 
 
 def test_numeric_mgf_loads_scipy_integrate_and_matches_closed_form(tmp_path):
@@ -411,4 +429,4 @@ def test_numeric_mgf_loads_scipy_integrate_and_matches_closed_form(tmp_path):
             "for z in (-1.0, 0.1, 0.45):\n"
             "    closed, numeric = mgf(d, z), mgf(d, z, method='numeric')\n"
             "    assert abs(numeric - closed) <= 1e-7 * closed, (z, closed, numeric)")
-    assert "scipy.integrate" in _scipy_modules(tmp_path, body)
+    assert "scipy.integrate" in _loaded(tmp_path, body)["scipy"]

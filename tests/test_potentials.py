@@ -24,7 +24,7 @@ from binlab.core import LoadState, new_state
 from binlab.potentials import (certify_drift, drift_constant,
                                drift_step_bound_check, drift_step_bound_exact,
                                gamma_expectation_bound, gamma_for_weighted,
-                               potential, scaled_exp)
+                               potential, require_c1, scaled_exp)
 from binlab.processes import (_Draws, _ScriptSource, canonical_conditions,
                               comparison_vector, make_engine, parse_process,
                               round_law, sample_round)
@@ -181,6 +181,9 @@ def test_certify_drift_preconditions():
     with pytest.raises(PreconditionError, match="C1"):
         certify_drift(new_state(4), ProbabilityVector.uniform(4),
                       ConditionParams(0.5, 0.5), 0.5)
+    with pytest.raises(PreconditionError, match="C1"):
+        require_c1(ProbabilityVector.uniform(4), ConditionParams(0.5, 0.5))
+    require_c1(p2, ConditionParams(0.5, 0.5))
 
 
 def test_gamma_rule_frozen():

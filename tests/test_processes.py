@@ -628,6 +628,25 @@ def test_batched_round_freezes_round_start_ranking():
     assert np.count_nonzero(loads) == 1 and loads.sum() == 100.0
 
 
+@pytest.mark.parametrize("loads", [
+    [0.0],                                   # n = 1
+    [3.0, 3.0, 1.0, 3.0, 1.0, 0.0, 3.0],     # ties
+    [0.0, 65535.0, 7.0, 65535.0, 0.0],       # widest spread the radix sort takes
+    [0.0, 65536.0, 7.0, 65536.0, 0.0, 1.0],  # spread >= 2^16: lexsort branch
+    [1e6, 2e6, 1e6, 3.0, 2e6],
+])
+def test_batched_round_ranking_matches_lexsort(loads):
+    loads = np.array(loads)
+    n = len(loads)
+    pv = np.arange(1, n + 1, dtype=float)
+    pv /= pv.sum()
+    want = loads.copy()
+    want[np.lexsort((np.arange(n), -loads))] += make_generator(3, 0).multinomial(50, pv)
+    got = loads.copy()
+    _batched_round(got, pv, 50, make_generator(3, 0))
+    assert got.tolist() == want.tolist()
+
+
 def test_batched_round_validates():
     with pytest.raises(ValueError):
         run_batched(u(), 4, 16, b=0, seed=5)
