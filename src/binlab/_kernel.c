@@ -1,4 +1,5 @@
-/* Compiled decision loops of the per-ball engines in binlab.processes.
+/* Compiled decision loops of the per-ball engines in binlab.processes, and
+ * the ranking of its batched rounds.
  *
  * binlab_advance() runs one engine until at least `target` balls are
  * allocated.  Random draws arrive in chunks that the Python side supplies
@@ -14,11 +15,12 @@
  * FMA contraction or fast-math (see binlab/kernel.py for the flags).
  */
 #include <stdint.h>
+#include <stdlib.h>
 
 typedef int (*refill_fn)(int stream);
 
 enum { BINS = 0, FLOATS = 1, WEIGHTS = 2 };  /* draw streams; BINS carries edges for GRAPH */
-enum { OK = 0, REFILL_FAILED = 1, SHORT_CHUNK = 2 };
+enum { OK = 0, REFILL_FAILED = 1, SHORT_CHUNK = 2, NO_MEMORY = 3 };
 enum { CHOICE = 0, QUANTILE = 1, TWINNING = 2, PENALTY = 3, RESET = 4, GRAPH = 5 };
 
 typedef struct {
@@ -297,4 +299,79 @@ int binlab_advance(engine_t *e, int64_t target)
     default:
         return advance_graph(e, target);
     }
+}
+
+/* Batched rounds: binlab_batched() applies `rounds` rows of rank counts to
+ * the n loads, one row per round.  Row r adds counts[r*n + k] balls to the
+ * bin of rank k in that round's starting loads, where rank 0 is the
+ * heaviest bin and ties go by ascending id, as in processes._batched_round.
+ *
+ * The loads must be whole numbers, as unit balls keep them.  While a
+ * round's spread (heaviest minus lightest) is below COUNT_SORT_SPREAD, the
+ * ranking is a counting sort on each bin's distance below the heaviest:
+ * O(n + spread), and stable, so ties keep ascending id.  Each bin's rank is
+ * known as soon as it is visited, so its count is added in the same pass.
+ * Wider spreads use a comparison sort of (load, id) pairs.
+ */
+#define COUNT_SORT_SPREAD 65536.0
+
+typedef struct {
+    double load;
+    int64_t id;
+} ranked_t;
+
+/* Heaviest first, then ascending id. */
+static int by_rank(const void *pa, const void *pb)
+{
+    const ranked_t *a = pa, *b = pb;
+    if (a->load != b->load)
+        return a->load < b->load ? 1 : -1;
+    return (a->id > b->id) - (a->id < b->id);
+}
+
+static int batched_round(double *L, int64_t n, const int64_t *c)
+{
+    double top = L[0], low = L[0];
+    for (int64_t i = 1; i < n; i++) {
+        top = L[i] > top ? L[i] : top;
+        low = L[i] < low ? L[i] : low;
+    }
+    if (top - low < COUNT_SORT_SPREAD) {
+        int64_t *start = calloc((size_t)(top - low) + 1, sizeof *start);
+        if (!start)
+            return NO_MEMORY;
+        for (int64_t i = 0; i < n; i++)
+            start[(int64_t)(top - L[i])]++;
+        for (int64_t k = 0, pos = 0; k <= (int64_t)(top - low); k++) {
+            int64_t h = start[k];
+            start[k] = pos;
+            pos += h;
+        }
+        for (int64_t i = 0; i < n; i++)
+            L[i] += (double)c[start[(int64_t)(top - L[i])]++];
+        free(start);
+        return OK;
+    }
+    ranked_t *p = malloc((size_t)n * sizeof *p);
+    if (!p)
+        return NO_MEMORY;
+    for (int64_t i = 0; i < n; i++) {
+        p[i].load = L[i];
+        p[i].id = i;
+    }
+    qsort(p, (size_t)n, sizeof *p, by_rank);
+    for (int64_t k = 0; k < n; k++)
+        L[p[k].id] += (double)c[k];
+    free(p);
+    return OK;
+}
+
+int binlab_batched(double *loads, int64_t n, const int64_t *counts, int64_t rounds)
+{
+    for (int64_t r = 0; r < rounds; r++) {
+        int rc = batched_round(loads, n, counts + r * n);
+        if (rc)
+            return rc;
+    }
+    return OK;
 }

@@ -20,7 +20,8 @@ from . import kernel
 from .graphs import RegularGraph, build_graph, conductance_bounds
 from .potentials import gamma_for_weighted
 from .processes import (ProbeConfig, ProbeRow, ProcessSpec, UnsupportedProcessError,
-                        canonical_conditions, parse_process, run, run_batched)
+                        canonical_conditions, parse_process, rank_vector, run,
+                        run_batched)
 from .tableio import Table
 from .weights import WeightDistribution, parse_weights, s_for_gamma
 
@@ -146,6 +147,8 @@ def sweep(cfg: ExperimentConfig) -> Table:
                                  tie_rule=cfg.tie_rule)
             for bi, btext in enumerate(cfg.batches):
                 b = scaled_count(btext, n)
+                if b > 0:
+                    rank_vector(spec, n)  # raises here, before any run, if it has none
                 m = scaled_count(cfg.m, n, b)
                 gamma, cond = None, (None,) * 4
                 if cfg.gamma == "auto":
@@ -209,16 +212,16 @@ def _run_all(runs: list[_Run]) -> list[list[ProbeRow]]:
 
     Each run is seeded by its own coordinates, so where it executes cannot
     change its rows.  Large sweeps go to a pool of forked workers: a fork
-    inherits the imported modules and the loaded kernel, where a spawned
-    worker would import binlab again.  The parent's only other thread is
-    OpenBLAS's, which shuts itself down around a fork.
+    inherits the imported modules, the loaded kernel and the batched rank
+    vectors that ``sweep`` built, where a spawned worker would import
+    binlab again.  The parent's only other thread is OpenBLAS's, which
+    shuts itself down around a fork.
     """
     workers = min(_usable_cpus(), len(runs))
     if workers >= 2 and sum(job.m for job in runs) >= FANOUT_MIN_BALLS:
         import multiprocessing
         if "fork" in multiprocessing.get_all_start_methods():
-            if any(job.b == 0 for job in runs):
-                kernel.load()  # build or open it once, not once per worker
+            kernel.load()  # every run uses it: build or open it once, not per worker
             with multiprocessing.get_context("fork").Pool(workers) as pool:
                 # imap hands out one run at a time and yields in order, so a
                 # failing run raises the error it would raise in this process

@@ -1,14 +1,19 @@
-"""The compiled decision kernel behind ``processes.make_engine``.
+"""The compiled kernel behind ``processes.make_engine`` and
+``processes.run_batched``.
 
-``_kernel.c`` holds the per-ball decision loops of all engine families.
-It is compiled with the local C compiler on the first ``load()`` call (never
-at import), cached as a shared library under ``$XDG_CACHE_HOME/binlab``
-(default ``~/.cache/binlab``) named by the sha256 of the source and the
-flags, and loaded with ctypes.  ``-ffp-contract=off`` and the absence of
-``-ffast-math``/``-march=native`` keep every float sum rounding exactly as
-Python's does, so kernel runs are byte-identical to the Python reference
-engines.  When no compiler is found or the build fails, ``load()`` warns
-once and returns None, and ``make_engine`` falls back to those engines.
+``_kernel.c`` holds the per-ball decision loops of all engine families
+(``binlab_advance``) and the ranking of batched rounds (``binlab_batched``:
+a counting sort of each round's loads, heaviest first, then the round's
+rank counts added in the same pass).  It is compiled with the local C
+compiler on the first ``load()`` call (never at import), cached as a shared
+library under ``$XDG_CACHE_HOME/binlab`` (default ``~/.cache/binlab``) named
+by the sha256 of the source and the flags, and loaded with ctypes.
+``-ffp-contract=off`` and the absence of ``-ffast-math``/``-march=native``
+keep every float sum rounding exactly as Python's does, so kernel runs are
+byte-identical to the Python reference engines and to the numpy reference
+round ``processes._batched_round``.  When no compiler is found or the build
+fails, ``load()`` warns once and returns None, and the callers fall back to
+those references.
 """
 from __future__ import annotations
 
@@ -31,7 +36,7 @@ FLAGS = ("-O2", "-shared", "-fPIC", "-ffp-contract=off")
 _FAMILY = {"one-choice": 0, "two-choice": 0, "d-choice": 0, "one-plus-beta": 0,
            "quantile": 1, "twinning": 2, "penalty": 3, "reset-memory": 4,
            "graphical": 5}
-_REFILL_FAILED, _SHORT_CHUNK = 1, 2
+_REFILL_FAILED, _SHORT_CHUNK, _NO_MEMORY = 1, 2, 3
 
 _Refill = ctypes.CFUNCTYPE(ctypes.c_int, ctypes.c_int)
 
@@ -92,17 +97,37 @@ def _build() -> str:
 
 @functools.lru_cache(maxsize=None)
 def load():
-    """The kernel's ``binlab_advance``, built on first use; None (with a
-    warning) when it cannot be built or loaded."""
+    """The kernel library, built on first use, with ``binlab_advance`` and
+    ``binlab_batched`` typed; None (with a warning) when it cannot be built
+    or loaded."""
     try:
-        fn = ctypes.CDLL(_build()).binlab_advance
+        lib = ctypes.CDLL(_build())
     except OSError as exc:
-        warnings.warn(f"compiled kernel unavailable, using the Python engines: {exc}",
+        warnings.warn(f"compiled kernel unavailable, using the Python references: {exc}",
                       RuntimeWarning, stacklevel=3)
         return None
-    fn.argtypes = [ctypes.POINTER(_Engine), ctypes.c_int64]
-    fn.restype = ctypes.c_int
-    return fn
+    lib.binlab_advance.argtypes = [ctypes.POINTER(_Engine), ctypes.c_int64]
+    lib.binlab_advance.restype = ctypes.c_int
+    lib.binlab_batched.argtypes = [ctypes.c_void_p, ctypes.c_int64,
+                                   ctypes.c_void_p, ctypes.c_int64]
+    lib.binlab_batched.restype = ctypes.c_int
+    return lib
+
+
+def apply_rounds(lib, loads: np.ndarray, counts: np.ndarray) -> None:
+    """Apply each row of ``counts`` to ``loads`` as one batched round: row r
+    adds ``counts[r, k]`` balls to the bin of rank k in that round's
+    starting loads (heaviest first, ties by ascending id).  ``loads`` must
+    hold whole numbers; it is updated in place."""
+    if not (loads.dtype == np.float64 and loads.ndim == 1
+            and loads.flags.c_contiguous and loads.flags.writeable and len(loads)):
+        raise ValueError("loads must be a non-empty, writeable, contiguous float64 vector")
+    if not (counts.dtype == np.int64 and counts.ndim == 2
+            and counts.flags.c_contiguous and counts.shape[1] == len(loads)):
+        raise ValueError("counts must be a contiguous int64 array of one row per round")
+    if lib.binlab_batched(loads.ctypes.data, len(loads), counts.ctypes.data,
+                          len(counts)) == _NO_MEMORY:
+        raise MemoryError("no memory to rank a batched round")
 
 
 class KernelEngine:
@@ -116,11 +141,11 @@ class KernelEngine:
     of ``advance``.
     """
 
-    def __init__(self, advance_fn, spec, n: int, source):
+    def __init__(self, lib, spec, n: int, source):
         self.spec = spec
         self.n = n
         self.loads = np.zeros(n)
-        self._advance = advance_fn
+        self._advance = lib.binlab_advance
         st = self._st = _Engine()
         st.loads = self.loads.ctypes.data
         st.family = _FAMILY[spec.kind]

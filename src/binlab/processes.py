@@ -27,11 +27,14 @@ exact       ``sample_round``/``step`` over a ``LoadState``: the oracle, with
             pinned to the sampler and to that enumeration by the tests.
 kernel      what ``make_engine`` returns: the per-ball decision loops of
             ``_kernel.c``, compiled on first use (see ``kernel.py``), over a
-            float64 load array.  ``run`` uses it for every sweep.
+            float64 load array.  ``run`` uses it for every sweep, and
+            ``run_batched`` ranks and applies its rounds with it.
 reference   the Python engines (``reference_engine``): plain load lists plus
-            whatever index structure the decision rule needs.  They pin the
-            kernel in the differential tests and are what ``make_engine``
-            falls back to when no C compiler is found or the build fails.
+            whatever index structure the decision rule needs, and the numpy
+            batched round ``_batched_round``.  They pin the kernel in the
+            differential tests and are what ``make_engine`` and
+            ``run_batched`` fall back to when no C compiler is found or the
+            build fails.
 
 All three consume random draws in the same documented order, so scripted
 draws replay identically on each, and a seeded run gives the same loads,
@@ -53,6 +56,7 @@ with the engines.
 """
 from __future__ import annotations
 
+import functools
 import heapq
 import itertools
 import math
@@ -74,6 +78,7 @@ KINDS = ("one-choice", "two-choice", "d-choice", "one-plus-beta", "quantile",
          "twinning", "penalty", "reset-memory", "graphical")
 
 _CHUNK = 1 << 14
+_DRAW_COUNTS = 1 << 17  # batched rank counts per multinomial call: 1 MiB of int64
 ENUM_LIMIT = 64
 
 
@@ -607,19 +612,32 @@ def step(spec: ProcessSpec, state: LoadState,
     return out
 
 
-def _batched_round(loads: np.ndarray, pv: np.ndarray, b: int,
-                   rng: np.random.Generator) -> None:
-    """Add b unit balls to ``loads`` i.i.d. from the rank-indexed vector
-    ``pv``, all against the round-start ranking: heaviest first, ties by
-    ascending id.  Unit balls keep ``loads`` whole numbers, so while their
-    spread fits in 16 bits the ranking is a stable (radix, O(n)) sort of
-    each bin's distance below the heaviest."""
+@functools.lru_cache(maxsize=64)
+def rank_vector(spec: ProcessSpec, n: int) -> np.ndarray:
+    """``allocation_vector(spec, n)`` as the read-only float64 array, summing
+    to 1, that batched rounds draw from.  Cached per (spec, n):
+    ``experiments.sweep`` builds each batched cell's vector before any run
+    starts, so a kind without one fails first, and forked workers inherit
+    the cache."""
+    pv = np.asarray(allocation_vector(spec, n).probs, dtype=float)
+    pv = pv / pv.sum()
+    pv.flags.writeable = False
+    return pv
+
+
+def _batched_round(loads: np.ndarray, counts: np.ndarray) -> None:
+    """Reference batched round: add ``counts[r]`` unit balls to the bin of
+    rank r in the round-start ranking, heaviest first, ties by ascending id.
+    Unit balls keep ``loads`` whole numbers, so while their spread fits in
+    16 bits the ranking is a stable (radix, O(n)) sort of each bin's
+    distance below the heaviest.  ``kernel.apply_rounds`` does the same in
+    C and must agree with this exactly."""
     top = loads.max()
     if top - loads.min() < 1 << 16:
         order = np.argsort((top - loads).astype(np.uint16), kind="stable")
     else:
         order = np.lexsort((np.arange(len(loads)), -loads))
-    loads[order] += rng.multinomial(b, pv)
+    loads[order] += counts
 
 
 # -- fast engines --------------------------------------------------------------
@@ -1031,10 +1049,10 @@ def make_engine(spec: ProcessSpec, n: int, rng: np.random.Generator | None = Non
     """Build the fast stepper for one run: the compiled kernel, or the
     Python reference engine when the kernel cannot be built.  Tests may
     inject a script source."""
-    advance = kernel.load()
-    if advance is None:
+    lib = kernel.load()
+    if lib is None:
         return reference_engine(spec, n, rng, source)
-    return kernel.KernelEngine(advance, spec, n, _source(spec, n, rng, source))
+    return kernel.KernelEngine(lib, spec, n, _source(spec, n, rng, source))
 
 
 def reference_engine(spec: ProcessSpec, n: int, rng: np.random.Generator | None = None,
@@ -1142,22 +1160,39 @@ def run_batched(spec: ProcessSpec, n: int, m: int, b: int, seed: int,
                 probe: ProbeConfig | None = None) -> list[ProbeRow]:
     """Batched variant: rounds of b balls drawn i.i.d. from the process's
     allocation vector against the round-start ranking.  Unit weights only;
-    probes land on round boundaries."""
+    probes land on round boundaries.
+
+    Each round is one multinomial row of rank counts.  A probe segment's
+    rows come from ``rng.multinomial(b, pv, size=k)`` calls of at most
+    ``_DRAW_COUNTS`` (2^17) counts each, or one row when n is larger; numpy
+    draws the k rows of such a call exactly as k single calls, so the
+    chunking does not change the stream.  The compiled kernel ranks and
+    applies the rows (``kernel.apply_rounds``); without it,
+    ``_batched_round`` applies them one at a time.
+    """
     if spec.weights.kind != "unit":
         raise ValueError("batched rounds support unit weights only")
     if b < 1:
         raise ValueError(f"batch size must be >= 1, got {b}")
     if n < 1 or m < 0:
         raise ValueError("need n >= 1 and m >= 0")
-    pv = np.asarray(allocation_vector(spec, n).probs, dtype=float)
-    pv = pv / pv.sum()
+    pv = rank_vector(spec, n)
+    lib = kernel.load()
+    per_draw = max(1, _DRAW_COUNTS // n)
     rng = make_generator(seed, 0)
     loads = np.zeros(n)
     rows = []
     balls = 0
     for pt in _probe_points(probe, n, m):
-        while balls < pt:
-            _batched_round(loads, pv, b, rng)
-            balls += b
+        rounds = max(0, -(-(pt - balls) // b))
+        while rounds:
+            counts = rng.multinomial(b, pv, size=min(rounds, per_draw))
+            if lib is None:
+                for row in counts:
+                    _batched_round(loads, row)
+            else:
+                kernel.apply_rounds(lib, loads, counts)
+            rounds -= len(counts)
+            balls += b * len(counts)
         rows.append(_snapshot(loads, balls, probe, seed))
     return rows

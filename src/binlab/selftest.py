@@ -11,7 +11,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from . import configfile, core, experiments, graphs, potentials, processes
+from . import configfile, core, experiments, graphs, kernel, potentials, processes
 from . import svgplot, tableio, vectors, weights
 from .checks import PreconditionError
 from .rng import make_generator
@@ -254,10 +254,26 @@ def check_balls_per_step():
 
 def check_batched_conserves():
     loads = np.zeros(8)
-    p = processes.allocation_vector(processes.ProcessSpec(kind="two-choice"), 8)
-    pv = np.asarray(p.probs) / sum(p.probs)
-    processes._batched_round(loads, pv, 40, make_generator(18, 0))
+    pv = processes.rank_vector(processes.ProcessSpec(kind="two-choice"), 8)
+    processes._batched_round(loads, make_generator(18, 0).multinomial(40, pv))
     _assert(loads.sum() == 40.0, "batched round conserves balls")
+
+
+def check_batched_kernel_agrees():
+    lib = kernel.load()
+    if lib is None:  # run_batched applies rounds with the reference itself
+        return
+    pv = processes.rank_vector(processes.ProcessSpec(kind="two-choice"), 6)
+    counts = make_generator(19, 0).multinomial(30, pv[::-1], size=5)
+    # ties, then a spread that the rounds push past the counting-sort bound
+    for start in ([2.0, 2.0, 0.0, 2.0, 1.0, 0.0], [0.0, 65530.0] * 3):
+        want = np.array(start)
+        for row in counts:
+            processes._batched_round(want, row)
+        got = np.array(start)
+        kernel.apply_rounds(lib, got, counts)
+        _assert(got.tolist() == want.tolist(),
+                f"compiled batched rounds disagree with the reference from {start}")
 
 
 # -- graphs --------------------------------------------------------------------
@@ -385,7 +401,8 @@ GROUPS: dict[str, list] = {
     "weights": [check_mgf_routes_agree, check_moment_inequality_grid,
                 check_sample_means],
     "processes": [check_empirical_matches_formulas, check_engine_agreement,
-                  check_balls_per_step, check_batched_conserves],
+                  check_balls_per_step, check_batched_conserves,
+                  check_batched_kernel_agrees],
     "graphs": [check_known_conductances, check_bounds_sandwich,
                check_expansion_conditions],
     "experiments": [check_sweep_deterministic, check_aggregate_idempotent,

@@ -273,6 +273,22 @@ def test_cli_simulate_bad_config(tmp_path, capsys):
     assert "unknown key" in capsys.readouterr().err
 
 
+def test_cli_batched_kind_without_vector_fails_before_any_run(tmp_path, monkeypatch,
+                                                              capsys):
+    calls = []
+    execute = experiments._execute
+    monkeypatch.setattr(experiments, "_execute",
+                        lambda job: calls.append(job) or execute(job))
+    monkeypatch.setenv("BINLAB_OUT", str(tmp_path))
+    cfg = tmp_path / "batched.cfg"
+    cfg.write_text("processes = one-choice,twinning:delta=0.5\nns = 16\n"
+                   "m = 4b\nreps = 3\nbatches = 1n\n")
+    assert main(["simulate", str(cfg)]) == 1
+    assert capsys.readouterr().err == (
+        "error: twinning has no load-independent allocation vector\n")
+    assert calls == []
+
+
 @pytest.mark.parametrize("line,msg", [
     ("gamma = 1e400", "gamma"),
     ("gamma = nan", "gamma"),

@@ -15,6 +15,7 @@ import sys
 import pytest
 
 from binlab import kernel, processes
+from binlab.cli import main
 from binlab.core import new_state
 from binlab.experiments import ExperimentConfig, sweep
 from binlab.graphs import cycle_graph
@@ -204,6 +205,25 @@ def test_fallback_without_compiler(compiled, request):
         eng = make_engine(_spec("two-choice"), 16, make_generator(1))
     assert isinstance(eng, processes._ChoiceEngine)
     assert _small_sweep() == expect
+
+
+def test_batched_simulate_without_kernel_is_byte_equal(compiled, tmp_path, monkeypatch):
+    cfg = tmp_path / "batched.cfg"
+    cfg.write_text("processes = two-choice,quantile:delta=0.25\nns = 16,40\n"
+                   "m = 30b\nreps = 3\nseed = 7\nbatches = 1n,3n\n"
+                   "gamma = 0.5\nthresholds = 1,2\nkeep = trajectory\n")
+    applied = []
+    apply_rounds = kernel.apply_rounds
+    monkeypatch.setattr(kernel, "apply_rounds",
+                        lambda *a: applied.append(1) or apply_rounds(*a))
+    out, calls = [], []
+    for name in ("kernel.csv", "numpy.csv"):
+        assert main(["simulate", str(cfg), "--out", str(tmp_path / name)]) == 0
+        out.append((tmp_path / name).read_bytes())
+        calls.append(len(applied))
+        monkeypatch.setattr(kernel, "load", lambda: None)
+    assert calls[0] > 0 and calls[1] == calls[0]  # only the first pass ran the kernel
+    assert out[0] == out[1]
 
 
 def test_kernel_built_on_first_engine_not_at_import(tmp_path):

@@ -16,11 +16,13 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from binlab import kernel
 from binlab.core import LoadState, new_state
 from binlab.graphs import complete_graph, cycle_graph, hypercube_graph
 from binlab.processes import (ENUM_LIMIT, ProbeConfig, ProcessSpec,
                               RoundOutcome, UnsupportedProcessError, _Draws,
-                              _ScriptSource, _batched_round, _snapshot,
+                              _ScriptSource, _batched_round, _probe_points,
+                              _snapshot,
                               allocation_vector, canonical_conditions,
                               comparison_vector, d_choice_vector_exact,
                               empirical_allocation_fractions,
@@ -28,7 +30,8 @@ from binlab.processes import (ENUM_LIMIT, ProbeConfig, ProcessSpec,
                               expected_ball_counts, expected_balls_per_step,
                               make_engine, one_plus_beta_vector_exact,
                               parse_process, quantile_vector_exact,
-                              round_law, run, run_batched, sample_round, step)
+                              rank_vector, round_law, run, run_batched,
+                              sample_round, step)
 from binlab.rng import make_generator
 from binlab.vectors import check_conditions, quantile_index
 from binlab.weights import parse_weights
@@ -620,31 +623,119 @@ def test_snapshot_leaves_live_loads_untouched():
 
 def test_batched_round_freezes_round_start_ranking():
     loads = np.zeros(2)
-    rng = make_generator(5, 1)
-    _batched_round(loads, np.array([0.0, 1.0]), 100, rng)
+    _batched_round(loads, make_generator(5, 1).multinomial(100, [0.0, 1.0]))
     # rank 1 at round start is bin 1 (ties resolve by ascending id) and the
     # ranking must not refresh mid-round
     assert loads.tolist() == [0.0, 100.0]
     assert np.count_nonzero(loads) == 1 and loads.sum() == 100.0
 
 
-@pytest.mark.parametrize("loads", [
+RANKING_LOADS = [
     [0.0],                                   # n = 1
     [3.0, 3.0, 1.0, 3.0, 1.0, 0.0, 3.0],     # ties
     [0.0, 65535.0, 7.0, 65535.0, 0.0],       # widest spread the radix sort takes
     [0.0, 65536.0, 7.0, 65536.0, 0.0, 1.0],  # spread >= 2^16: lexsort branch
     [1e6, 2e6, 1e6, 3.0, 2e6],
-])
+    [65530.0, 0.0, 65530.0, 0.0],            # rounds move the spread past 2^16
+]
+
+
+def _rank_counts(n, rows):
+    """Counts of 50 balls per round, heavier on the top ranks."""
+    pv = np.arange(n, 0, -1, dtype=float)
+    return make_generator(3, 0).multinomial(50, pv / pv.sum(), size=rows)
+
+
+@pytest.mark.parametrize("loads", RANKING_LOADS)
 def test_batched_round_ranking_matches_lexsort(loads):
     loads = np.array(loads)
     n = len(loads)
-    pv = np.arange(1, n + 1, dtype=float)
-    pv /= pv.sum()
+    counts = _rank_counts(n, 1)[0]
     want = loads.copy()
-    want[np.lexsort((np.arange(n), -loads))] += make_generator(3, 0).multinomial(50, pv)
+    want[np.lexsort((np.arange(n), -loads))] += counts
     got = loads.copy()
-    _batched_round(got, pv, 50, make_generator(3, 0))
+    _batched_round(got, counts)
     assert got.tolist() == want.tolist()
+
+
+@pytest.mark.parametrize("loads", RANKING_LOADS)
+def test_kernel_batched_rounds_match_reference(loads):
+    lib = kernel.load()
+    if lib is None:
+        pytest.skip("no C compiler: run_batched applies rounds with numpy")
+    counts = _rank_counts(len(loads), 4)
+    want = np.array(loads)
+    for row in counts:
+        _batched_round(want, row)
+    got = np.array(loads)
+    kernel.apply_rounds(lib, got, counts)
+    assert got.tolist() == want.tolist()
+
+
+def test_kernel_batched_rounds_validate_arrays():
+    lib = kernel.load()
+    if lib is None:
+        pytest.skip("no C compiler")
+    counts = np.zeros((2, 4), dtype=np.int64)
+    for loads, rows in ((np.zeros(4, dtype=np.float32), counts),
+                        (np.zeros(5), counts),
+                        (np.zeros(4), counts.astype(np.int32)),
+                        (np.zeros(4), np.asfortranarray(np.zeros((4, 4), np.int64)))):
+        with pytest.raises(ValueError):
+            kernel.apply_rounds(lib, loads, rows)
+
+
+def test_multinomial_rows_equal_single_calls():
+    # run_batched draws a probe segment's rounds with one size=k call; this
+    # is the numpy behaviour that keeps its stream that of k single calls
+    pv = rank_vector(u(), 37)
+    for b, k in ((37, 50), (5, 9), (10_000, 7)):
+        many, one = make_generator(8, 0), make_generator(8, 0)
+        rows = many.multinomial(b, pv, size=k)
+        assert rows.tolist() == [one.multinomial(b, pv).tolist() for _ in range(k)]
+        assert many.random() == one.random()
+
+
+def _batched_per_round(spec, n, m, b, seed, probe=None):
+    """The batched run one round, and one multinomial call, at a time."""
+    pv = np.asarray(allocation_vector(spec, n).probs, dtype=float)
+    pv = pv / pv.sum()
+    rng = make_generator(seed, 0)
+    loads = np.zeros(n)
+    rows, balls = [], 0
+    for pt in _probe_points(probe, n, m):
+        while balls < pt:
+            _batched_round(loads, rng.multinomial(b, pv))
+            balls += b
+        rows.append(_snapshot(loads, balls, probe, seed))
+    return rows
+
+
+@pytest.fixture(params=["kernel", "numpy"])
+def batched_path(request, monkeypatch):
+    if request.param == "kernel" and kernel.load() is None:
+        pytest.skip("no C compiler")
+    if request.param == "numpy":
+        monkeypatch.setattr(kernel, "load", lambda: None)
+    return request.param
+
+
+@pytest.mark.parametrize("text", ["two-choice", "d-choice:d=3",
+                                  "one-plus-beta:beta=0.5", "quantile:delta=0.25"])
+def test_run_batched_matches_per_round_reference(batched_path, text):
+    spec = parse_process(text)
+    # b is no multiple of n, so probes every n balls land mid-round
+    probe = ProbeConfig(gamma=0.5, thresholds=(1.0,))
+    got = run_batched(spec, 24, 30 * 24, 37, seed=12, probe=probe)
+    assert got == _batched_per_round(spec, 24, 30 * 24, 37, 12, probe)
+
+
+def test_run_batched_segment_longer_than_one_draw(batched_path):
+    # 5000 rounds in one probe segment, 2^17 // 64 = 2048 rounds per draw
+    spec, n, b = u(), 64, 5
+    probe = ProbeConfig(steps=(5000 * b,))
+    got = run_batched(spec, n, 5000 * b, b, seed=4, probe=probe)
+    assert got == _batched_per_round(spec, n, 5000 * b, b, 4, probe)
 
 
 def test_batched_round_validates():
@@ -657,7 +748,7 @@ def test_batched_uniform_counts_chi_square():
     loads = np.zeros(n)
     rng = make_generator(11, 0)
     for _ in range(rounds):
-        _batched_round(loads, np.full(n, 1 / n), n, rng)
+        _batched_round(loads, rng.multinomial(n, np.full(n, 1 / n)))
     expect = rounds  # n*rounds balls over n bins
     chi2 = sum((v - expect) ** 2 / expect for v in loads)
     # df = 7; chi2 above 30 has probability ~ 1e-4
