@@ -24,6 +24,7 @@ Takes about 25 s on a 2-CPU host.
 
 from __future__ import annotations
 
+import argparse
 import math
 import statistics
 import time
@@ -82,7 +83,10 @@ def acceptance_09() -> None:
     print("\nThe check runs exp1 at 10·n ln n with 30 reps and needs a ratio > 3.\n")
 
 
-def main() -> None:
+def main(argv=None) -> None:
+    argparse.ArgumentParser(description=__doc__,
+                            formatter_class=argparse.RawDescriptionHelpFormatter
+                            ).parse_args(argv)
     for part in (acceptance_08, acceptance_09):
         t0 = time.perf_counter()
         part()

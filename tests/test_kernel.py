@@ -3,7 +3,8 @@
 Every kernel run is compared with the Python engine built on the same seed:
 loads with ``==``, and the ball and step counts.  The advance targets cross
 the 16 384-draw chunk boundary, so refills and the rule that a decision
-discards a chunk too short for it are exercised on both paths.
+discards a chunk too short for it are exercised on both paths.  A batched
+sweep is compared, byte for byte, with the same sweep on the numpy rounds.
 """
 from __future__ import annotations
 

@@ -22,8 +22,7 @@ from binlab.graphs import complete_graph, cycle_graph, hypercube_graph
 from binlab.processes import (ENUM_LIMIT, ProbeConfig, ProcessSpec,
                               RoundOutcome, UnsupportedProcessError, _Draws,
                               _ScriptSource, _batched_round, _probe_points,
-                              _snapshot,
-                              allocation_vector, canonical_conditions,
+                              _snapshot, allocation_vector, canonical_conditions,
                               comparison_vector, d_choice_vector_exact,
                               empirical_allocation_fractions,
                               empirical_allocation_vector,
@@ -724,7 +723,8 @@ def batched_path(request, monkeypatch):
                                   "one-plus-beta:beta=0.5", "quantile:delta=0.25"])
 def test_run_batched_matches_per_round_reference(batched_path, text):
     spec = parse_process(text)
-    # b is no multiple of n, so probes every n balls land mid-round
+    # b = 37 is no multiple of n = 24: each probe (every n balls) waits for
+    # the round that crosses it, and some segments hold no round at all
     probe = ProbeConfig(gamma=0.5, thresholds=(1.0,))
     got = run_batched(spec, 24, 30 * 24, 37, seed=12, probe=probe)
     assert got == _batched_per_round(spec, 24, 30 * 24, 37, 12, probe)
