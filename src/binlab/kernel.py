@@ -10,10 +10,11 @@ library under ``$XDG_CACHE_HOME/binlab`` (default ``~/.cache/binlab``) named
 by the sha256 of the source and the flags, and loaded with ctypes.
 ``-ffp-contract=off`` and the absence of ``-ffast-math``/``-march=native``
 keep every float sum rounding exactly as Python's does, so kernel runs are
-byte-identical to the Python reference engines and to the numpy reference
-round ``processes._batched_round``.  When no compiler is found or the build
-fails, ``load()`` warns once and returns None, and the callers fall back to
-those references.
+byte-identical to the exact path ``processes.step`` and to the numpy
+reference round ``processes._batched_round``.  When no compiler is found or
+the build fails, ``load()`` warns once and returns None, and the callers
+fall back to those references: ``make_engine`` to a ``step`` loop
+(``processes._StepEngine``), ``run_batched`` to the numpy round.
 """
 from __future__ import annotations
 
@@ -131,14 +132,15 @@ def apply_rounds(lib, loads: np.ndarray, counts: np.ndarray) -> None:
 
 
 class KernelEngine:
-    """A per-ball engine run by the compiled kernel, with the interface of
-    the Python engines: ``advance(target)``, ``balls``, ``steps``, ``spec``
-    and ``loads`` (a float64 array the kernel updates in place).
+    """A per-ball engine run by the compiled kernel: ``advance(target)``,
+    ``balls``, ``steps``, ``spec`` and ``loads`` (a float64 array the kernel
+    updates in place), the interface ``processes._StepEngine`` shares.
 
-    Draws come from ``source`` exactly as the Python engines take them:
-    ``bins()`` (``edges()`` for graphical), ``floats()`` and ``weights()``,
-    one chunk per call.  An exception raised by the source propagates out
-    of ``advance``.
+    Draws come from ``source`` exactly as ``processes._Draws`` takes them
+    for ``step``: ``bins()`` (``edges()`` for graphical), ``floats()`` and
+    ``weights()``, one chunk per call, with a chunk too short for a
+    decision's k bins discarded.  An exception raised by the source
+    propagates out of ``advance``.
     """
 
     def __init__(self, lib, spec, n: int, source):

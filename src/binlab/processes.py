@@ -18,46 +18,41 @@ reset-memory    two-ball rounds: ball 1 to a uniform sample, ball 2 to the
 graphical       uniform random edge of a regular graph, ball to the lesser
                 loaded endpoint
 
-Three execution paths exist and are tested against each other:
+Two per-ball paths exist and are tested against each other:
 
 exact       ``sample_round``/``step`` over a ``LoadState``: the oracle, with
             rational enumeration of one step's allocation law
             (``expected_ball_counts``) beside it, and ``round_law``, the
             O(n) float law of one round that ``binlab drift-check`` uses,
             pinned to the sampler and to that enumeration by the tests.
+            Without a C compiler, ``make_engine`` returns ``_StepEngine``,
+            a ``step`` loop with the engine interface.
 kernel      what ``make_engine`` returns: the per-ball decision loops of
             ``_kernel.c``, compiled on first use (see ``kernel.py``), over a
             float64 load array.  ``run`` uses it for every sweep, and
             ``run_batched`` ranks and applies its rounds with it.
-reference   the Python engines (``reference_engine``): plain load lists plus
-            whatever index structure the decision rule needs, and the numpy
-            batched round ``_batched_round``.  They pin the kernel in the
-            differential tests and are what ``make_engine`` and
-            ``run_batched`` fall back to when no C compiler is found or the
-            build fails.
 
-All three consume random draws in the same documented order, so scripted
-draws replay identically on each, and a seeded run gives the same loads,
-ball and step counts on the kernel as on the reference engines.
+Both consume random draws in the same documented order, so a seeded run or
+a scripted one gives the same loads, ball and step counts on the kernel as
+on ``step``.  Batched rounds have a numpy reference, ``_batched_round``,
+which is also ``run_batched``'s fallback without the kernel.
 
 The lesser-loaded rule is ``_lightest``: the least-loaded candidates in
 first-seen order, without repeats.  A tie goes to the highest bin id, or
 under ``tie_rule="random"`` to ``best[int(u * k)]`` for one uniform draw u.
-Enumeration (``_recipient_dist``), the exact sampler (``_pick_min``) and
-the reference d-choice loop use it; the two-candidate loops of the
-reference engines and the kernel inline it and are pinned to the exact path
-by the differential tests.
+Enumeration (``_recipient_dist``) and the exact sampler (``_pick_min``) use
+it; the kernel inlines it and is pinned to the exact path by the
+differential tests.
 
 The exact path reads its draws through ``_Draws`` in one of two ways: one
-scalar numpy call per draw from a generator, or one value at a time from a
-chunk source with the engine protocol (``bins``/``floats``/``weights``/
-``edges``), such as a ``_ScriptSource`` that the tests and selftest share
-with the engines.
+scalar numpy call per draw from a generator, or in chunks from a source
+with the kernel's protocol (``bins``/``floats``/``weights``/``edges``),
+such as the seeded ``_ChunkSource`` or a ``_ScriptSource`` that the tests
+and selftest share with the kernel.
 """
 from __future__ import annotations
 
 import functools
-import heapq
 import itertools
 import math
 from dataclasses import dataclass, field
@@ -473,11 +468,15 @@ def round_law(spec: ProcessSpec, state: LoadState) -> dict[tuple[int, int], np.n
 class _Draws:
     """Sequential draw source for one or more exact rounds.
 
-    Draw order per round is part of the contract (engines replay it):
+    Draw order per round is part of the contract (the kernel replays it):
     bins in sampling order, the mixing float before any bins
     (one-plus-beta), tie floats right after the tied comparison, one weight
     per ball in landing order.  Draws come from ``rng`` one scalar call at a
-    time, or, when ``source`` is given, one value at a time from its chunks.
+    time, or, when ``source`` is given, from its chunks by the kernel's
+    rule: a decision that reads k bins at once (``bins(k)``) discards the
+    rest of a chunk holding fewer than k and takes a fresh one, which must
+    hold k.  A chunk with a bin outside [0, n) or an edge outside
+    [0, n_edges) is rejected.
     """
 
     def __init__(self, n: int, wdist: WeightDistribution,
@@ -490,33 +489,44 @@ class _Draws:
         self.source = source
         self._chunks: dict[str, tuple[list, int]] = {}
 
-    def _next(self, stream: str):
+    def _take(self, stream: str, k: int = 1) -> list:
         buf, i = self._chunks.get(stream, ((), 0))
-        if i >= len(buf):
-            buf, i = np.asarray(getattr(self.source, stream)()).tolist(), 0
-        self._chunks[stream] = (buf, i + 1)
-        return buf[i]
+        if i + k > len(buf):
+            chunk = np.asarray(getattr(self.source, stream)())
+            bound = {"bins": self.n, "edges": self.n_edges}.get(stream)
+            if bound is not None and chunk.size and not (
+                    chunk.min() >= 0 and chunk.max() < bound):
+                raise IndexError("draw out of range")
+            buf, i = chunk.tolist(), 0
+            if len(buf) < k:
+                raise IndexError("draw chunk shorter than one decision needs")
+        self._chunks[stream] = (buf, i + k)
+        return buf[i:i + k]
+
+    def bins(self, k: int) -> list[int]:
+        """The k candidate bins of one decision."""
+        if self.source is not None:
+            return self._take("bins", k)
+        return [int(self.rng.integers(0, self.n)) for _ in range(k)]
 
     def bin(self) -> int:
-        if self.source is not None:
-            return self._next("bins")
-        return int(self.rng.integers(0, self.n))
+        return self.bins(1)[0]
 
     def float(self) -> float:
         if self.source is not None:
-            return self._next("floats")
+            return self._take("floats")[0]
         return float(self.rng.random())
 
     def weight(self) -> float:
         if self.wdist.kind == "unit":
             return 1.0
         if self.source is not None:
-            return self._next("weights")
+            return self._take("weights")[0]
         return float(self.wdist.sample(self.rng, 1)[0])
 
     def edge(self) -> int:
         if self.source is not None:
-            return self._next("edges")
+            return self._take("edges")[0]
         return int(self.rng.integers(0, self.n_edges))
 
 
@@ -539,8 +549,7 @@ def sample_round(spec: ProcessSpec, state: LoadState,
     if draws is None:
         if rng is None:
             raise ValueError("need rng or draws")
-        n_edges = len(spec.graph.edges) if spec.graph is not None else 0
-        draws = _Draws(n, spec.weights, rng=rng, n_edges=n_edges)
+        draws = _Draws(n, spec.weights, rng=rng, n_edges=_n_edges(spec))
     loads = state.loads
     kind = spec.kind
 
@@ -550,14 +559,12 @@ def sample_round(spec: ProcessSpec, state: LoadState,
 
     if kind in ("two-choice", "d-choice"):
         d = 2 if kind == "two-choice" else spec.d
-        cands = [draws.bin() for _ in range(d)]
-        b = _pick_min(loads, cands, spec.tie_rule, draws)
+        b = _pick_min(loads, draws.bins(d), spec.tie_rule, draws)
         return RoundOutcome(((b, draws.weight()),), 1, d)
 
     if kind == "one-plus-beta":
         if draws.float() < spec.beta:
-            cands = [draws.bin(), draws.bin()]
-            b = _pick_min(loads, cands, spec.tie_rule, draws)
+            b = _pick_min(loads, draws.bins(2), spec.tie_rule, draws)
             return RoundOutcome(((b, draws.weight()),), 1, 2)
         b = draws.bin()
         return RoundOutcome(((b, draws.weight()),), 1, 1)
@@ -586,8 +593,7 @@ def sample_round(spec: ProcessSpec, state: LoadState,
         return RoundOutcome(((i2, 1.0), (i2, 1.0)), 1, 2)
 
     if kind == "reset-memory":
-        i1 = draws.bin()
-        i2 = draws.bin()
+        i1, i2 = draws.bins(2)
         w1 = draws.weight()
         b = _pick_min(loads, (i1, i2), spec.tie_rule, draws)
         w2 = draws.weight()
@@ -640,7 +646,7 @@ def _batched_round(loads: np.ndarray, counts: np.ndarray) -> None:
     loads[order] += counts
 
 
-# -- fast engines --------------------------------------------------------------
+# -- draw sources and engines -----------------------------------------------
 
 class _ChunkSource:
     """Draws for the engines in chunks of ``_CHUNK`` per call, and bins in
@@ -700,372 +706,44 @@ class _ScriptSource:
         return self._take("_edges")
 
 
-class _Lists:
-    """A draw source as the Python engines read it: lists, since indexing
-    numpy arrays element by element is slow."""
+class _StepEngine:
+    """The per-ball engine when the kernel cannot be built: a ``step`` loop
+    on a ``LoadState``, reading ``source`` through ``_Draws`` as the kernel
+    reads it.  Same interface as ``kernel.KernelEngine``; ``loads`` is the
+    state's list."""
 
-    def __init__(self, source):
-        self._source = source
-
-    def __getattr__(self, name):
-        fetch = getattr(self._source, name)
-        return lambda: np.asarray(fetch()).tolist()
-
-
-class _EngineBase:
     def __init__(self, spec: ProcessSpec, n: int, source):
         self.spec = spec
-        self.n = n
-        self.src = _Lists(source)
-        self.unit = spec.weights.kind == "unit"
-        self.loads = [0] * n if self.unit else [0.0] * n
+        self.state = LoadState(n)
         self.balls = 0
         self.steps = 0
-        self._ib: list = []
-        self._ii = 0
-        self._fb: list = []
-        self._fi = 0
-        self._wb: list = []
-        self._wi = 0
+        self._draws = _Draws(n, spec.weights, n_edges=_n_edges(spec), source=source)
+
+    @property
+    def loads(self) -> list[float]:
+        return self.state.loads
 
     def advance(self, target: int) -> None:
-        raise NotImplementedError
-
-
-class _ChoiceEngine(_EngineBase):
-    """one-choice, two-choice, d-choice, one-plus-beta."""
-
-    def __init__(self, spec, n, source):
-        super().__init__(spec, n, source)
-        if spec.kind == "one-plus-beta":
-            self.d = 2
-            self.beta = spec.beta
-        else:
-            self.d = 1 if spec.kind == "one-choice" else (2 if spec.kind == "two-choice" else spec.d)
-            self.beta = None
-
-    def advance(self, target: int) -> None:
-        loads = self.loads
-        src = self.src
-        ib, ii = self._ib, self._ii
-        fb, fi = self._fb, self._fi
-        wb, wi = self._wb, self._wi
-        unit = self.unit
-        beta = self.beta
-        d = self.d
-        random_ties = self.spec.tie_rule == "random"
-        balls = self.balls
-        while balls < target:
-            if beta is not None:
-                if fi >= len(fb):
-                    fb = src.floats()
-                    fi = 0
-                k = 2 if fb[fi] < beta else 1
-                fi += 1
-            else:
-                k = d
-            if ii + k > len(ib):
-                ib = src.bins()
-                ii = 0
-                if len(ib) < k:
-                    raise IndexError("draw chunk shorter than one decision needs")
-            if k == 1:
-                b = ib[ii]
-                ii += 1
-            elif k == 2:
-                i = ib[ii]
-                j = ib[ii + 1]
-                ii += 2
-                li = loads[i]
-                lj = loads[j]
-                if li < lj:
-                    b = i
-                elif lj < li:
-                    b = j
-                elif not random_ties:
-                    b = i if i > j else j
-                elif i == j:
-                    b = i
-                else:
-                    if fi >= len(fb):
-                        fb = src.floats()
-                        fi = 0
-                    b = i if fb[fi] < 0.5 else j
-                    fi += 1
-            else:
-                best = _lightest(loads, ib[ii:ii + k])
-                ii += k
-                if not random_ties:
-                    b = max(best)
-                elif len(best) == 1:
-                    b = best[0]
-                else:
-                    if fi >= len(fb):
-                        fb = src.floats()
-                        fi = 0
-                    b = best[min(int(fb[fi] * len(best)), len(best) - 1)]
-                    fi += 1
-            if unit:
-                loads[b] += 1
-            else:
-                if wi >= len(wb):
-                    wb = src.weights()
-                    wi = 0
-                loads[b] += wb[wi]
-                wi += 1
-            balls += 1
-        self.steps += balls - self.balls
-        self.balls = balls
-        self._ib, self._ii = ib, ii
-        self._fb, self._fi = fb, fi
-        self._wb, self._wi = wb, wi
-
-
-class _ThresholdEngine(_EngineBase):
-    """quantile, twinning, penalty: rank-vs-quantile decisions via an
-    exactly maintained top-T set (lazy-deletion heap keyed by weakness)."""
-
-    def __init__(self, spec, n, source):
-        super().__init__(spec, n, source)
-        self.t = quantile_index(spec.delta, n)
-        self.in_h = bytearray(n)
-        self.version = [0] * n
-        zero = 0 if self.unit else 0.0
-        self.heap = [(zero, -b, b, 0) for b in range(self.t)]
-        heapq.heapify(self.heap)
-        for b in range(self.t):
-            self.in_h[b] = 1
-
-    def _bump(self, b: int, lb) -> None:
-        # load of a member changed: push a fresh heap entry
-        v = self.version[b] + 1
-        self.version[b] = v
-        heapq.heappush(self.heap, (lb, -b, b, v))
-
-    def _maybe_enter(self, b: int, lb) -> None:
-        # non-member strengthened: displace the weakest member if beaten
-        heap = self.heap
-        in_h = self.in_h
-        version = self.version
-        while True:
-            lw, _negw, w, ver = heap[0]
-            if in_h[w] and ver == version[w]:
-                break
-            heapq.heappop(heap)
-        if lb > lw or (lb == lw and b < w):
-            heapq.heappop(heap)
-            in_h[w] = 0
-            version[w] += 1
-            in_h[b] = 1
-            self._bump(b, lb)
-
-    def advance(self, target: int) -> None:
-        kind = self.spec.kind
-        loads = self.loads
-        src = self.src
-        in_h = self.in_h
-        ib, ii = self._ib, self._ii
-        wb, wi = self._wb, self._wi
-        unit = self.unit
-        one = 1 if unit else 1.0
-        balls = self.balls
-        steps = self.steps
-        while balls < target:
-            if ii >= len(ib):
-                ib = src.bins()
-                ii = 0
-            b = ib[ii]
-            ii += 1
-            if kind == "twinning":
-                add = one if in_h[b] else one + one
-                lb = loads[b] + add
-                loads[b] = lb
-                balls += 1 if in_h[b] else 2
-                if in_h[b]:
-                    self._bump(b, lb)
-                else:
-                    self._maybe_enter(b, lb)
-            elif kind == "penalty":
-                if not in_h[b]:
-                    lb = loads[b] + one
-                    loads[b] = lb
-                    balls += 1
-                    self._maybe_enter(b, lb)
-                else:
-                    if ii >= len(ib):
-                        ib = src.bins()
-                        ii = 0
-                    b2 = ib[ii]
-                    ii += 1
-                    lb = loads[b2] + one + one
-                    loads[b2] = lb
-                    balls += 2
-                    if in_h[b2]:
-                        self._bump(b2, lb)
-                    else:
-                        self._maybe_enter(b2, lb)
-            else:  # quantile
-                if in_h[b]:
-                    if ii >= len(ib):
-                        ib = src.bins()
-                        ii = 0
-                    b = ib[ii]
-                    ii += 1
-                if unit:
-                    w = 1
-                else:
-                    if wi >= len(wb):
-                        wb = src.weights()
-                        wi = 0
-                    w = wb[wi]
-                    wi += 1
-                lb = loads[b] + w
-                loads[b] = lb
-                balls += 1
-                if in_h[b]:
-                    self._bump(b, lb)
-                else:
-                    self._maybe_enter(b, lb)
-            steps += 1
-        self.balls = balls
-        self.steps = steps
-        self._ib, self._ii = ib, ii
-        self._wb, self._wi = wb, wi
-
-
-class _ResetEngine(_EngineBase):
-    def advance(self, target: int) -> None:
-        loads = self.loads
-        src = self.src
-        ib, ii = self._ib, self._ii
-        fb, fi = self._fb, self._fi
-        wb, wi = self._wb, self._wi
-        unit = self.unit
-        random_ties = self.spec.tie_rule == "random"
-        balls = self.balls
-        steps = self.steps
-        while balls < target:
-            if ii + 2 > len(ib):
-                ib = src.bins()
-                ii = 0
-            i1 = ib[ii]
-            i2 = ib[ii + 1]
-            ii += 2
-            l1 = loads[i1]
-            l2 = loads[i2] if i2 != i1 else l1
-            if unit:
-                loads[i1] = l1 + 1
-            else:
-                if wi >= len(wb):
-                    wb = src.weights()
-                    wi = 0
-                loads[i1] = l1 + wb[wi]
-                wi += 1
-            if l1 < l2:
-                b = i1
-            elif l2 < l1:
-                b = i2
-            elif not random_ties or i1 == i2:
-                b = i1 if i1 > i2 else i2
-            else:
-                if fi >= len(fb):
-                    fb = src.floats()
-                    fi = 0
-                b = i1 if fb[fi] < 0.5 else i2
-                fi += 1
-            if unit:
-                loads[b] += 1
-            else:
-                if wi >= len(wb):
-                    wb = src.weights()
-                    wi = 0
-                loads[b] += wb[wi]
-                wi += 1
-            balls += 2
-            steps += 2
-        self.balls = balls
-        self.steps = steps
-        self._ib, self._ii = ib, ii
-        self._fb, self._fi = fb, fi
-        self._wb, self._wi = wb, wi
-
-
-class _GraphEngine(_EngineBase):
-    def __init__(self, spec, n, source):
-        super().__init__(spec, n, source)
-        self.eu = [u for u, _ in spec.graph.edges]
-        self.ev = [v for _, v in spec.graph.edges]
-
-    def advance(self, target: int) -> None:
-        loads = self.loads
-        src = self.src
-        eu, ev = self.eu, self.ev
-        ib, ii = self._ib, self._ii
-        fb, fi = self._fb, self._fi
-        wb, wi = self._wb, self._wi
-        unit = self.unit
-        random_ties = self.spec.tie_rule == "random"
-        balls = self.balls
-        while balls < target:
-            if ii >= len(ib):
-                ib = src.edges()
-                ii = 0
-            e = ib[ii]
-            ii += 1
-            u = eu[e]
-            v = ev[e]
-            lu = loads[u]
-            lv = loads[v]
-            if lu < lv:
-                b = u
-            elif lv < lu:
-                b = v
-            elif not random_ties:
-                b = u if u > v else v
-            else:
-                if fi >= len(fb):
-                    fb = src.floats()
-                    fi = 0
-                b = u if fb[fi] < 0.5 else v
-                fi += 1
-            if unit:
-                loads[b] += 1
-            else:
-                if wi >= len(wb):
-                    wb = src.weights()
-                    wi = 0
-                loads[b] += wb[wi]
-                wi += 1
-            balls += 1
-        self.steps += balls - self.balls
-        self.balls = balls
-        self._ib, self._ii = ib, ii
-        self._fb, self._fi = fb, fi
-        self._wb, self._wi = wb, wi
+        while self.balls < target:
+            out = step(self.spec, self.state, draws=self._draws)
+            self.balls += out.balls()
+            self.steps += out.steps_consumed
 
 
 def make_engine(spec: ProcessSpec, n: int, rng: np.random.Generator | None = None,
                 source=None):
-    """Build the fast stepper for one run: the compiled kernel, or the
-    Python reference engine when the kernel cannot be built.  Tests may
-    inject a script source."""
+    """Build the per-ball engine for one run: the compiled kernel, or
+    ``_StepEngine`` when the kernel cannot be built.  Tests may inject a
+    script source."""
     lib = kernel.load()
-    if lib is None:
-        return reference_engine(spec, n, rng, source)
-    return kernel.KernelEngine(lib, spec, n, _source(spec, n, rng, source))
-
-
-def reference_engine(spec: ProcessSpec, n: int, rng: np.random.Generator | None = None,
-                     source=None):
-    """The Python engine for one run, drawing exactly as the kernel does."""
     source = _source(spec, n, rng, source)
-    if spec.kind in ("one-choice", "two-choice", "d-choice", "one-plus-beta"):
-        return _ChoiceEngine(spec, n, source)
-    if spec.kind in ("quantile", "twinning", "penalty"):
-        return _ThresholdEngine(spec, n, source)
-    if spec.kind == "reset-memory":
-        return _ResetEngine(spec, n, source)
-    return _GraphEngine(spec, n, source)
+    if lib is None:
+        return _StepEngine(spec, n, source)
+    return kernel.KernelEngine(lib, spec, n, source)
+
+
+def _n_edges(spec: ProcessSpec) -> int:
+    return len(spec.graph.edges) if spec.graph is not None else 0
 
 
 def _source(spec: ProcessSpec, n: int, rng, source):
@@ -1075,8 +753,7 @@ def _source(spec: ProcessSpec, n: int, rng, source):
         return source
     if rng is None:
         raise ValueError("need rng or source")
-    n_edges = len(spec.graph.edges) if spec.graph is not None else 0
-    return _ChunkSource(rng, n, spec.weights, n_edges, max(_CHUNK, spec.d or 0))
+    return _ChunkSource(rng, n, spec.weights, _n_edges(spec), max(_CHUNK, spec.d or 0))
 
 
 # -- runs and probes ------------------------------------------------------------

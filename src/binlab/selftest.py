@@ -232,7 +232,8 @@ def check_engine_agreement():
                  if graph else [])
         streams = dict(bins=bins, floats=floats, weights=ws, edges=edges)
         st = core.new_state(n)
-        dr = processes._Draws(n, wd, source=processes._ScriptSource(**streams))
+        dr = processes._Draws(n, wd, n_edges=len(graph.edges) if graph else 0,
+                              source=processes._ScriptSource(**streams))
         balls = 0
         for _ in range(rounds):
             balls += processes.step(spec, st, draws=dr).balls()

@@ -1,10 +1,15 @@
-"""The compiled decision kernel against the Python reference engines.
+"""The compiled decision kernel against the exact path.
 
-Every kernel run is compared with the Python engine built on the same seed:
-loads with ``==``, and the ball and step counts.  The advance targets cross
-the 16 384-draw chunk boundary, so refills and the rule that a decision
-discards a chunk too short for it are exercised on both paths.  A batched
-sweep is compared, byte for byte, with the same sweep on the numpy rounds.
+``step`` is the oracle.  ``_StepEngine``, the engine ``make_engine`` falls
+back to without a compiler, runs it ball by ball on the draw chunks the
+kernel reads, under the same rule: a decision needing k bins discards a
+chunk holding fewer.  Each kernel run is compared with it on the same
+source: loads with ``==``, and the ball and step counts.  The full matrix
+of kinds, weight laws, tie rules and sizes runs on short seeded chunks, so
+refills and discards come every few balls; one run per kind on the real
+16 384-draw chunks crosses a chunk boundary on each stream it reads, save
+reset-memory's rare tie coins.  A batched sweep is compared, byte for
+byte, with the same sweep on the numpy rounds.
 """
 from __future__ import annotations
 
@@ -20,8 +25,9 @@ from binlab.cli import main
 from binlab.core import new_state
 from binlab.experiments import ExperimentConfig, sweep
 from binlab.graphs import cycle_graph
-from binlab.processes import (_CHUNK, _Draws, _ScriptSource, make_engine,
-                              parse_process, reference_engine, step)
+from binlab.processes import (_CHUNK, _ChunkSource, _Draws, _n_edges,
+                              _ScriptSource, _source, _StepEngine, make_engine,
+                              parse_process, sample_round, step)
 from binlab.rng import make_generator
 from binlab.tableio import dumps_csv
 from binlab.weights import parse_weights
@@ -30,14 +36,14 @@ from binlab.weights import parse_weights
 @pytest.fixture
 def compiled():
     if kernel.load() is None:
-        pytest.skip("no C compiler: make_engine runs the Python engines")
+        pytest.skip("no C compiler: make_engine runs the step fallback")
 
 
 KINDS = ("one-choice", "two-choice", "d-choice:d=3", "one-plus-beta:beta=0.5",
          "quantile:delta=0.5", "twinning:delta=0.5", "penalty:delta=0.25",
          "reset-memory", "graphical")
 UNIT_ONLY = ("twinning", "penalty")
-TARGETS = (1, 100, 20000, 40000)  # the last crosses a chunk boundary on every kind
+TARGETS = (1, 100, 600)
 
 CASES = [(k, w, tie, n)
          for k, w, tie, n in itertools.product(
@@ -52,23 +58,102 @@ def _spec(text, wtext="unit", tie="higher-index", n=16):
                          tie_rule=tie)
 
 
+def _fallback(spec, n, rng=None, source=None):
+    return _StepEngine(spec, n, _source(spec, n, rng, source))
+
+
 def _same(eng, ref):
     return (list(eng.loads) == ref.loads and eng.balls == ref.balls
             and eng.steps == ref.steps)
+
+
+class _ShortChunks:
+    """Seeded chunks of odd, small lengths: decisions needing two or three
+    bins often find fewer left and must discard them."""
+
+    def __init__(self, seed, spec, n):
+        self.rng = make_generator(seed)
+        self.n, self.n_edges, self.wdist = n, _n_edges(spec), spec.weights
+
+    def bins(self):
+        return self.rng.integers(0, self.n, size=7)
+
+    def edges(self):
+        return self.rng.integers(0, self.n_edges, size=7)
+
+    def floats(self):
+        return self.rng.random(5)
+
+    def weights(self):
+        return self.wdist.sample(self.rng, 3)
 
 
 @pytest.mark.parametrize("text,wtext,tie,n", CASES,
                          ids=["-".join(map(str, c)) for c in CASES])
 def test_kernel_matches_reference(compiled, text, wtext, tie, n):
     spec = _spec(text, wtext, tie, n)
-    eng = make_engine(spec, n, make_generator(41, n))
-    ref = reference_engine(spec, n, make_generator(41, n))
+    eng = make_engine(spec, n, source=_ShortChunks(41, spec, n))
+    ref = _fallback(spec, n, source=_ShortChunks(41, spec, n))
     assert isinstance(eng, kernel.KernelEngine)
-    assert _CHUNK < TARGETS[-1]
     for target in TARGETS:
         eng.advance(target)
         ref.advance(target)
         assert _same(eng, ref), (text, wtext, tie, n, target)
+
+
+class _CountingChunks(_ChunkSource):
+    """The seeded chunks of a run, counting the fetches of each stream."""
+
+    def __init__(self, *args):
+        super().__init__(*args)
+        self.fetches = dict.fromkeys(("bins", "edges", "floats", "weights"), 0)
+
+    def _count(self, stream, chunk):
+        self.fetches[stream] += 1
+        return chunk
+
+    def bins(self):
+        return self._count("bins", super().bins())
+
+    def edges(self):
+        return self._count("edges", super().edges())
+
+    def floats(self):
+        return self._count("floats", super().floats())
+
+    def weights(self):
+        return self._count("weights", super().weights())
+
+
+# kind, weights, n, balls, and the streams whose reads cross a _CHUNK
+# boundary; random ties throughout.  poisson:l=0.5 weights are whole, so
+# ties, and with them tie coins, stay common.  reset-memory reads a tie
+# coin only about every 20 balls, so its floats would need ~360 000 balls.
+ACROSS_CHUNKS = [
+    ("one-choice", "poisson:l=0.5", 4, 40000, {"bins", "weights"}),
+    ("two-choice", "poisson:l=0.5", 8, 84000, {"bins", "floats", "weights"}),
+    ("d-choice:d=3", "poisson:l=0.5", 8, 44000, {"bins", "floats", "weights"}),
+    ("one-plus-beta:beta=0.5", "poisson:l=0.5", 4, 40000,
+     {"bins", "floats", "weights"}),
+    ("quantile:delta=0.5", "poisson:l=0.5", 4, 40000, {"bins", "weights"}),
+    ("twinning:delta=0.5", "unit", 4, 40000, {"bins"}),
+    ("penalty:delta=0.25", "unit", 4, 40000, {"bins"}),
+    ("reset-memory", "poisson:l=0.5", 4, 40000, {"bins", "weights"}),
+    ("graphical", "poisson:l=0.5", 3, 52000, {"edges", "floats", "weights"}),
+]
+
+
+@pytest.mark.parametrize("text,wtext,n,target,streams", ACROSS_CHUNKS,
+                         ids=[c[0] for c in ACROSS_CHUNKS])
+def test_kernel_matches_step_across_chunks(compiled, text, wtext, n, target, streams):
+    spec = _spec(text, wtext, "random", n)
+    src = _CountingChunks(make_generator(5, n), n, spec.weights, _n_edges(spec))
+    eng = make_engine(spec, n, source=src)
+    ref = _fallback(spec, n, make_generator(5, n))
+    eng.advance(target)
+    ref.advance(target)
+    assert _same(eng, ref)
+    assert {s for s, k in src.fetches.items() if k > 1} == streams
 
 
 RANDOM_TIE_CASES = [("two-choice", "unit"), ("d-choice:d=3", "unit"),
@@ -88,7 +173,7 @@ def test_kernel_replays_exact_path_with_random_ties(compiled, text, wtext):
     edges = rng.integers(0, n, size=400).tolist()  # a 4-cycle has 4 edges
 
     state = new_state(n)
-    draws = _Draws(n, spec.weights, source=_ScriptSource(
+    draws = _Draws(n, spec.weights, n_edges=_n_edges(spec), source=_ScriptSource(
         bins=bins, floats=floats, weights=ws, edges=edges))
     balls = 0
     while balls < target:
@@ -100,39 +185,22 @@ def test_kernel_replays_exact_path_with_random_ties(compiled, text, wtext):
     assert list(eng.loads) == state.loads
 
 
-class _ShortChunks:
-    """Seeded chunks of odd, small lengths: decisions needing two or three
-    bins often find fewer left and must discard them, as the Python engines
-    do."""
-
-    def __init__(self, seed, n, n_edges, wdist):
-        self.rng = make_generator(seed)
-        self.n, self.n_edges, self.wdist = n, n_edges, wdist
-
-    def bins(self):
-        return self.rng.integers(0, self.n, size=7)
-
-    def edges(self):
-        return self.rng.integers(0, self.n_edges, size=7)
-
-    def floats(self):
-        return self.rng.random(5)
-
-    def weights(self):
-        return self.wdist.sample(self.rng, 3)
-
-
 @pytest.mark.parametrize("text", KINDS)
 def test_short_chunks_discard_like_reference(compiled, text):
+    # step itself, not through _StepEngine, over the kernel's chunks
     n = 16
     wtext = "unit" if text.partition(":")[0] in UNIT_ONLY else "exp1"
     spec = _spec(text, wtext, "random", n)
-    n_edges = len(spec.graph.edges) if spec.graph else 0
-    eng = make_engine(spec, n, source=_ShortChunks(2, n, n_edges, spec.weights))
-    ref = reference_engine(spec, n, source=_ShortChunks(2, n, n_edges, spec.weights))
+    eng = make_engine(spec, n, source=_ShortChunks(2, spec, n))
     eng.advance(500)
-    ref.advance(500)
-    assert _same(eng, ref)
+    state = new_state(n)
+    draws = _Draws(n, spec.weights, n_edges=_n_edges(spec),
+                   source=_ShortChunks(2, spec, n))
+    balls = 0
+    while balls < 500:
+        balls += step(spec, state, draws=draws).balls()
+    assert eng.balls == balls
+    assert list(eng.loads) == state.loads
 
 
 def test_script_exhaustion_raises_through_kernel(compiled):
@@ -149,7 +217,7 @@ def test_d_choice_beyond_any_fixed_buffer(compiled, d, tie):
     spec = parse_process(f"d-choice:d={d}", tie_rule=tie)
     n, target = 16, 40 if d > _CHUNK else 400
     eng = make_engine(spec, n, make_generator(3, d))
-    ref = reference_engine(spec, n, make_generator(3, d))
+    ref = _fallback(spec, n, make_generator(3, d))
     eng.advance(target)
     ref.advance(target)
     assert _same(eng, ref)
@@ -165,22 +233,48 @@ def test_d_choice_compares_all_d_candidates(monkeypatch):
         return lightest(loads, cands)
 
     monkeypatch.setattr(processes, "_lightest", spy)
-    eng = reference_engine(parse_process(f"d-choice:d={d}"), 16, make_generator(3, d))
-    eng.advance(3)
+    _fallback(parse_process(f"d-choice:d={d}"), 16, make_generator(3, d)).advance(3)
     assert seen == [d] * 3
 
 
-@pytest.mark.parametrize("build", [make_engine, reference_engine])
-def test_chunk_shorter_than_a_decision_raises(build):
-    eng = build(parse_process("d-choice:d=3"), 4, source=_ScriptSource(bins=[0, 1]))
-    with pytest.raises(IndexError, match="shorter"):
-        eng.advance(1)
+# one to three balls on a scripted source, through each per-ball path
+
+def _run_make_engine(spec, n, source):
+    make_engine(spec, n, source=source).advance(3)
 
 
-def test_draw_out_of_range_raises(compiled):
-    eng = make_engine(_spec("two-choice"), 4, source=_ScriptSource(bins=[0, 9]))
-    with pytest.raises(IndexError):
-        eng.advance(1)
+def _run_kernel(spec, n, source):
+    if kernel.load() is None:
+        pytest.skip("no C compiler")
+    _run_make_engine(spec, n, source)
+
+
+def _run_fallback(spec, n, source):
+    _fallback(spec, n, source=source).advance(3)
+
+
+def _run_sample_round(spec, n, source):
+    sample_round(spec, new_state(n), draws=_Draws(
+        n, spec.weights, n_edges=_n_edges(spec), source=source))
+
+
+@pytest.mark.parametrize("run", [_run_make_engine, _run_fallback, _run_sample_round],
+                         ids=["make_engine", "fallback", "sample_round"])
+def test_chunk_shorter_than_a_decision_raises(run):
+    for text, bins in (("d-choice:d=3", [0, 1]), ("two-choice", [0])):
+        with pytest.raises(IndexError, match="shorter"):
+            run(parse_process(text), 4, _ScriptSource(bins=bins))
+
+
+@pytest.mark.parametrize("run", [_run_kernel, _run_fallback, _run_sample_round],
+                         ids=["kernel", "fallback", "sample_round"])
+def test_draw_out_of_range_raises(run):
+    for text, script in (("two-choice", dict(bins=[0, 9])),
+                         ("two-choice", dict(bins=[-1, 0])),
+                         ("one-choice", dict(bins=[-1, -1, -2])),
+                         ("graphical", dict(edges=[4, 0]))):  # a 4-cycle has 4 edges
+        with pytest.raises(IndexError, match="draw out of range"):
+            run(_spec(text, n=4), 4, _ScriptSource(**script))
 
 
 @pytest.fixture
@@ -192,11 +286,13 @@ def no_compiler(monkeypatch):
 
 
 def _small_sweep() -> str:
-    cfg = ExperimentConfig(processes=("twinning:delta=0.5", "one-plus-beta:beta=0.5",
-                                      "reset-memory"),
-                           ns=(16, 64), m="20n", reps=2, seed=5, gamma="0.1",
-                           thresholds=(1.0,))
-    return dumps_csv(sweep(cfg))
+    # every decision family of the kernel: choice, threshold, reset, graph
+    common = dict(ns=(16, 64), m="20n", reps=2, seed=5, gamma="0.1", thresholds=(1.0,))
+    cfgs = (ExperimentConfig(processes=("twinning:delta=0.5", "one-plus-beta:beta=0.5",
+                                        "reset-memory"), **common),
+            ExperimentConfig(processes=("d-choice:d=3",), weights="exp1", **common),
+            ExperimentConfig(processes=("graphical",), graph="cycle", **common))
+    return "".join(dumps_csv(sweep(cfg)) for cfg in cfgs)
 
 
 def test_fallback_without_compiler(compiled, request):
@@ -204,7 +300,7 @@ def test_fallback_without_compiler(compiled, request):
     request.getfixturevalue("no_compiler")
     with pytest.warns(RuntimeWarning, match="no C compiler"):
         eng = make_engine(_spec("two-choice"), 16, make_generator(1))
-    assert isinstance(eng, processes._ChoiceEngine)
+    assert isinstance(eng, _StepEngine)
     assert _small_sweep() == expect
 
 

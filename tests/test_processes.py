@@ -8,6 +8,7 @@ chunked engines.
 """
 from __future__ import annotations
 
+import hashlib
 import itertools
 import math
 import statistics
@@ -21,7 +22,7 @@ from binlab.core import LoadState, new_state
 from binlab.graphs import complete_graph, cycle_graph, hypercube_graph
 from binlab.processes import (ENUM_LIMIT, ProbeConfig, ProcessSpec,
                               RoundOutcome, UnsupportedProcessError, _Draws,
-                              _ScriptSource, _batched_round, _probe_points,
+                              _ScriptSource, _batched_round, _n_edges, _probe_points,
                               _snapshot, allocation_vector, canonical_conditions,
                               comparison_vector, d_choice_vector_exact,
                               empirical_allocation_fractions,
@@ -287,9 +288,10 @@ def u() -> "ProcessSpec":
     return parse_process("two-choice")
 
 
-def scripted(n, wdist=None, **streams) -> _Draws:
-    """Exact-path draws read from a script, as the engines read one."""
-    return _Draws(n, wdist or parse_weights("unit"), source=_ScriptSource(**streams))
+def scripted(n, wdist=None, n_edges=0, **streams) -> _Draws:
+    """Exact-path draws read from a script, as the kernel reads one."""
+    return _Draws(n, wdist or parse_weights("unit"), n_edges=n_edges,
+                  source=_ScriptSource(**streams))
 
 
 def test_two_choice_forced_picks_lighter():
@@ -364,7 +366,7 @@ def test_one_plus_beta_forced_coin():
 def test_graphical_forced_edge():
     spec = ProcessSpec(kind="graphical", graph=cycle_graph(4))
     state = LoadState.from_loads([0, 5, 3, 1])
-    out = sample_round(spec, state, draws=scripted(4, edges=[1]))
+    out = sample_round(spec, state, draws=scripted(4, n_edges=4, edges=[1]))
     assert out.bins_hit == ((2, 1.0),)  # edge (1,2): bin 2 is lighter
 
 
@@ -378,9 +380,45 @@ def test_weighted_round_consumes_weight_draw():
 
 
 def test_forced_draws_exhaustion():
+    # the script runs out at a chunk boundary: the second round needs a
+    # fresh chunk of bins
     state = LoadState.from_loads([5, 0])
+    draws = scripted(2, bins=[0, 1])
+    sample_round(u(), state, draws=draws)
     with pytest.raises(ValueError, match="exhausted"):
-        sample_round(u(), state, draws=scripted(2, bins=[0]))
+        sample_round(u(), state, draws=draws)
+
+
+# sha256 of the float64 loads after 200 seeded steps on 8 bins; the
+# Monte-Carlo drift_step_bound_check samples rounds through this stream
+SCALAR_STREAM = {
+    "one-choice": "bf75e26da21ada6fc820fd9d1282d867553b29752916aa04d09d542bde8a1886",
+    "two-choice": "a567b17ca05c3bfa00a548ba7a75164cd1f6f4e4472223d984b382bdb9996d62",
+    "d-choice:d=3": "0d8cc9e879b530b76787262179b174f27a485229f648e0f119221914502e9460",
+    "one-plus-beta:beta=0.5": "6127d29919566db829a97cf621806b3a22848d07259498ac5e17f15a63a59035",
+    "quantile:delta=0.5": "746d980f4cbec724c4215430db19f98ab0b598fee5e3a457c1f413b618312f7d",
+    "twinning:delta=0.5": "f0880e6e29e6ae3dae6c07f3f0bb5ea3b14f8fd5f9b94cd0ac5ed7cf651fda54",
+    "penalty:delta=0.25": "602f7b4d78032a0e0718b3e86dcf497ece78b5f185176fd30c53b34cba65aaf1",
+    "reset-memory": "8428c13a0e04695b45c6b5d809476a7ff19bd09400a26816f347526d9cf3d1ff",
+    "graphical": "a9c8d494f16393be7fd8d097215d60ac90b7b683bafd1f6fc305ef079db6efad",
+}
+
+
+@pytest.mark.parametrize("i,text", list(enumerate(SCALAR_STREAM)))
+def test_step_scalar_rng_stream_is_pinned(i, text):
+    """``step`` with an ``rng`` makes one scalar numpy call per draw (bins,
+    tie floats and weights); geom weights are multiples of 1/2, so random
+    ties and their coins occur."""
+    n = 8
+    w = "unit" if text.startswith(("twinning", "penalty")) else "geom:p=0.5"
+    spec = parse_process(text, weights=parse_weights(w), tie_rule="random",
+                         graph=cycle_graph(n) if text == "graphical" else None)
+    state = new_state(n)
+    rng = make_generator(23, i)
+    for _ in range(200):
+        step(spec, state, rng=rng)
+    digest = hashlib.sha256(np.array(state.loads).tobytes()).hexdigest()
+    assert digest == SCALAR_STREAM[text]
 
 
 # -- the sampler against the oracle ------------------------------------------------
@@ -415,7 +453,8 @@ def test_sampler_matches_enumeration_on_every_script(text, graph, tie):
         got = [F(0)] * n
         for edges, bins, floats in itertools.product(edge_scripts, bin_scripts,
                                                      float_scripts):
-            draws = scripted(n, bins=bins, floats=floats, edges=edges)
+            draws = scripted(n, n_edges=_n_edges(spec), bins=bins, floats=floats,
+                             edges=edges)
             for b, _ in sample_round(spec, state, draws=draws).bins_hit:
                 got[state.rank_of[b]] += share
         assert got == expected_ball_counts(spec, state), loads
@@ -447,7 +486,8 @@ def round_law_brute_force(spec, state) -> dict:
     law: dict = {}
     for edges, bins, floats in itertools.product(edge_scripts, bin_scripts,
                                                  float_scripts):
-        draws = scripted(n, bins=bins, floats=floats, edges=edges)
+        draws = scripted(n, n_edges=_n_edges(spec), bins=bins, floats=floats,
+                         edges=edges)
         hit = [state.rank_of[b] for b, _ in sample_round(spec, state, draws=draws).bins_hit]
         for r in range(n):
             row = law.setdefault((len(hit), hit.count(r)), [F(0)] * n)
@@ -534,7 +574,7 @@ def test_graph_engine_replays_exact_path():
     rng = make_generator(3, 3)
     edges = rng.integers(0, len(g.edges), size=400).tolist()
     state = new_state(16)
-    draws = scripted(16, spec.weights, edges=edges)
+    draws = scripted(16, spec.weights, n_edges=len(g.edges), edges=edges)
     for _ in range(300):
         step(spec, state, draws=draws)
     eng = make_engine(spec, 16, source=_ScriptSource(edges=edges))
