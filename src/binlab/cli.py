@@ -23,7 +23,7 @@ from .processes import (UnsupportedProcessError, allocation_vector,
                         canonical_conditions, comparison_vector, make_engine,
                         parse_process, round_law)
 from .rng import make_generator
-from .selftest import run_selftest
+from .selftest import GROUPS, run_selftest
 from .tableio import read_csv, write_csv
 from .vectors import check_conditions
 from .weights import parse_weights, s_for_gamma
@@ -100,7 +100,6 @@ def _cmd_drift_check(args) -> int:
         return 1
     seed = args.seed if args.seed is not None else cfg.seed
     wdist = parse_weights(cfg.weights)
-    unit = wdist.kind == "unit"
     certs, checks = [], []
     for pi, ptext in enumerate(cfg.processes):
         spec = parse_process(ptext, weights=wdist, tie_rule=cfg.tie_rule)
@@ -123,7 +122,7 @@ def _cmd_drift_check(args) -> int:
             k_quad = 2.0 * cond.c_cap * s
             for probe_at in range(0, m + 1, max(n, 1)):
                 eng.advance(probe_at)
-                state = LoadState.from_loads(eng.loads, exact=unit)
+                state = LoadState.from_loads(eng.loads)
                 certs.append(certify_drift(state, p, cond, gamma, c1_checked=True))
                 law = round_law(spec, state)
                 for side in ("phi", "psi"):
@@ -233,7 +232,7 @@ def main(argv=None) -> int:
     p_plot.add_argument("--out", default="plot.svg")
 
     p_self = sub.add_parser("selftest", help="run the invariant suite")
-    p_self.add_argument("--group", action="append",
+    p_self.add_argument("--group", action="append", choices=sorted(GROUPS),
                         help="restrict to one module group (repeatable)")
 
     try:

@@ -205,6 +205,8 @@ class KernelEngine:
         return self._st.steps
 
     def advance(self, target: int) -> None:
+        if not 0 <= target < 1 << 63:  # ctypes would wrap it to an int64
+            raise ValueError(f"ball target {target} is outside [0, 2^63)")
         rc = self._advance(ctypes.byref(self._st), target)
         if rc == _REFILL_FAILED:
             raise self._errors.pop()

@@ -286,7 +286,7 @@ def drift_step_bound_check(state: LoadState, p: ProbabilityVector,
     sign = 1.0 if side == "phi" else -1.0
     y_bin = state.normalized()
     pot_bin, _ = scaled_exp(sign * gamma * y_bin)
-    rank = np.asarray(state.sorted_index)
+    rank = state.sorted_index
     bias = np.asarray(p.probs) - 1.0 / n
     bound = float(np.dot(pot_bin[rank], sign * bias * r * gamma + k * r * gamma * gamma / n))
     pot_total = float(np.sum(pot_bin))

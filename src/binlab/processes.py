@@ -296,9 +296,10 @@ def _lesser_counts(state: LoadState, pairs, share: Fraction,
     """Expected balls per rank when one ball goes to the lesser-loaded bin
     of a pair drawn from ``pairs``, each with probability ``share``."""
     out = [Fraction(0)] * state.n
+    rank = state.rank_of.tolist()
     for cands in pairs:
         for b, pr in _recipient_dist(state.loads, cands, tie_rule):
-            out[state.rank_of[b]] += share * pr
+            out[rank[b]] += share * pr
     return out
 
 
@@ -340,12 +341,13 @@ def expected_ball_counts(spec: ProcessSpec, state: LoadState,
         t = quantile_index(spec.delta, n)
         w = Fraction(1 if kind == "quantile" else 2, n * n)
         out = [Fraction(0)] * n
+        rank = state.rank_of.tolist()
         for i in range(n):
-            if state.rank_of[i] >= t:
-                out[state.rank_of[i]] += Fraction(1, n)
+            if rank[i] >= t:
+                out[rank[i]] += Fraction(1, n)
             else:
                 for j in range(n):
-                    out[state.rank_of[j]] += w
+                    out[rank[j]] += w
         return out
 
     pairs = _lesser_counts(state, itertools.product(range(n), repeat=2),
@@ -405,8 +407,7 @@ def _edge_law(spec: ProcessSpec, state: LoadState) -> np.ndarray:
     """P(a uniform edge's lesser-loaded endpoint has rank r), O(|E|)."""
     edges = np.asarray(spec.graph.edges)
     eu, ev = edges[:, 0], edges[:, 1]
-    rank = np.asarray(state.rank_of)
-    loads = np.asarray(state.loads)
+    rank, loads = state.rank_of, state.loads
     ru, rv = rank[eu], rank[ev]
     if spec.tie_rule == "random":
         half = np.where((loads[eu] == loads[ev]) & (eu != ev), 0.5, 0.0)
@@ -572,7 +573,7 @@ def sample_round(spec: ProcessSpec, state: LoadState,
     if kind == "quantile":
         t = quantile_index(spec.delta, n)
         i1 = draws.bin()
-        if state.rank_of[i1] >= t:
+        if state.rank(i1) >= t:
             return RoundOutcome(((i1, draws.weight()),), 1, 1)
         i2 = draws.bin()
         return RoundOutcome(((i2, draws.weight()),), 1, 2)
@@ -580,14 +581,14 @@ def sample_round(spec: ProcessSpec, state: LoadState,
     if kind == "twinning":
         t = quantile_index(spec.delta, n)
         i = draws.bin()
-        if state.rank_of[i] < t:
+        if state.rank(i) < t:
             return RoundOutcome(((i, 1.0),), 1, 1)
         return RoundOutcome(((i, 1.0), (i, 1.0)), 1, 1)
 
     if kind == "penalty":
         t = quantile_index(spec.delta, n)
         i1 = draws.bin()
-        if state.rank_of[i1] >= t:
+        if state.rank(i1) >= t:
             return RoundOutcome(((i1, 1.0),), 1, 1)
         i2 = draws.bin()
         return RoundOutcome(((i2, 1.0), (i2, 1.0)), 1, 2)
@@ -710,7 +711,7 @@ class _StepEngine:
     """The per-ball engine when the kernel cannot be built: a ``step`` loop
     on a ``LoadState``, reading ``source`` through ``_Draws`` as the kernel
     reads it.  Same interface as ``kernel.KernelEngine``; ``loads`` is the
-    state's list."""
+    state's read-only float64 array."""
 
     def __init__(self, spec: ProcessSpec, n: int, source):
         self.spec = spec
@@ -720,7 +721,7 @@ class _StepEngine:
         self._draws = _Draws(n, spec.weights, n_edges=_n_edges(spec), source=source)
 
     @property
-    def loads(self) -> list[float]:
+    def loads(self) -> np.ndarray:
         return self.state.loads
 
     def advance(self, target: int) -> None:
@@ -801,8 +802,10 @@ def _snapshot(loads, balls: int, probe: ProbeConfig | None, seed: int) -> ProbeR
     gamma = probe.gamma if probe is not None else None
     if gamma is not None:
         n = len(y)
-        terms, s = scaled_exp(gamma * np.concatenate((y, -y)))
-        total = unscaled(float(np.sum(terms[:n]) + np.sum(terms[n:])), s)
+        total = math.inf
+        if gamma * max_abs < 709:  # log Gamma >= gamma * max|y|: else unscaled's inf
+            terms, s = scaled_exp(gamma * np.concatenate((y, -y)))
+            total = unscaled(float(np.sum(terms[:n]) + np.sum(terms[n:])), s)
         if total == math.inf:
             raise ValueError(f"the potential overflows float64 at gamma={gamma:g}, "
                              f"n={n}, step {balls}; use a smaller gamma")

@@ -24,13 +24,18 @@ def _assert(cond, msg: str) -> None:
 
 # -- core ----------------------------------------------------------------------
 
-def check_incremental_sorting():
+def check_rank_order():
     for seed in range(3):
         rng = make_generator(seed, 99)
         st = core.new_state(32)
         for _ in range(2000):
-            st.apply_allocation(int(rng.integers(0, 32)), float(rng.random()))
-        core.check_sorted_invariant(st)
+            st.apply_allocation(int(rng.integers(0, 32)), float(rng.integers(0, 3)))
+        loads = st.loads.tolist()
+        counted = [st.rank(b) for b in range(32)]
+        order = sorted(range(32), key=lambda b: (-loads[b], b))
+        _assert(st.sorted_index.tolist() == order, "heaviest first, ties by ascending id")
+        _assert(st.rank_of[order].tolist() == list(range(32)), "rank_of inverts sorted_index")
+        _assert(counted == st.rank_of.tolist(), "rank(b) counts agree with the sort")
 
 
 def check_conservation_and_gap():
@@ -240,7 +245,7 @@ def check_engine_agreement():
         eng = processes.make_engine(spec, n,
                                     source=processes._ScriptSource(**streams))
         eng.advance(balls)
-        _assert([float(v) for v in eng.loads] == st.loads,
+        _assert(eng.loads.tolist() == st.loads.tolist(),
                 f"engine and exact path disagree for {text}")
 
 
@@ -393,7 +398,7 @@ def check_config_errors():
 
 
 GROUPS: dict[str, list] = {
-    "core": [check_incremental_sorting, check_conservation_and_gap,
+    "core": [check_rank_order, check_conservation_and_gap,
              check_rank_tie_order],
     "vectors": [check_worst_case_majorizes, check_d0_d1_imply_c1,
                 check_quantile_conditions, check_average_ties_stochastic],

@@ -6,6 +6,7 @@ golden-file tests can compare bytes.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 
 from .tableio import Table
@@ -170,10 +171,14 @@ def render_series(series: list[Series], *, title: str = "", xlabel: str = "",
     return "\n".join(out) + "\n"
 
 
-def _numeric(v) -> float:
-    if isinstance(v, (int, float)) and not isinstance(v, bool):
+_FLOAT_MAX = sys.float_info.max
+
+
+def _numeric(v, column: str) -> float:
+    # an exact comparison: False for inf and NaN, and no overflow for a huge int
+    if isinstance(v, (int, float)) and not isinstance(v, bool) and abs(v) <= _FLOAT_MAX:
         return float(v)
-    raise ValueError(f"non-numeric cell {v!r} in plotted column")
+    raise ValueError(f"non-numeric or non-finite cell {v!r} in plotted column {column!r}")
 
 
 def table_series(table: Table, spec: PlotSpec) -> list[Series]:
@@ -190,7 +195,8 @@ def table_series(table: Table, spec: PlotSpec) -> list[Series]:
             groups.setdefault(str(k), []).append((x, y))
     series = []
     for label in sorted(groups):
-        pts = sorted((_numeric(x), _numeric(y)) for x, y in groups[label])
+        pts = sorted((_numeric(x, spec.x), _numeric(y, spec.y))
+                     for x, y in groups[label])
         series.append(Series(label=label or spec.y,
                              xs=tuple(p[0] for p in pts),
                              ys=tuple(p[1] for p in pts)))

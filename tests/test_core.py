@@ -1,4 +1,5 @@
-"""Load-state bookkeeping: incremental ranking vs. a full re-sort oracle."""
+"""Load-state bookkeeping: the rank order read from the loads vs. a sorted()
+oracle."""
 from __future__ import annotations
 
 import numpy as np
@@ -6,9 +7,26 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from binlab.core import (LoadState, check_sorted_invariant, new_state, resorted,
-                         tie_blocks)
+from binlab.core import LoadState, new_state, tie_blocks
 from binlab.rng import make_generator
+
+
+def _oracle(state):
+    """(sorted_index, rank_of) by a full sort: heaviest first, ties by id."""
+    loads = state.loads.tolist()
+    order = sorted(range(state.n), key=lambda b: (-loads[b], b))
+    rank = [0] * state.n
+    for r, b in enumerate(order):
+        rank[b] = r
+    return order, rank
+
+
+def _assert_ranked(state):
+    """The state's order, its inverse and every ``rank(b)`` match the oracle."""
+    order, rank = _oracle(state)
+    assert [state.rank(b) for b in range(state.n)] == rank
+    assert state.sorted_index.tolist() == order
+    assert state.rank_of.tolist() == rank
 
 
 @pytest.fixture
@@ -38,11 +56,7 @@ def test_apply_allocation_validates():
         st_.apply_allocation(-1, 1.0)
     with pytest.raises(ValueError):
         st_.apply_allocation(0, -0.5)
-    ex = new_state(4, exact=True)
-    with pytest.raises(ValueError):
-        ex.apply_allocation(0, 0.5)
-    ex.apply_allocation(0, 3)
-    assert ex.loads[0] == 3 and isinstance(ex.loads[0], int)
+    assert st_.step == 0 and list(st_.loads) == [0.0] * 4
 
 
 @pytest.mark.parametrize("seed", [0, 1, 2, 3])
@@ -54,10 +68,9 @@ def test_incremental_matches_resort(seed):
         b = int(rng.integers(0, n))
         w = float(rng.choice([0.0, 1.0, 2.0, rng.random()]))
         st_.apply_allocation(b, w)
-    idx, rank = resorted(st_)
-    assert list(st_.sorted_index) == idx
-    assert list(st_.rank_of) == rank
-    check_sorted_invariant(st_)
+        if b == 0:
+            _assert_ranked(st_)  # the cached order is dropped by the next ball
+    _assert_ranked(st_)
 
 
 def test_weight_conservation(rng):
@@ -88,16 +101,18 @@ def test_rank_tracks_after_tie_break():
     assert list(st_.sorted_index) == [1, 2, 0]
 
 
-def test_from_loads_and_copy_are_independent():
-    a = LoadState.from_loads([1.5, 0.25, 3.0])
-    b = a.copy()
-    b.apply_allocation(1, 10.0)
-    assert a.loads[1] == 0.25
-    assert b.loads[1] == 10.25
-    assert list(a.sorted_index) == [2, 0, 1]
+def test_from_loads_copies_its_input():
+    src = np.array([1.5, 0.25, 3.0])
+    a = LoadState.from_loads(src)
+    a.apply_allocation(1, 10.0)
+    assert src[1] == 0.25
+    assert a.loads[1] == 10.25
+    assert list(a.sorted_index) == [1, 2, 0]
+    with pytest.raises(ValueError):
+        a.loads[0] = 7.0  # handed out read-only
 
 
-@pytest.mark.parametrize("loads,exact", [
+@pytest.mark.parametrize("loads,as_array", [
     ([2.5, 1.0, 2.5, 0.0, 1.0, 2.5, 0.0], False),
     ([0.0, -0.0, 0.0, -0.0, 1e-300, -1e-300], False),
     ([-0.0, 0.0], False),
@@ -106,14 +121,14 @@ def test_from_loads_and_copy_are_independent():
     ([0, 0, 0], True),
     ([5], True),
 ])
-def test_from_loads_order_is_heaviest_first_ties_by_id(loads, exact):
-    st_ = LoadState.from_loads(loads, exact=exact)
-    vals = st_.loads
-    assert st_.sorted_index == sorted(range(len(vals)), key=lambda b: (-vals[b], b))
-    assert [st_.rank_of[b] for b in st_.sorted_index] == list(range(len(vals)))
-    # repr tells -0.0 from 0.0, which == does not
-    assert repr(st_._neg_loads) == repr([-vals[b] for b in st_.sorted_index])
-    check_sorted_invariant(st_)
+def test_from_loads_order_is_heaviest_first_ties_by_id(loads, as_array):
+    # as_array: an integer array, as the engines and rng.integers hand over
+    st_ = LoadState.from_loads(np.array(loads) if as_array else loads)
+    assert st_.loads.dtype == np.float64
+    # repr tells -0.0 from 0.0, which == does not: the values are kept
+    assert repr(st_.loads.tolist()) == repr([float(v) for v in loads])
+    assert st_.total_weight == sum(float(v) for v in loads)
+    _assert_ranked(st_)
 
 
 def test_gap_and_max_abs():
@@ -124,14 +139,6 @@ def test_gap_and_max_abs():
     assert st_.sorted_normalized() == pytest.approx([4.5, -1.5, -1.5, -1.5])
 
 
-def test_exact_mode_keeps_integers():
-    st_ = new_state(3, exact=True)
-    for k in range(30):
-        st_.apply_allocation(k % 3, 2)
-    assert all(isinstance(v, int) for v in st_.loads)
-    assert st_.total_weight == 60
-
-
 @settings(max_examples=150, deadline=None)
 @given(st.lists(st.tuples(st.integers(0, 9), st.integers(0, 4)),
                 min_size=0, max_size=80))
@@ -139,9 +146,9 @@ def test_property_incremental_always_sorted(allocs):
     state = new_state(10)
     for b, w in allocs:
         state.apply_allocation(b, w)
-    idx, rank = resorted(state)
-    assert list(state.sorted_index) == idx
-    assert list(state.rank_of) == rank
+    loads = state.loads.tolist()
+    assert state.sorted_index.tolist() == sorted(range(10), key=lambda b: (-loads[b], b))
+    _assert_ranked(state)
 
 
 @settings(max_examples=60, deadline=None)
@@ -150,3 +157,14 @@ def test_property_normalized_sums_to_zero(loads):
     state = LoadState.from_loads(loads)
     assert float(np.sum(state.normalized())) == pytest.approx(0.0, abs=1e-9)
     assert state.gap() >= 0.0
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.lists(st.sampled_from([0.0, -0.0, 1.0, 2.5, 1e-300, -1e-300]),
+                min_size=1, max_size=12))
+def test_property_from_loads_ranked_with_signed_zeros(loads):
+    # -0.0 and 0.0 are one load: they tie, and rank by id
+    state = LoadState.from_loads(loads)
+    assert state.sorted_index.tolist() == sorted(range(len(loads)),
+                                                 key=lambda b: (-loads[b], b))
+    _assert_ranked(state)

@@ -325,6 +325,18 @@ def test_cli_simulate_potential_overflow_exits_1(tmp_path, monkeypatch, capsys):
     assert not (tmp_path / "runs.csv").exists()
 
 
+def test_cli_simulate_overflowing_exponent_exits_1(tmp_path, monkeypatch, capsys):
+    # gamma * y itself overflows to inf here; the run must stop on the
+    # gamma * max|y| >= 709 check before numpy warns of inf or NaN
+    cfg = tmp_path / "huge.cfg"
+    cfg.write_text("processes = one-choice\nns = 8\nm = 50n\ngamma = 1e308\n")
+    monkeypatch.setenv("BINLAB_OUT", str(tmp_path))
+    assert main(["simulate", str(cfg)]) == 1
+    err = capsys.readouterr().err
+    assert "overflows" in err and "gamma=1e+308" in err and "n=8" in err
+    assert not (tmp_path / "runs.csv").exists()
+
+
 def test_cli_drift_check_passes(tmp_path, monkeypatch, capsys):
     cfg = tmp_path / "drift.cfg"
     cfg.write_text("processes = two-choice\nns = 8\nm = 2n\n")
@@ -377,6 +389,24 @@ def test_cli_selftest_single_group(capsys):
     out = capsys.readouterr().out
     assert "ok   io." in out
     assert "selftest: 0 failures" in out
+
+
+def test_cli_selftest_unknown_group_is_a_usage_error(capsys):
+    assert main(["selftest", "--group", "bogus"]) == 1
+    captured = capsys.readouterr()
+    assert "invalid choice: 'bogus'" in captured.err
+    assert "selftest:" not in captured.out
+
+
+@pytest.mark.parametrize("cell", ["nan", "inf", pytest.param("9" * 400, id="huge-int")])
+def test_cli_plot_rejects_non_finite_cell(tmp_path, capsys, cell):
+    table = tmp_path / "t.csv"
+    table.write_text(f"n,gap\n16,1.5\n64,{cell}\n")
+    out = tmp_path / "p.svg"
+    assert main(["plot", str(table), "--x", "n", "--y", "gap", "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert "non-finite" in err and "'gap'" in err
+    assert not out.exists()
 
 
 # -- import hygiene ----------------------------------------------------------

@@ -63,7 +63,7 @@ def _fallback(spec, n, rng=None, source=None):
 
 
 def _same(eng, ref):
-    return (list(eng.loads) == ref.loads and eng.balls == ref.balls
+    return (list(eng.loads) == list(ref.loads) and eng.balls == ref.balls
             and eng.steps == ref.steps)
 
 
@@ -182,7 +182,7 @@ def test_kernel_replays_exact_path_with_random_ties(compiled, text, wtext):
                                                     weights=ws, edges=edges))
     eng.advance(target)
     assert eng.balls == balls
-    assert list(eng.loads) == state.loads
+    assert list(eng.loads) == list(state.loads)
 
 
 @pytest.mark.parametrize("text", KINDS)
@@ -200,7 +200,7 @@ def test_short_chunks_discard_like_reference(compiled, text):
     while balls < 500:
         balls += step(spec, state, draws=draws).balls()
     assert eng.balls == balls
-    assert list(eng.loads) == state.loads
+    assert list(eng.loads) == list(state.loads)
 
 
 def test_script_exhaustion_raises_through_kernel(compiled):
@@ -208,6 +208,22 @@ def test_script_exhaustion_raises_through_kernel(compiled):
     assert isinstance(eng, kernel.KernelEngine)
     with pytest.raises(ValueError, match="scripted bins exhausted"):
         eng.advance(10)
+
+
+@pytest.mark.parametrize("m", [1 << 63, (1 << 64) + 16])
+def test_ball_target_outside_int64_is_an_error(compiled, tmp_path, capsys, m):
+    # ctypes would wrap these to int64: 2^63 to a negative target (a row at
+    # step 0), 2^64 + 16 to 16 balls
+    eng = make_engine(_spec("two-choice"), 16, make_generator(1))
+    with pytest.raises(ValueError, match="outside"):
+        eng.advance(m)
+    assert eng.balls == 0
+    cfg = tmp_path / "huge.cfg"
+    cfg.write_text(f"processes = two-choice\nns = 8\nm = {m}\n")
+    out = tmp_path / "runs.csv"
+    assert main(["simulate", str(cfg), "--out", str(out)]) == 1
+    assert "outside [0, 2^63)" in capsys.readouterr().err
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("d,tie", [(300, "higher-index"), (300, "random"),
@@ -291,7 +307,10 @@ def _small_sweep() -> str:
     cfgs = (ExperimentConfig(processes=("twinning:delta=0.5", "one-plus-beta:beta=0.5",
                                         "reset-memory"), **common),
             ExperimentConfig(processes=("d-choice:d=3",), weights="exp1", **common),
-            ExperimentConfig(processes=("graphical",), graph="cycle", **common))
+            ExperimentConfig(processes=("graphical",), graph="cycle", **common),
+            # random ties, and the rank threshold tests that read state.rank(b)
+            ExperimentConfig(processes=("two-choice", "quantile:delta=0.5",
+                                        "penalty:delta=0.25"), tie_rule="random", **common))
     return "".join(dumps_csv(sweep(cfg)) for cfg in cfgs)
 
 
