@@ -8,18 +8,18 @@ Conductance here is edge expansion normalized by degree:
 as numpy blocks of 2^16 subsets, comparing the candidate minima in
 integers.  ``conductance_bounds`` sandwiches phi between the Cheeger
 bounds lambda_2 / 2 <= phi <= sqrt(2 lambda_2) of the normalized Laplacian
-and the best sweep cut along the second eigenvector.  lambda_2 and its
-eigenvector come from one dense LAPACK solve (``scipy.linalg.eigh``,
-second eigenpair only) of the integer matrix dI - A; the lower bound
-subtracts a backward-error margin of n * eps * 2d from the computed
-eigenvalue, so it is a bound and not an estimate.  The solve holds one
-n x n float64 matrix (8 MiB at n = 1024).  ``scipy.linalg`` is imported
-inside that solve, so only callers of ``conductance_bounds`` and
-``sweep_cut`` pay for loading it.  Graphical sweeps with
-``gamma = auto`` take their epsilon from this lower bound, so their
-``cond_epsilon``, ``gamma_value`` and ``gamma_total`` columns differ from
-those of the earlier power-iteration estimate, which overestimated
-lambda_2; every other column is unchanged.
+and the best sweep cut along a second eigenvector.  lambda_2 comes from
+numpy's LAPACK (``numpy.linalg.eigvalsh``, all eigenvalues) on the integer
+matrix dI - A; the lower bound subtracts a backward-error margin of
+n * eps * 2d from the computed eigenvalue, so it is a bound and not an
+estimate.  The sweep vector comes from one shifted solve
+(``numpy.linalg.solve``, one step of inverse iteration from a fixed start
+vector), so the upper bound is the same under any BLAS thread count.  No
+scipy module is loaded.  The solve holds at most two n x n float64
+matrices, 16 n^2 bytes (16 MiB at n = 1024); above ``DENSE_LIMIT``
+vertices ``conductance_bounds`` raises ``ValueError`` before allocating.
+Graphical sweeps with ``gamma = auto`` take their epsilon from the lower
+bound.
 """
 from __future__ import annotations
 
@@ -31,6 +31,7 @@ import numpy as np
 from .rng import make_generator
 
 EXACT_LIMIT = 24
+DENSE_LIMIT = 8192  # conductance_bounds holds 16 n^2 bytes: 1 GiB at the limit
 
 
 @dataclass(frozen=True)
@@ -244,27 +245,47 @@ def conductance_exact(g: RegularGraph) -> float:
 
 
 def _laplacian_pair(g: RegularGraph) -> tuple[float, float, np.ndarray]:
-    """(lambda2_hat, margin, v2) of M = dI - A, from one dense solve.
+    """(lambda2_hat, margin, v) of M = dI - A: lambda2_hat from LAPACK's
+    ``?syevd`` (``numpy.linalg.eigvalsh``), v from one step of inverse
+    iteration towards it.
 
     M has integer entries, so it is exact in float64, and ||M||_2 <= 2d.
-    LAPACK's symmetric eigensolvers return the exact eigenvalues of M + E
-    with ||E||_2 <= p(n) * eps * ||M||_2, p(n) a modestly growing function
-    of n (LAPACK Users' Guide, section 4.7).  margin = c * n * eps * 2d
-    takes p(n) = c * n with c = 1, a factor n above the p(n) = 1 of the
-    guide's own error-bound code; by Weyl's inequality the true
-    lambda_2(M) lies within margin of the computed one.  The solve holds
-    one n x n float64 matrix, overwritten in place.
+    Every LAPACK symmetric eigensolver returns the exact eigenvalues of
+    M + E with ||E||_2 <= p(n) * eps * ||M||_2, p(n) a modestly growing
+    function of n (LAPACK Users' Guide, section 4.7).  margin = n * eps * 2d
+    takes p(n) = n, a factor n above the p(n) = 1 of the guide's own
+    error-bound code; by Weyl's inequality the true lambda_2(M) lies within
+    margin of the computed one.
+
+    v solves (M - sigma I) v = b, with sigma = lambda2_hat - 2^10 * margin
+    and b a fixed pseudo-random vector, centred so that it has no component
+    along the all-ones eigenvector (eigenvalue 0).  This one step of inverse
+    iteration scales b's component in the lambda_2 eigenspace by
+    1 / (lambda_2 - sigma) and every other component by at most one over the
+    gap to the next eigenvalue, so v is b's projection on that eigenspace.
+    Backward error of at most margin moves those factors by at most 2^-10
+    relative, so v, and with it the sweep order, does not depend on the BLAS
+    thread count, even when lambda_2 is repeated.  M is shifted in place
+    after ``eigvalsh`` has freed its copy, so at most two n x n float64
+    matrices are held at once (M and the solver's copy): 16 n^2 bytes,
+    256 MiB at n = 4096.
     """
-    from scipy import linalg
     n, d = g.n, g.d
+    if n > DENSE_LIMIT:
+        raise ValueError(
+            f"conductance bounds need a dense solve on n = {n} vertices, which holds "
+            f"{16 * n * n / 2**20:.0f} MiB (two n x n float64 matrices); "
+            f"the limit is n <= {DENSE_LIMIT}")
     e = np.asarray(g.edges)
-    m = np.zeros((n, n), order="F")
+    m = np.zeros((n, n))
     m[e[:, 0], e[:, 1]] = -1.0
     m[e[:, 1], e[:, 0]] = -1.0
     np.fill_diagonal(m, float(d))
-    w, v = linalg.eigh(m, subset_by_index=[1, 1], overwrite_a=True, check_finite=False)
+    lam = float(np.linalg.eigvalsh(m)[1])
     margin = n * np.finfo(float).eps * 2 * d
-    return float(w[0]), margin, v[:, 0]
+    m.flat[::n + 1] -= lam - 2**10 * margin
+    b = make_generator(n).standard_normal(n)
+    return lam, margin, np.linalg.solve(m, b - b.mean())
 
 
 def _best_prefix_cut(g: RegularGraph, v: np.ndarray) -> float:

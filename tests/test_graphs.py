@@ -7,16 +7,21 @@ written independently of the Gray-code implementation.
 from __future__ import annotations
 
 import hashlib
+import json
 import math
+import os
+import subprocess
 import sys
+import tracemalloc
 from fractions import Fraction
 from itertools import combinations
+from pathlib import Path
 
 import pytest
 
 from binlab.core import LoadState
 from binlab.cli import main
-from binlab.graphs import (EXACT_LIMIT, GraphSamplingError, RegularGraph,
+from binlab.graphs import (DENSE_LIMIT, EXACT_LIMIT, GraphSamplingError, RegularGraph,
                            build_graph,
                            complete_graph, conductance_bounds,
                            conductance_exact, cycle_graph,
@@ -132,7 +137,7 @@ def test_bounds_sandwich_exact(g):
     assert sweep_cut(g) >= phi - 1e-9  # a sweep cut is a genuine cut
 
 
-@pytest.mark.parametrize("n", [12, 64, 256, 1024])
+@pytest.mark.parametrize("n", [12, 64, 256, 1024, 2048])
 def test_cycle_lower_bound_below_closed_form(n):
     """lambda_2 of the cycle's normalized Laplacian is 1 - cos(2 pi / n), so
     the Cheeger lower bound must not exceed half of it; it may sit below by
@@ -147,6 +152,57 @@ def test_bounds_on_larger_graph():
     g = random_regular_graph(200, 4, seed=7)
     lo, hi = conductance_bounds(g)
     assert 0 < lo <= hi <= 1.0
+
+
+_BOUNDS_SCRIPT = """\
+import json, sys
+from binlab.graphs import build_graph, conductance_bounds
+from binlab.tableio import format_cell
+out = []
+for kind, n, d in json.loads(sys.argv[1]):
+    lo, hi = conductance_bounds(build_graph(kind, n, d, seed=1))
+    out.append([format_cell(lo), f"{hi:.6g}"])
+print(json.dumps(out))
+"""
+
+
+def test_bounds_do_not_depend_on_blas_threads():
+    """The sweep vector comes from a fixed start vector, so the printed
+    bounds are the same under one and two BLAS threads, also where lambda_2
+    is repeated (cycle, torus grid, hypercube)."""
+    cases = json.dumps([["cycle", 256, None], ["cycle", 512, None],
+                        ["random-regular", 1024, 4], ["torus-grid", 256, None],
+                        ["hypercube", 256, None]])
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    outs = []
+    for threads in ("1", "2"):
+        env = {**os.environ, "PYTHONPATH": src, "OPENBLAS_NUM_THREADS": threads}
+        res = subprocess.run([sys.executable, "-c", _BOUNDS_SCRIPT, cases], env=env,
+                             capture_output=True, text=True, check=True)
+        outs.append(json.loads(res.stdout))
+    assert outs[0] == outs[1]
+
+
+def test_bounds_above_dense_limit_allocate_nothing(tmp_path, monkeypatch, capsys):
+    g = cycle_graph(DENSE_LIMIT + 1)
+    tracemalloc.start()
+    try:
+        with pytest.raises(ValueError, match=f"n = {g.n} vertices, which holds 1024 MiB"):
+            conductance_bounds(g)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20  # one n x n float64 matrix would be 512 MiB
+    path = tmp_path / "big.txt"
+    write_graph_file(g, str(path))
+    assert main(["conductance", str(path)]) == 1
+    cfg = tmp_path / "big.cfg"
+    cfg.write_text(f"processes = graphical\nns = {g.n}\nm = 10n\ngraph = cycle\n"
+                   "gamma = auto\n")
+    monkeypatch.setenv("BINLAB_OUT", str(tmp_path))
+    assert main(["simulate", str(cfg)]) == 1
+    assert not (tmp_path / "runs.csv").exists()
+    assert capsys.readouterr().err.count(f"the limit is n <= {DENSE_LIMIT}") == 2
 
 
 def test_random_regular_properties():

@@ -410,9 +410,9 @@ def test_cli_plot_rejects_non_finite_cell(tmp_path, capsys, cell):
 
 
 # -- import hygiene ----------------------------------------------------------
-# scipy is imported inside the two functions that use it, and multiprocessing
-# only when a sweep fans out, so commands that never reach them do not pay
-# for them.  Each case runs in a fresh interpreter and reports the modules of
+# scipy is imported only inside the numeric MGF, and multiprocessing only
+# when a sweep fans out, so commands that never reach them do not pay for
+# them.  Each case runs in a fresh interpreter and reports the modules of
 # both packages left in sys.modules.
 
 _SRC = Path(__file__).resolve().parents[1] / "src"
@@ -452,11 +452,19 @@ def test_drift_check_loads_no_scipy(tmp_path):
     assert (tmp_path / "drift-certs.csv").exists()
 
 
-def test_graphical_auto_gamma_loads_scipy_linalg(tmp_path):
-    # positive control: the certified conductance bound runs the eigensolve
+def test_graphical_auto_gamma_loads_no_scipy(tmp_path):
+    # the certified conductance bound runs on numpy's LAPACK
     cfg = tmp_path / "cycle.cfg"
     cfg.write_text("processes = graphical\nns = 16\nm = 10n\ngraph = cycle\ngamma = auto\n")
-    assert "scipy.linalg" in _loaded(tmp_path, _cli_body("simulate", str(cfg)))["scipy"]
+    assert _loaded(tmp_path, _cli_body("simulate", str(cfg))) == _NOTHING
+    eps = read_csv(tmp_path / "runs.csv").column("cond_epsilon")
+    assert eps and all(0 < e <= 2 / 16 for e in eps)  # the cycle's phi is 2/n
+
+
+def test_conductance_bounds_cli_loads_no_scipy(tmp_path):
+    path = tmp_path / "c32.txt"
+    write_graph_file(cycle_graph(32), str(path))
+    assert _loaded(tmp_path, _cli_body("conductance", str(path))) == _NOTHING
 
 
 def test_fanned_out_sweep_loads_multiprocessing(tmp_path):
