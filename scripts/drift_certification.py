@@ -32,7 +32,7 @@ def compliant_vector(rng: np.random.Generator, delta: float, eps: float,
     if rng.integers(0, 4) == 0:
         return worst_case_vector(delta, eps, n)
     raw = rng.exponential(1.0, n) ** rng.choice((1, 3))
-    r = np.asarray(worst_case_vector(delta, eps, n).probs)
+    r = worst_case_vector(delta, eps, n).array
     capped = np.maximum.accumulate(np.minimum(np.cumsum(raw / raw.sum()),
                                               np.cumsum(r)))
     return ProbabilityVector(probs=tuple(np.diff(np.concatenate(([0.0], capped)))))

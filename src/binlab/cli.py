@@ -153,6 +153,8 @@ def _cmd_conductance(args) -> int:
 
 
 def _cmd_vector(args) -> int:
+    if args.n < 1:
+        raise ValueError(f"n must be >= 1, got {args.n}")
     spec = parse_process(args.process)
     try:
         p = allocation_vector(spec, args.n)

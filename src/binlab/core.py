@@ -121,8 +121,14 @@ def new_state(n: int) -> LoadState:
     return LoadState(n)
 
 
+def tie_ends(state: LoadState) -> np.ndarray:
+    """Rank cut points 0 = e_0 < e_1 < ... < e_k = n of the equal-load
+    runs, as int64."""
+    s = state.loads[state.sorted_index]
+    return np.concatenate(([0], np.flatnonzero(s[1:] != s[:-1]) + 1, [state.n]))
+
+
 def tie_blocks(state: LoadState) -> list[tuple[int, int]]:
     """Half-open rank ranges [a, b) of equal-load runs, in rank order."""
-    s = state.loads[state.sorted_index]
-    cuts = (np.flatnonzero(s[1:] != s[:-1]) + 1).tolist()
-    return list(zip([0] + cuts, cuts + [state.n]))
+    ends = tie_ends(state).tolist()
+    return list(zip(ends, ends[1:]))

@@ -163,7 +163,7 @@ def certify_drift(state: LoadState, p: ProbabilityVector, params: ConditionParam
     terms, shift = scaled_exp(np.concatenate((ex, -ex)))
     phi_i, psi_i = terms[:n], terms[n:]
     scale = math.exp(-shift)
-    bias = np.asarray(p.probs) - 1.0 / n
+    bias = p.array - 1.0 / n
     value = gamma * (float(np.dot(phi_i, bias)) - float(np.dot(psi_i, bias)))
     total = float(np.sum(phi_i) + np.sum(psi_i))
     additive = drift_constant(delta) * gamma * eps * scale
@@ -171,7 +171,7 @@ def certify_drift(state: LoadState, p: ProbabilityVector, params: ConditionParam
     bound8 = -total * gamma * eps * delta / (8 * n) + additive
     tol = 1e-9 * max(abs(value), abs(bound4))
     return CertResult(
-        inputs=inputs_hash(y, np.asarray(p.probs), delta, eps, gamma),
+        inputs=inputs_hash(y, p.array, delta, eps, gamma),
         value=value,
         bound=bound4,
         bound_theorem=bound8,
@@ -243,7 +243,7 @@ def drift_step_bound_exact(state: LoadState, p: ProbabilityVector,
         ell = c * la + (balls - c) * lb
         change += prob * math.expm1(ell)
         mag += (c * abs(la) + (balls - c) * abs(lb)) * math.exp(max(ell, 0.0))
-    probs = np.asarray(p.probs)
+    probs = p.array
     coef = sign * (probs - 1.0 / n) * r * gamma + k * r * gamma * gamma / n
     value = math.fsum((pot * change).tolist())
     bound = math.fsum((pot * coef).tolist())
@@ -287,7 +287,7 @@ def drift_step_bound_check(state: LoadState, p: ProbabilityVector,
     y_bin = state.normalized()
     pot_bin, _ = scaled_exp(sign * gamma * y_bin)
     rank = state.sorted_index
-    bias = np.asarray(p.probs) - 1.0 / n
+    bias = p.array - 1.0 / n
     bound = float(np.dot(pot_bin[rank], sign * bias * r * gamma + k * r * gamma * gamma / n))
     pot_total = float(np.sum(pot_bin))
     samples = np.empty(trials)
@@ -312,7 +312,7 @@ def drift_step_bound_check(state: LoadState, p: ProbabilityVector,
         value=mean,
         bound=bound + 3 * se,
         passed=mean <= bound + 3 * se,
-        inputs=inputs_hash(y_bin[rank], np.asarray(p.probs), gamma, k, r, trials, seed),
+        inputs=inputs_hash(y_bin[rank], p.array, gamma, k, r, trials, seed),
     )
 
 

@@ -62,7 +62,7 @@ from typing import Sequence
 import numpy as np
 
 from . import kernel
-from .core import LoadState, tie_blocks
+from .core import LoadState, tie_ends
 from .graphs import RegularGraph
 from .potentials import scaled_exp, unscaled
 from .rng import make_generator
@@ -385,15 +385,18 @@ def empirical_allocation_vector(spec: ProcessSpec, state: LoadState,
 def _block_law(state: LoadState, tie_rule: str, cum, denom: int) -> np.ndarray:
     """Per rank r, (cum(r+1) - cum(r)) / denom; under random ties each tie
     block [a, b) gets its average (cum(b) - cum(a)) / (denom * (b - a)).
-    ``cum`` maps integers to integers, so every entry is correctly rounded."""
-    if tie_rule == "random":
-        ends = [0] + [b for _, b in tie_blocks(state)]
-    else:
-        ends = range(state.n + 1)
-    c = [cum(k) for k in ends]
-    vals = [(c1 - c0) / (denom * (b - a))
-            for c0, c1, a, b in zip(c, c[1:], ends, ends[1:])]
-    return np.repeat(vals, np.diff(ends))
+    ``cum`` maps an integer array to an integer array, elementwise and
+    increasing.  The cut points are int64 while cum(n) and denom * n stay
+    below 2^53, so every int-to-float conversion is exact, and Python ints
+    past that; either way each entry is one correctly rounded division of
+    two integers, as Python's int / int."""
+    n = state.n
+    ends = tie_ends(state) if tie_rule == "random" else np.arange(n + 1)
+    widths = np.diff(ends)
+    if cum(n) >= 2 ** 53 or denom * n >= 2 ** 53:
+        ends = ends.astype(object)
+    vals = np.diff(cum(ends)) / (denom * np.diff(ends))
+    return np.repeat(vals.astype(float, copy=False), widths)
 
 
 def _choice_law(state: LoadState, d: int, tie_rule: str) -> np.ndarray:
@@ -626,7 +629,7 @@ def rank_vector(spec: ProcessSpec, n: int) -> np.ndarray:
     ``experiments.sweep`` builds each batched cell's vector before any run
     starts, so a kind without one fails first, and forked workers inherit
     the cache."""
-    pv = np.asarray(allocation_vector(spec, n).probs, dtype=float)
+    pv = allocation_vector(spec, n).array
     pv = pv / pv.sum()
     pv.flags.writeable = False
     return pv

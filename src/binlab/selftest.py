@@ -68,7 +68,7 @@ def check_worst_case_majorizes():
         q = rng.random(n) + 1e-3
         q = np.sort(q / q.sum())
         # project onto the C1 cap: running minimum against r's prefix
-        caps = np.cumsum(np.asarray(r.probs))
+        caps = np.cumsum(r.array)
         pref = np.minimum(np.cumsum(q), caps)
         pref = np.maximum.accumulate(pref)
         p = np.diff(np.concatenate(([0.0], pref)))
@@ -319,7 +319,7 @@ def check_expansion_conditions():
             st = core.LoadState.from_loads(rng.integers(0, 40, size=g.n).tolist())
             p = processes.empirical_allocation_vector(
                 processes.ProcessSpec(kind="graphical", graph=g), st)
-            pr = np.cumsum(np.asarray(p.probs))
+            pr = np.cumsum(p.array)
             n = g.n
             for k in range(1, n // 2 + 1):
                 _assert(pr[k - 1] <= (1 - phi) * k / n + 1e-12, "prefix expansion")

@@ -18,9 +18,11 @@ exact verdicts.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Sequence
+
+import numpy as np
 
 from .core import LoadState, tie_blocks
 
@@ -29,9 +31,13 @@ SUM_TOL = 1e-12
 
 @dataclass(frozen=True)
 class ProbabilityVector:
-    """Immutable probability vector over ranks; validates on construction."""
+    """Immutable probability vector over ranks; validates on construction.
+
+    ``array`` holds the entries as one read-only float64 array, built once,
+    for the numpy consumers."""
 
     probs: tuple[float, ...]
+    array: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if len(self.probs) < 1:
@@ -43,6 +49,9 @@ class ProbabilityVector:
             total += v
         if abs(total - 1.0) > SUM_TOL:
             raise ValueError(f"entries sum to {total}, not 1")
+        arr = np.array(self.probs, dtype=float)
+        arr.flags.writeable = False
+        object.__setattr__(self, "array", arr)
 
     @property
     def n(self) -> int:

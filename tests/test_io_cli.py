@@ -5,6 +5,7 @@ captured output; the printed vector/conductance lines are golden.
 """
 from __future__ import annotations
 
+import hashlib
 import json
 import os
 import subprocess
@@ -208,6 +209,12 @@ def test_cli_vector_rejects_dynamic_process(capsys):
     assert "error" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("n", ["0", "-3"])
+def test_cli_vector_rejects_n_below_one(capsys, n):
+    assert main(["vector", "two-choice", n]) == 1
+    assert capsys.readouterr().err == f"error: n must be >= 1, got {n}\n"
+
+
 def test_cli_conductance_exact(tmp_path, capsys):
     path = tmp_path / "k4.txt"
     write_graph_file(complete_graph(4), str(path))
@@ -350,6 +357,34 @@ def test_cli_drift_check_passes(tmp_path, monkeypatch, capsys):
     assert len(certs) == 1 + 3  # probes at 0, 8, 16 balls
     checks = (tmp_path / "drift-checks.csv").read_text().splitlines()
     assert len(checks) == 1 + 6  # phi and psi per probe
+
+
+# sha256 of (drift-certs.csv, drift-checks.csv).  Law entries, potentials
+# and hashes feed the bytes, so an ulp moved anywhere on the exact path
+# changes them; d = 9 takes n^d past 2^53.
+_DRIFT_PINS = {
+    "A": ("two-choice,d-choice:d=3,d-choice:d=9,one-plus-beta:beta=0.5,"
+          "quantile:delta=0.25,reset-memory", "exp1",
+          "1704118c9b9e41d5952a189e5bba8989b997bb97fb71fffc60ba3a8cabdb1e33",
+          "486f5018215a3106de3d2e06502d51e406d1567cfaa0a37b2283dda525ba2a06"),
+    "B": ("twinning:delta=0.5,penalty:delta=0.25,d-choice:d=9", "unit",
+          "3e52a0e5de66bf7d1c1cd5e943cd049f496051051266847c71d8224513bdb90a",
+          "346fb8c7e8dc23c21784f8d7e74c4726039ab9e7edd58fddf2e725865e5278c5"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_DRIFT_PINS))
+def test_cli_drift_check_bytes_pinned(tmp_path, monkeypatch, capsys, name):
+    processes, weights, certs_sha, checks_sha = _DRIFT_PINS[name]
+    cfg = tmp_path / "drift.cfg"
+    cfg.write_text(f"processes = {processes}\nns = 16,64,256\nm = 10n\n"
+                   f"tie_rule = random\nweights = {weights}\nseed = 11\ngamma = auto\n")
+    monkeypatch.setenv("BINLAB_OUT", str(tmp_path))
+    assert main(["drift-check", str(cfg)]) == 0
+    capsys.readouterr()
+    digest = {f: hashlib.sha256((tmp_path / f).read_bytes()).hexdigest()
+              for f in ("drift-certs.csv", "drift-checks.csv")}
+    assert digest == {"drift-certs.csv": certs_sha, "drift-checks.csv": checks_sha}
 
 
 @pytest.mark.parametrize("line,key", [

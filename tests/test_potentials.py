@@ -12,7 +12,11 @@ from __future__ import annotations
 import decimal
 import itertools
 import math
+import os
+import subprocess
+import sys
 from decimal import Decimal
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -372,3 +376,13 @@ def test_exact_step_bound_validates():
     with pytest.raises(ValueError):
         drift_step_bound_exact(state, ProbabilityVector.uniform(4), law,
                                parse_weights("unit"), 0.01, 2.0, 1.0, side="both")
+
+
+def test_drift_certification_script_runs(tmp_path):
+    root = Path(__file__).resolve().parents[1]
+    env = {**os.environ, "PYTHONPATH": str(root / "src"), "BINLAB_OUT": str(tmp_path)}
+    res = subprocess.run([sys.executable, str(root / "scripts" / "drift_certification.py"),
+                          "--count", "20"], env=env, capture_output=True, text=True)
+    assert res.returncode == 0, res.stderr
+    rows = (tmp_path / "drift_certificates.csv").read_text().splitlines()
+    assert rows[0].startswith("inputs_hash,") and len(rows) == 1 + 20

@@ -18,7 +18,7 @@ import numpy as np
 import pytest
 
 from binlab import kernel
-from binlab.core import LoadState, new_state
+from binlab.core import LoadState, new_state, tie_blocks
 from binlab.graphs import complete_graph, cycle_graph, hypercube_graph
 from binlab.processes import (ENUM_LIMIT, ProbeConfig, ProcessSpec,
                               RoundOutcome, UnsupportedProcessError, _Draws,
@@ -527,6 +527,41 @@ def test_round_law_ball_counts_match_enumeration(text, graph, tie):
             counts = sum(c * p for (_, c), p in round_law(spec, state).items())
             want = [float(x) for x in expected_ball_counts(spec, state)]
             assert np.allclose(counts, want, rtol=0, atol=1e-15), (n, state.loads)
+
+
+def _block_fractions(state, tie, cum, denom) -> list[Fraction]:
+    """Per rank, (cum(b) - cum(a)) / (denom * (b - a)) over its block [a, b):
+    the tie block under random ties, else the rank alone."""
+    blocks = (tie_blocks(state) if tie == "random"
+              else [(r, r + 1) for r in range(state.n)])
+    out = []
+    for a, b in blocks:
+        out += [F(cum(b) - cum(a), denom * (b - a))] * (b - a)
+    return out
+
+
+@pytest.mark.parametrize("tie", ["higher-index", "random"])
+@pytest.mark.parametrize("text,n", [
+    ("two-choice", 2048), ("d-choice:d=3", 64),      # n^d below 2^53
+    ("d-choice:d=5", 999),                           # n^d below, n^(d+1) above
+    ("d-choice:d=9", 64), ("d-choice:d=5", 2048),    # n^d above 2^53
+    ("reset-memory", 2048)])
+def test_round_law_entries_correctly_rounded(text, n, tie):
+    """Choice-law entries are float(Fraction) to the bit, on tied states
+    and on both sides of 2^53; reset-memory's (2, 2) atom is u / n."""
+    spec = parse_process(text, tie_rule=tie)
+    rng = make_generator(9, n, spec.d or 2)
+    for loads in (rng.integers(0, 4, size=n), rng.permutation(n), np.zeros(n)):
+        state = LoadState.from_loads(loads)
+        law = round_law(spec, state)
+        if spec.kind == "reset-memory":
+            u = _block_fractions(state, tie, lambda k: k * (k + 1) // 2, n)
+            want, got = [float(x) / n for x in u], law[(2, 2)]
+        else:
+            d = spec.d or 2
+            want = [float(x) for x in _block_fractions(state, tie, lambda k: k ** d, n ** d)]
+            got = law[(1, 1)]
+        np.testing.assert_allclose(got, want, rtol=0, atol=0)
 
 
 # -- engine vs exact-path agreement -----------------------------------------------
