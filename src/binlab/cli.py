@@ -48,8 +48,28 @@ def _frac(x: float) -> str:
     return str(Fraction(x).limit_denominator(10 ** 6))
 
 
+def _simulate_unsupported(cfg) -> str | None:
+    """The first config setting simulate would ignore, as a message."""
+    graphical = any(p.strip().partition(":")[0] == "graphical" for p in cfg.processes)
+    ignored = (
+        ("probe_steps", cfg.probe_steps is not None and cfg.keep == "final",
+         "under keep = final, which probes at m only"),
+        ("cond_delta", bool(cfg.cond_delta), "(drift-check only)"),
+        ("cond_epsilon", bool(cfg.cond_epsilon), "(drift-check only)"),
+        ("graph", bool(cfg.graph) and not graphical, "without a graphical process"),
+    )
+    for key, is_set, why in ignored:
+        if is_set:
+            return f"config key {key} is not supported by simulate {why}"
+    return None
+
+
 def _cmd_simulate(args) -> int:
     cfg = load_config(args.config)
+    problem = _simulate_unsupported(cfg)
+    if problem:
+        print(f"error: {problem}", file=sys.stderr)
+        return 1
     if args.seed is not None:
         cfg = replace(cfg, seed=args.seed)
     table = sweep(cfg)
@@ -180,6 +200,10 @@ def _cmd_vector(args) -> int:
 
 def _cmd_plot(args) -> int:
     table = read_csv(args.table)
+    for name in (args.x, args.y, args.group_by):
+        if name is not None and name not in table.headers:
+            raise ValueError(f"no column {name!r}; the table has columns "
+                             f"{', '.join(table.headers)}")
     spec = PlotSpec(x=args.x, y=args.y, group_by=args.group_by,
                     scale=args.scale, title=args.title or "")
     out = _out_path(args.out)

@@ -109,12 +109,6 @@ class LoadState:
         g = float(self._loads.max()) - self.total_weight / self.n
         return g if g >= 0 else 0.0
 
-    def max_abs_normalized(self) -> float:
-        avg = self.total_weight / self.n
-        hi = float(self._loads.max()) - avg
-        lo = avg - float(self._loads.min())
-        return hi if hi >= lo else lo
-
 
 def new_state(n: int) -> LoadState:
     """Fresh all-zero state on ``n`` bins."""

@@ -354,14 +354,6 @@ def gap_scaling_report(table: Table, axis: str, complement: bool = False) -> Fit
                      max_rel_residual=rel)
 
 
-def count_bins_outside(state, z: float) -> tuple[int, int]:
-    """Counts of bins with normalized load >= z and <= -z."""
-    if z <= 0:
-        raise ValueError(f"threshold must be positive, got {z}")
-    y = state.normalized()
-    return int(np.sum(y >= z)), int(np.sum(y <= -z))
-
-
 _UNIFORM_COMPONENT = ("one-choice", "one-plus-beta", "twinning", "penalty",
                       "reset-memory")
 

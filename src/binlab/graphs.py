@@ -14,10 +14,10 @@ matrix dI - A; the lower bound subtracts a backward-error margin of
 n * eps * 2d from the computed eigenvalue, so it is a bound and not an
 estimate.  The sweep vector comes from one shifted solve
 (``numpy.linalg.solve``, one step of inverse iteration from a fixed start
-vector), so the upper bound is the same under any BLAS thread count.  No
-scipy module is loaded.  The solve holds at most two n x n float64
-matrices, 16 n^2 bytes (16 MiB at n = 1024); above ``DENSE_LIMIT``
-vertices ``conductance_bounds`` raises ``ValueError`` before allocating.
+vector), so the upper bound is the same under any BLAS thread count.  The
+solve holds at most two n x n float64 matrices, 16 n^2 bytes (16 MiB at
+n = 1024); above ``DENSE_LIMIT`` vertices ``conductance_bounds`` raises
+``ValueError`` before allocating.
 Graphical sweeps with ``gamma = auto`` take their epsilon from the lower
 bound.
 """
@@ -303,12 +303,6 @@ def _best_prefix_cut(g: RegularGraph, v: np.ndarray) -> float:
     cut = np.cumsum(enter - leave)[1:n]
     k = np.arange(1, n)
     return float(np.min(cut / (g.d * np.minimum(k, n - k))))
-
-
-def sweep_cut(g: RegularGraph) -> float:
-    """Best conductance among prefix cuts of the second-eigenvector order;
-    a genuine cut, hence an upper bound on phi."""
-    return _best_prefix_cut(g, _laplacian_pair(g)[2])
 
 
 def conductance_bounds(g: RegularGraph) -> tuple[float, float]:

@@ -44,11 +44,10 @@ Enumeration (``_recipient_dist``) and the exact sampler (``_pick_min``) use
 it; the kernel inlines it and is pinned to the exact path by the
 differential tests.
 
-The exact path reads its draws through ``_Draws`` in one of two ways: one
-scalar numpy call per draw from a generator, or in chunks from a source
-with the kernel's protocol (``bins``/``floats``/``weights``/``edges``),
-such as the seeded ``_ChunkSource`` or a ``_ScriptSource`` that the tests
-and selftest share with the kernel.
+The exact path reads its draws through ``_Draws``, in chunks from a source
+with the kernel's protocol (``bins``/``floats``/``weights``/``edges``): the
+seeded ``_ChunkSource`` or a ``_ScriptSource`` that the tests and selftest
+share with the kernel.
 """
 from __future__ import annotations
 
@@ -220,6 +219,9 @@ def canonical_conditions(spec: ProcessSpec, n: int,
                          graph_eps: float | None = None) -> ConditionParams:
     """Bias-condition parameters under which this process's allocation
     vector is certified, with the quantile snapped to an integral rank."""
+    if n < 2:
+        raise UnsupportedProcessError(f"n = {n}: a single bin has no bias margin")
+
     def snap(x: float) -> float:
         return min(max(round(x * n), 1), n - 1) / n
 
@@ -475,20 +477,16 @@ class _Draws:
     Draw order per round is part of the contract (the kernel replays it):
     bins in sampling order, the mixing float before any bins
     (one-plus-beta), tie floats right after the tied comparison, one weight
-    per ball in landing order.  Draws come from ``rng`` one scalar call at a
-    time, or, when ``source`` is given, from its chunks by the kernel's
-    rule: a decision that reads k bins at once (``bins(k)``) discards the
-    rest of a chunk holding fewer than k and takes a fresh one, which must
-    hold k.  A chunk with a bin outside [0, n) or an edge outside
-    [0, n_edges) is rejected.
+    per ball in landing order.  Draws come from ``source``'s chunks by the
+    kernel's rule: a decision that reads k bins at once (``bins(k)``)
+    discards the rest of a chunk holding fewer than k and takes a fresh
+    one, which must hold k.  A chunk with a bin outside [0, n) or an edge
+    outside [0, n_edges) is rejected.
     """
 
-    def __init__(self, n: int, wdist: WeightDistribution,
-                 rng: np.random.Generator | None = None, n_edges: int = 0,
-                 source=None):
+    def __init__(self, n: int, wdist: WeightDistribution, source, n_edges: int = 0):
         self.n = n
         self.wdist = wdist
-        self.rng = rng
         self.n_edges = n_edges
         self.source = source
         self._chunks: dict[str, tuple[list, int]] = {}
@@ -509,29 +507,21 @@ class _Draws:
 
     def bins(self, k: int) -> list[int]:
         """The k candidate bins of one decision."""
-        if self.source is not None:
-            return self._take("bins", k)
-        return [int(self.rng.integers(0, self.n)) for _ in range(k)]
+        return self._take("bins", k)
 
     def bin(self) -> int:
         return self.bins(1)[0]
 
     def float(self) -> float:
-        if self.source is not None:
-            return self._take("floats")[0]
-        return float(self.rng.random())
+        return self._take("floats")[0]
 
     def weight(self) -> float:
         if self.wdist.kind == "unit":
             return 1.0
-        if self.source is not None:
-            return self._take("weights")[0]
-        return float(self.wdist.sample(self.rng, 1)[0])
+        return self._take("weights")[0]
 
     def edge(self) -> int:
-        if self.source is not None:
-            return self._take("edges")[0]
-        return int(self.rng.integers(0, self.n_edges))
+        return self._take("edges")[0]
 
 
 def _pick_min(loads, cands, tie_rule, draws: _Draws) -> int:
@@ -544,16 +534,10 @@ def _pick_min(loads, cands, tie_rule, draws: _Draws) -> int:
     return best[min(int(draws.float() * k), k - 1)]
 
 
-def sample_round(spec: ProcessSpec, state: LoadState,
-                 rng: np.random.Generator | None = None,
-                 draws: _Draws | None = None) -> RoundOutcome:
+def sample_round(spec: ProcessSpec, state: LoadState, draws: _Draws) -> RoundOutcome:
     """Sample one round's allocations against the current state without
     mutating it."""
     n = state.n
-    if draws is None:
-        if rng is None:
-            raise ValueError("need rng or draws")
-        draws = _Draws(n, spec.weights, rng=rng, n_edges=_n_edges(spec))
     loads = state.loads
     kind = spec.kind
 
@@ -612,11 +596,9 @@ def sample_round(spec: ProcessSpec, state: LoadState,
     raise UnsupportedProcessError(f"cannot sample {kind}")
 
 
-def step(spec: ProcessSpec, state: LoadState,
-         rng: np.random.Generator | None = None,
-         draws: _Draws | None = None) -> RoundOutcome:
+def step(spec: ProcessSpec, state: LoadState, draws: _Draws) -> RoundOutcome:
     """Sample one round and apply it to the state."""
-    out = sample_round(spec, state, rng=rng, draws=draws)
+    out = sample_round(spec, state, draws)
     for b, w in out.bins_hit:
         state.apply_allocation(b, w)
     return out

@@ -362,18 +362,19 @@ def check_gamma_rule_bit_exact():
 
 def check_csv_roundtrip():
     import tempfile, os
+    from pathlib import Path
     t = tableio.Table(headers=("a", "b", "c"))
     t.append((1, 0.125, "x,y"))
     t.append((2, None, "plain"))
     with tempfile.TemporaryDirectory() as d:
         path = os.path.join(d, "t.csv")
         tableio.write_csv(t, path)
-        first = open(path, "rb").read()
+        first = Path(path).read_bytes()
         back = tableio.read_csv(path)
         _assert(back.headers == t.headers and back.rows == t.rows,
                 f"round-trip mismatch: {back.rows}")
         tableio.write_csv(back, path)
-        _assert(open(path, "rb").read() == first, "re-write is byte-identical")
+        _assert(Path(path).read_bytes() == first, "re-write is byte-identical")
 
 
 def check_svg_deterministic():

@@ -61,15 +61,6 @@ class ProbabilityVector:
     def uniform(cls, n: int) -> "ProbabilityVector":
         return cls(probs=(1.0 / n,) * n)
 
-    # -- one-line CSV round-trip (golden-test format) ----------------------
-
-    def to_csv_row(self) -> str:
-        return ",".join(repr(v) for v in self.probs)
-
-    @classmethod
-    def from_csv_row(cls, row: str) -> "ProbabilityVector":
-        return cls(probs=tuple(float(tok) for tok in row.strip().split(",")))
-
 
 @dataclass(frozen=True)
 class ConditionParams:
@@ -165,17 +156,6 @@ def check_conditions(p, params: ConditionParams, tol=SUM_TOL) -> dict[str, bool]
     if params.c_cap is not None:
         out["C2"] = check_c2(p, params.c_cap, tol)
     return out
-
-
-def d0_d1_implies_c1(p, delta, epsilon, tol=SUM_TOL) -> bool:
-    """Witness for the implication (D0 and D1) => C1.
-
-    Returns True unless p satisfies D0 and D1 yet fails C1 — i.e. a return
-    of False is a counterexample to the implication.
-    """
-    if check_d0(p) and check_d1(p, delta, epsilon, tol):
-        return check_c1(p, delta, epsilon, tol)
-    return True
 
 
 def majorizes(p, q, tol=SUM_TOL) -> bool:

@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from binlab.core import LoadState, new_state, tie_blocks
+from binlab.processes import _snapshot
 from binlab.rng import make_generator
 
 
@@ -135,8 +136,12 @@ def test_gap_and_max_abs():
     st_ = LoadState.from_loads([6, 0, 0, 0])
     # mean 1.5: normalized (4.5, -1.5, -1.5, -1.5)
     assert st_.gap() == pytest.approx(4.5)
-    assert st_.max_abs_normalized() == pytest.approx(4.5)
     assert st_.sorted_normalized() == pytest.approx([4.5, -1.5, -1.5, -1.5])
+    # a probe row's max |y| (the sweeps' max_abs_y) takes the larger side
+    row = _snapshot(st_.loads, 6, None, 0)
+    assert (row.gap, row.max_abs) == (4.5, 4.5)
+    row = _snapshot(LoadState.from_loads([0, 2, 2, 2]).loads, 6, None, 0)
+    assert (row.gap, row.max_abs) == (0.5, 1.5)
 
 
 @settings(max_examples=150, deadline=None)

@@ -7,12 +7,10 @@ import multiprocessing.pool
 import pytest
 
 from binlab import experiments
-from binlab.experiments import (ExperimentConfig, aggregate,
-                                count_bins_outside, final_gaps,
+from binlab.experiments import (ExperimentConfig, aggregate, final_gaps,
                                 gap_scaling_report, lower_bound_trials,
                                 record_headers, run_seed, scaled_count, sweep)
 from binlab import processes
-from binlab.core import LoadState
 from binlab.processes import parse_process
 from binlab.tableio import Table, dumps_csv
 
@@ -261,24 +259,22 @@ def test_gap_scaling_uses_final_step_only():
     assert rep.kappa == pytest.approx(2.0, rel=1e-12)
 
 
+def _bins_ge(loads, thresholds):
+    return processes._snapshot(loads, 0, processes.ProbeConfig(thresholds=thresholds),
+                               0).bins_ge
+
+
 def test_count_bins_outside():
-    state = LoadState.from_loads([3, -1, -1, -1])
-    # normalized: (3, -1, -1, -1)
-    assert count_bins_outside(state, 2.0) == (1, 0)
-    assert count_bins_outside(state, 1.0) == (1, 3)
-    assert count_bins_outside(state, 0.5) == (1, 3)
-    with pytest.raises(ValueError):
-        count_bins_outside(state, 0.0)
+    # the sweeps' bins_ge_z columns: bins with normalized load >= z
+    loads = [3.0, -1.0, -1.0, -1.0]  # normalized: (3, -1, -1, -1)
+    assert _bins_ge(loads, (2.0, 1.0, 0.5, 3.0, 3.5)) == (1, 1, 1, 1, 0)
+    assert _bins_ge(loads, (-1.0, -2.0)) == (4, 4)
 
 
 def test_count_bins_outside_monotone_in_z():
-    state = LoadState.from_loads([9, 4, 4, 1, 0, 0])
-    prev = None
-    for z in (0.5, 1.0, 2.0, 4.0, 8.0):
-        above, below = count_bins_outside(state, z)
-        if prev is not None:
-            assert above <= prev[0] and below <= prev[1]
-        prev = (above, below)
+    loads = [9.0, 4.0, 4.0, 1.0, 0.0, 0.0]
+    counts = _bins_ge(loads, (0.5, 1.0, 2.0, 4.0, 8.0))
+    assert list(counts) == sorted(counts, reverse=True)
 
 
 def test_final_gaps_deterministic():

@@ -204,6 +204,13 @@ def test_cli_vector_uniform_note(capsys):
     assert out[1] == "no canonical conditions (uniform process)"
 
 
+def test_cli_vector_single_bin_has_no_conditions(capsys):
+    assert main(["vector", "two-choice", "1"]) == 0
+    captured = capsys.readouterr()
+    assert captured.out.splitlines() == ["1", "no canonical conditions (uniform process)"]
+    assert captured.err == ""
+
+
 def test_cli_vector_rejects_dynamic_process(capsys):
     assert main(["vector", "twinning:delta=0.5", "8"]) == 1
     assert "error" in capsys.readouterr().err
@@ -294,6 +301,47 @@ def test_cli_batched_kind_without_vector_fails_before_any_run(tmp_path, monkeypa
     assert capsys.readouterr().err == (
         "error: twinning has no load-independent allocation vector\n")
     assert calls == []
+
+
+def test_cli_simulate_single_bin_auto_gamma_has_empty_conditions(tmp_path, monkeypatch,
+                                                                  capsys):
+    cfg = tmp_path / "one.cfg"
+    cfg.write_text("processes = two-choice,one-choice\nns = 1,4\nm = 5n\ngamma = auto\n")
+    monkeypatch.setenv("BINLAB_OUT", str(tmp_path))
+    assert main(["simulate", str(cfg)]) == 0
+    capsys.readouterr()
+    t = read_csv(tmp_path / "runs.csv")
+    cols = ("n", "gamma_value", "cond_delta", "cond_epsilon", "cond_c", "cond_s")
+    rows = [tuple(t.column(c)[i] for c in cols) for i in range(len(t))]
+    assert rows == [(1, None, None, None, None, None), (4, 1 / 256, 0.25, 0.5, 2, 1),
+                    (1, None, None, None, None, None), (4, None, None, None, None, None)]
+
+
+@pytest.mark.parametrize("key,value,why", [
+    ("probe_steps", "8", "under keep = final, which probes at m only"),
+    ("cond_delta", "0.5", "(drift-check only)"),
+    ("cond_epsilon", "0.25", "(drift-check only)"),
+    ("graph", "cycle", "without a graphical process")],
+    ids=["probe_steps", "cond_delta", "cond_epsilon", "graph"])
+def test_cli_simulate_rejects_ignored_keys(tmp_path, monkeypatch, capsys, key, value, why):
+    cfg = tmp_path / "sweep.cfg"
+    cfg.write_text(f"processes = two-choice\nns = 8\nm = 2n\n{key} = {value}\n")
+    monkeypatch.setenv("BINLAB_OUT", str(tmp_path))
+    assert main(["simulate", str(cfg)]) == 1
+    assert capsys.readouterr().err == (
+        f"error: config key {key} is not supported by simulate {why}\n")
+    assert not (tmp_path / "runs.csv").exists()
+
+
+def test_cli_simulate_accepts_the_keys_it_uses(tmp_path, monkeypatch, capsys):
+    # probe_steps under keep = trajectory, graph with a graphical process
+    cfg = tmp_path / "sweep.cfg"
+    cfg.write_text("processes = two-choice,graphical\nns = 8\nm = 2n\ngraph = cycle\n"
+                   "keep = trajectory\nprobe_steps = 8\n")
+    monkeypatch.setenv("BINLAB_OUT", str(tmp_path))
+    assert main(["simulate", str(cfg)]) == 0
+    capsys.readouterr()
+    assert read_csv(tmp_path / "runs.csv").column("step") == [8, 16, 8, 16]
 
 
 @pytest.mark.parametrize("line,msg", [
@@ -401,6 +449,15 @@ def test_cli_drift_check_rejects_ignored_keys(tmp_path, monkeypatch, capsys, lin
     assert not (tmp_path / "drift-certs.csv").exists()
 
 
+def test_cli_drift_check_single_bin_exits_1(tmp_path, monkeypatch, capsys):
+    cfg = tmp_path / "drift.cfg"
+    cfg.write_text("processes = two-choice\nns = 1\nm = 2n\ngamma = auto\n")
+    monkeypatch.setenv("BINLAB_OUT", str(tmp_path))
+    assert main(["drift-check", str(cfg)]) == 1
+    assert capsys.readouterr().err == "error: n = 1: a single bin has no bias margin\n"
+    assert not (tmp_path / "drift-certs.csv").exists()
+
+
 def test_cli_drift_check_rejects_graphical(tmp_path, monkeypatch, capsys):
     cfg = tmp_path / "drift.cfg"
     cfg.write_text("processes = two-choice,graphical\nns = 8\nm = 2n\n")
@@ -444,11 +501,24 @@ def test_cli_plot_rejects_non_finite_cell(tmp_path, capsys, cell):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("flag", ["--x", "--y", "--group-by"])
+def test_cli_plot_names_a_missing_column(tmp_path, capsys, flag):
+    table = tmp_path / "t.csv"
+    table.write_text("n,gap,kind\n16,1.5,a\n64,2.5,b\n")
+    out = tmp_path / "p.svg"
+    args = {"--x": "n", "--y": "gap", flag: "zz"}
+    argv = ["plot", str(table), "--out", str(out)]
+    assert main(argv + [a for kv in args.items() for a in kv]) == 1
+    assert capsys.readouterr().err == (
+        "error: no column 'zz'; the table has columns n, gap, kind\n")
+    assert not out.exists()
+
+
 # -- import hygiene ----------------------------------------------------------
-# scipy is imported only inside the numeric MGF, and multiprocessing only
-# when a sweep fans out, so commands that never reach them do not pay for
-# them.  Each case runs in a fresh interpreter and reports the modules of
-# both packages left in sys.modules.
+# The runtime is numpy only: no command imports scipy.  multiprocessing is
+# imported only when a sweep fans out, so commands that never do so do not
+# pay for it.  Each case runs in a fresh interpreter and reports the
+# modules of both packages left in sys.modules.
 
 _SRC = Path(__file__).resolve().parents[1] / "src"
 _NOTHING = {"scipy": [], "multiprocessing": []}
@@ -512,10 +582,37 @@ def test_fanned_out_sweep_loads_multiprocessing(tmp_path):
     assert "multiprocessing.pool" in _loaded(tmp_path, body)["multiprocessing"]
 
 
-def test_numeric_mgf_loads_scipy_integrate_and_matches_closed_form(tmp_path):
+def test_numeric_mgf_loads_no_scipy_and_matches_closed_form(tmp_path):
     body = ("from binlab.weights import mgf, parse_weights\n"
             "d = parse_weights('exp1')\n"
             "for z in (-1.0, 0.1, 0.45):\n"
             "    closed, numeric = mgf(d, z), mgf(d, z, method='numeric')\n"
             "    assert abs(numeric - closed) <= 1e-7 * closed, (z, closed, numeric)")
-    assert "scipy.integrate" in _loaded(tmp_path, body)["scipy"]
+    assert _loaded(tmp_path, body) == _NOTHING
+
+
+@pytest.mark.parametrize("argv", [
+    ("vector", "two-choice", "8"),
+    ("plot", "t.csv", "--x", "n", "--y", "gap", "--group-by", "kind"),
+    ("selftest",),
+], ids=lambda argv: argv[0])
+def test_command_loads_no_scipy(tmp_path, monkeypatch, argv):
+    (tmp_path / "t.csv").write_text("n,gap,kind\n16,1.5,a\n64,2.5,b\n")
+    monkeypatch.chdir(tmp_path)
+    assert _loaded(tmp_path, _cli_body(*argv)) == _NOTHING
+
+
+def test_selftest_passes_with_scipy_blocked(tmp_path):
+    body = ("class _NoScipy:\n"
+            "    def find_spec(self, name, path=None, target=None):\n"
+            "        if name.partition('.')[0] == 'scipy':\n"
+            "            raise ImportError(f'{name} is blocked')\n"
+            "sys.meta_path.insert(0, _NoScipy())\n"
+            "try:\n"
+            "    import scipy\n"
+            "except ImportError:\n"
+            "    pass\n"
+            "else:\n"
+            "    raise AssertionError('the blocker let scipy through')\n"
+            + _cli_body("selftest"))
+    assert _loaded(tmp_path, body) == _NOTHING

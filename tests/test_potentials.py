@@ -357,7 +357,10 @@ def test_monte_carlo_step_bound_agrees_with_exact(text, wtext, gamma):
     law = round_law(spec, state)
 
     def sampler(st, rng):
-        return list(sample_round(spec, st, rng=rng).bins_hit)
+        # one round reads at most two bins, two tie floats and two weights
+        source = _ScriptSource(bins=rng.integers(0, n, size=2), floats=rng.random(2),
+                               weights=w.sample(rng, 2))
+        return list(sample_round(spec, st, _Draws(n, w, source)).bins_hit)
 
     for i, side in enumerate(("phi", "psi")):
         exact = drift_step_bound_exact(state, p, law, w, gamma, k=k, r=1.0, side=side)

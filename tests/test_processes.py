@@ -8,7 +8,6 @@ chunked engines.
 """
 from __future__ import annotations
 
-import hashlib
 import itertools
 import math
 import statistics
@@ -21,8 +20,9 @@ from binlab import kernel
 from binlab.core import LoadState, new_state, tie_blocks
 from binlab.graphs import complete_graph, cycle_graph, hypercube_graph
 from binlab.processes import (ENUM_LIMIT, ProbeConfig, ProcessSpec,
-                              RoundOutcome, UnsupportedProcessError, _Draws,
-                              _ScriptSource, _batched_round, _n_edges, _probe_points,
+                              RoundOutcome, UnsupportedProcessError, _ChunkSource,
+                              _Draws, _ScriptSource, _batched_round, _n_edges,
+                              _probe_points,
                               _snapshot, allocation_vector, canonical_conditions,
                               comparison_vector, d_choice_vector_exact,
                               empirical_allocation_fractions,
@@ -387,38 +387,6 @@ def test_forced_draws_exhaustion():
     sample_round(u(), state, draws=draws)
     with pytest.raises(ValueError, match="exhausted"):
         sample_round(u(), state, draws=draws)
-
-
-# sha256 of the float64 loads after 200 seeded steps on 8 bins; the
-# Monte-Carlo drift_step_bound_check samples rounds through this stream
-SCALAR_STREAM = {
-    "one-choice": "bf75e26da21ada6fc820fd9d1282d867553b29752916aa04d09d542bde8a1886",
-    "two-choice": "a567b17ca05c3bfa00a548ba7a75164cd1f6f4e4472223d984b382bdb9996d62",
-    "d-choice:d=3": "0d8cc9e879b530b76787262179b174f27a485229f648e0f119221914502e9460",
-    "one-plus-beta:beta=0.5": "6127d29919566db829a97cf621806b3a22848d07259498ac5e17f15a63a59035",
-    "quantile:delta=0.5": "746d980f4cbec724c4215430db19f98ab0b598fee5e3a457c1f413b618312f7d",
-    "twinning:delta=0.5": "f0880e6e29e6ae3dae6c07f3f0bb5ea3b14f8fd5f9b94cd0ac5ed7cf651fda54",
-    "penalty:delta=0.25": "602f7b4d78032a0e0718b3e86dcf497ece78b5f185176fd30c53b34cba65aaf1",
-    "reset-memory": "8428c13a0e04695b45c6b5d809476a7ff19bd09400a26816f347526d9cf3d1ff",
-    "graphical": "a9c8d494f16393be7fd8d097215d60ac90b7b683bafd1f6fc305ef079db6efad",
-}
-
-
-@pytest.mark.parametrize("i,text", list(enumerate(SCALAR_STREAM)))
-def test_step_scalar_rng_stream_is_pinned(i, text):
-    """``step`` with an ``rng`` makes one scalar numpy call per draw (bins,
-    tie floats and weights); geom weights are multiples of 1/2, so random
-    ties and their coins occur."""
-    n = 8
-    w = "unit" if text.startswith(("twinning", "penalty")) else "geom:p=0.5"
-    spec = parse_process(text, weights=parse_weights(w), tie_rule="random",
-                         graph=cycle_graph(n) if text == "graphical" else None)
-    state = new_state(n)
-    rng = make_generator(23, i)
-    for _ in range(200):
-        step(spec, state, rng=rng)
-    digest = hashlib.sha256(np.array(state.loads).tobytes()).hexdigest()
-    assert digest == SCALAR_STREAM[text]
 
 
 # -- the sampler against the oracle ------------------------------------------------
@@ -867,9 +835,9 @@ def test_run_batched_gap_grows_with_b():
 def test_round_outcome_invariants(text):
     spec = parse_process(text)
     state = new_state(8)
-    rng = make_generator(23, 1)
+    draws = _Draws(8, spec.weights, _ChunkSource(make_generator(23, 1), 8, spec.weights))
     for _ in range(200):
-        out = step(spec, state, rng=rng)
+        out = step(spec, state, draws)
         assert isinstance(out, RoundOutcome)
         assert 1 <= out.balls() <= 2
         assert out.steps_consumed in (1, 2)
