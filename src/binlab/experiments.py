@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import kernel
-from .graphs import RegularGraph, build_graph, conductance_bounds
+from .graphs import RegularGraph, build_graph, conductance_lower_bound
 from .potentials import gamma_for_weighted
 from .processes import (ProbeConfig, ProbeRow, ProcessSpec, UnsupportedProcessError,
                         canonical_conditions, parse_process, rank_vector, run,
@@ -105,7 +105,7 @@ def _auto_gamma(spec: ProcessSpec, n: int, wdist: WeightDistribution):
     with (delta, eps, C, S); all None when the process has no bias margin."""
     try:
         if spec.kind == "graphical":
-            eps = conductance_bounds(spec.graph)[0]
+            eps = conductance_lower_bound(spec.graph)
             cond = canonical_conditions(spec, n, graph_eps=eps)
         else:
             cond = canonical_conditions(spec, n)

@@ -4,22 +4,24 @@ Conductance here is edge expansion normalized by degree:
 
     phi(G) = min over 1 <= |S| <= n/2 of  |E(S, V\\S)| / (d * |S|)
 
-``conductance_exact`` enumerates all vertex subsets (feasible to n = 24)
-as numpy blocks of 2^16 subsets, comparing the candidate minima in
-integers.  ``conductance_bounds`` sandwiches phi between the Cheeger
-bounds lambda_2 / 2 <= phi <= sqrt(2 lambda_2) of the normalized Laplacian
-and the best sweep cut along a second eigenvector.  lambda_2 comes from
-numpy's LAPACK (``numpy.linalg.eigvalsh``, all eigenvalues) on the integer
-matrix dI - A; the lower bound subtracts a backward-error margin of
-n * eps * 2d from the computed eigenvalue, so it is a bound and not an
-estimate.  The sweep vector comes from one shifted solve
-(``numpy.linalg.solve``, one step of inverse iteration from a fixed start
-vector), so the upper bound is the same under any BLAS thread count.  The
-solve holds at most two n x n float64 matrices, 16 n^2 bytes (16 MiB at
-n = 1024); above ``DENSE_LIMIT`` vertices ``conductance_bounds`` raises
+``conductance_exact`` enumerates all vertex subsets (feasible to n = 24):
+one numpy table of 2^16 subsets sorted by size, walked over the remaining
+vertices in Gray-code order, keeps the most internal edges of each size,
+and compares the candidate minima in integers.
+``conductance_lower_bound`` is the Cheeger bound lambda_2 / 2 <= phi of
+the normalized Laplacian; ``conductance_bounds`` adds the upper bound
+phi <= sqrt(2 lambda_2) and the best sweep cut along a second eigenvector.
+lambda_2 comes from numpy's LAPACK (``numpy.linalg.eigvalsh``, all
+eigenvalues) on the integer matrix dI - A; the lower bound subtracts a
+backward-error margin of n * eps * 2d from the computed eigenvalue, so it
+is a bound and not an estimate.  The sweep vector comes from one shifted
+solve (``numpy.linalg.solve``, one step of inverse iteration from a fixed
+start vector), so the upper bound is the same under any BLAS thread count.
+The solve holds at most two n x n float64 matrices, 16 n^2 bytes (16 MiB
+at n = 1024); above ``DENSE_LIMIT`` vertices both bound functions raise
 ``ValueError`` before allocating.
-Graphical sweeps with ``gamma = auto`` take their epsilon from the lower
-bound.
+Graphical sweeps with ``gamma = auto`` take their epsilon from
+``conductance_lower_bound``, which needs the eigenvalues and no solve.
 """
 from __future__ import annotations
 
@@ -31,7 +33,7 @@ import numpy as np
 from .rng import make_generator
 
 EXACT_LIMIT = 24
-DENSE_LIMIT = 8192  # conductance_bounds holds 16 n^2 bytes: 1 GiB at the limit
+DENSE_LIMIT = 8192  # the dense bounds hold 16 n^2 bytes: 1 GiB at the limit
 
 
 @dataclass(frozen=True)
@@ -146,7 +148,7 @@ def random_regular_graph(n: int, d: int, seed: int, retries: int = 20000) -> Reg
     for _ in range(retries):
         perm = rng.permutation(stubs).reshape(-1, 2)
         lo, hi = perm.min(axis=1), perm.max(axis=1)
-        if (lo == hi).any() or len(np.unique(lo * n + hi)) < len(perm):
+        if (lo == hi).any() or (np.diff(np.sort(lo * n + hi)) == 0).any():
             continue  # a self-loop or a repeated edge
         pairs = tuple(map(tuple, perm.tolist()))
         if _connected(n, pairs):
@@ -166,20 +168,23 @@ _BUILDERS = {
 
 def build_graph(kind: str, n: int, d: int | None = None, seed: int = 0) -> RegularGraph:
     """Dispatch on kind: complete | cycle | hypercube | torus-grid |
-    random-regular (the last needs d)."""
+    random-regular (the last needs d; the others fix their own degree and
+    take none)."""
     if kind == "random-regular":
         if d is None:
             raise ValueError("random-regular needs d")
         return random_regular_graph(n, d, seed)
-    try:
-        return _BUILDERS[kind](n)
-    except KeyError:
-        raise ValueError(f"unknown graph kind {kind!r}") from None
+    if kind not in _BUILDERS:
+        raise ValueError(f"unknown graph kind {kind!r}")
+    if d is not None:
+        raise ValueError(f"graph kind {kind!r} fixes its own degree; d= is for "
+                         "random-regular only")
+    return _BUILDERS[kind](n)
 
 
 # -- conductance -------------------------------------------------------------
 
-_LOW_BITS = 16  # vertices 1..16 span one block of 2^16 subsets in conductance_exact
+_LOW_BITS = 16  # vertices 1..16 span one table of 2^16 subsets in conductance_exact
 
 
 def _count_table(mask: int, bits: int) -> np.ndarray:
@@ -195,12 +200,16 @@ def conductance_exact(g: RegularGraph) -> float:
     cut and its complement are the same cut).
 
     S = {0} + U + T, where U ranges over subsets of the low vertices 1..16
-    as one numpy block and T over the at most 7 remaining high vertices in
-    Gray-code order; each step adds one vector of edge counts to the
-    block's internal-edge table.  Within a block the argmin is taken on the
-    float cut/side: sides are <= 12, so distinct ratios differ by >= 1/144
-    and the float order is the exact order.  Blocks are compared in
-    integers, so the result is the correctly rounded cut / (d * side).
+    as one numpy table and T over the at most 7 remaining high vertices in
+    Gray-code order.  cut(S) = d * |S| - 2 * internal(S), so among the sets
+    of one size the smallest cut is the one with the most internal edges.
+    The table of internal edges is sorted by |U| once; each Gray-code step
+    adds or subtracts one high vertex's edge counts into U in place, keeps
+    the edges among {0} + T as a Python int, and takes the most internal
+    edges of each |U| with one ``np.maximum.reduceat``.  The at most
+    17 * 128 candidates cut / side, side = min(|S|, n - |S|) <= 12, are
+    compared as the integers cut * (lcm(1..n/2) / side), so the result is
+    the correctly rounded cut / (d * side) of an exact minimum.
     """
     n, d = g.n, g.d
     if n > EXACT_LIMIT:
@@ -208,46 +217,51 @@ def conductance_exact(g: RegularGraph) -> float:
     masks = g.neighbor_masks()
     low = min(n - 1, _LOW_BITS)
     high = list(range(low + 1, n))
-    # internal edges and size of {0} + U, for every subset U of the low vertices
+    # internal edges of {0} + U, for every subset U of the low vertices
     internal = np.zeros(1, dtype=np.int32)
     for j in range(low):
         v = j + 1
         internal = np.concatenate(
             (internal, internal + (masks[v] & 1) + _count_table(masks[v] >> 1, j)))
-    size = 1 + _count_table((1 << low) - 1, low)
-    # edges from each high vertex into U, as a vector over U
-    into_low = [_count_table(masks[h] >> 1, low) for h in high]
-    # cut = d*|S| - 2*internal and side = min(|S|, n - |S|), for each |T|
-    d_size = [d * (size + k) for k in range(len(high) + 1)]
-    side = [np.minimum(size + k, n - size - k) for k in range(len(high) + 1)]
+    # U in order of size, the U with |U| = k from starts[k] on (uint8 keys
+    # take numpy's radix sort)
+    by_size = np.argsort(_count_table((1 << low) - 1, low).astype(np.uint8), kind="stable")
+    starts = np.cumsum([0] + [math.comb(low, k) for k in range(low)])
+    internal = internal[by_size]
+    # edges from each high vertex into U, in the same order
+    into_low = [_count_table(masks[h] >> 1, low)[by_size] for h in high]
 
-    best_cut, best_side = d, 1  # S = {0}
-    t_mask = 0                  # T as a bitmask over vertex ids
-    t_size = 0
-    for step in range(1 << len(high)):
+    steps = 1 << len(high)
+    most = np.empty((steps, low + 1), dtype=np.int64)  # most internal edges per |U|
+    t_mask = 0  # T as a bitmask over vertex ids
+    base = 0    # edges inside {0} + T
+    for step in range(steps):
         if step:
             i = (step & -step).bit_length() - 1
             h = high[i]
-            sign = -1 if t_mask >> h & 1 else 1
             t_mask ^= 1 << h
-            t_size += sign
             scalar = (masks[h] & 1) + (masks[h] & t_mask).bit_count()  # edges to 0 and T
-            internal += sign * (into_low[i] + scalar)
-        cut = d_size[t_size] - 2 * internal
-        sides = side[t_size]
-        if t_size == len(high):  # the last U makes S = V, which is no cut
-            cut, sides = cut[:-1], sides[:-1]
-        k = int(np.argmin(cut / sides))
-        c, s = int(cut[k]), int(sides[k])
-        if c * best_side < best_cut * s:
-            best_cut, best_side = c, s
-    return best_cut / (d * best_side)
+            if t_mask >> h & 1:
+                internal += into_low[i]
+                base += scalar
+            else:
+                internal -= into_low[i]
+                base -= scalar
+        most[step] = np.maximum.reduceat(internal, starts)
+        most[step] += base
+    gray = np.arange(steps) ^ (np.arange(steps) >> 1)
+    size = 1 + np.arange(low + 1) + _count_table(steps - 1, len(high))[gray, None]
+    cut = d * size - 2 * most
+    side = np.minimum(size, n - size)
+    ok = side > 0  # S = V is no cut
+    cut, side = cut[ok], side[ok]
+    k = int(np.argmin(cut * (math.lcm(*range(1, n // 2 + 1)) // side)))
+    return int(cut[k]) / (d * int(side[k]))
 
 
-def _laplacian_pair(g: RegularGraph) -> tuple[float, float, np.ndarray]:
-    """(lambda2_hat, margin, v) of M = dI - A: lambda2_hat from LAPACK's
-    ``?syevd`` (``numpy.linalg.eigvalsh``), v from one step of inverse
-    iteration towards it.
+def _laplacian_lambda2(g: RegularGraph) -> tuple[np.ndarray, float, float]:
+    """(M, lambda2_hat, margin) for M = dI - A, lambda2_hat from LAPACK's
+    ``?syevd`` (``numpy.linalg.eigvalsh``).
 
     M has integer entries, so it is exact in float64, and ||M||_2 <= 2d.
     Every LAPACK symmetric eigensolver returns the exact eigenvalues of
@@ -255,20 +269,8 @@ def _laplacian_pair(g: RegularGraph) -> tuple[float, float, np.ndarray]:
     function of n (LAPACK Users' Guide, section 4.7).  margin = n * eps * 2d
     takes p(n) = n, a factor n above the p(n) = 1 of the guide's own
     error-bound code; by Weyl's inequality the true lambda_2(M) lies within
-    margin of the computed one.
-
-    v solves (M - sigma I) v = b, with sigma = lambda2_hat - 2^10 * margin
-    and b a fixed pseudo-random vector, centred so that it has no component
-    along the all-ones eigenvector (eigenvalue 0).  This one step of inverse
-    iteration scales b's component in the lambda_2 eigenspace by
-    1 / (lambda_2 - sigma) and every other component by at most one over the
-    gap to the next eigenvalue, so v is b's projection on that eigenspace.
-    Backward error of at most margin moves those factors by at most 2^-10
-    relative, so v, and with it the sweep order, does not depend on the BLAS
-    thread count, even when lambda_2 is repeated.  M is shifted in place
-    after ``eigvalsh`` has freed its copy, so at most two n x n float64
-    matrices are held at once (M and the solver's copy): 16 n^2 bytes,
-    256 MiB at n = 4096.
+    margin of the computed one.  M is returned for the caller to reuse;
+    ``eigvalsh`` has freed its copy by then.
     """
     n, d = g.n, g.d
     if n > DENSE_LIMIT:
@@ -282,10 +284,29 @@ def _laplacian_pair(g: RegularGraph) -> tuple[float, float, np.ndarray]:
     m[e[:, 1], e[:, 0]] = -1.0
     np.fill_diagonal(m, float(d))
     lam = float(np.linalg.eigvalsh(m)[1])
-    margin = n * np.finfo(float).eps * 2 * d
+    return m, lam, n * np.finfo(float).eps * 2 * d
+
+
+def _inverse_iteration(m: np.ndarray, lam: float, margin: float) -> np.ndarray:
+    """A vector in lambda_2's eigenspace of M, from one step of inverse
+    iteration; M is shifted in place.
+
+    v solves (M - sigma I) v = b, with sigma = lambda2_hat - 2^10 * margin
+    and b a fixed pseudo-random vector, centred so that it has no component
+    along the all-ones eigenvector (eigenvalue 0).  This one step scales b's
+    component in the lambda_2 eigenspace by 1 / (lambda_2 - sigma) and
+    every other component by at most one over the gap to the next
+    eigenvalue, so v is b's projection on that eigenspace.  Backward error
+    of at most margin moves those factors by at most 2^-10 relative, so v,
+    and with it the sweep order, does not depend on the BLAS thread count,
+    even when lambda_2 is repeated.  At most two n x n float64 matrices are
+    held at once (M and the solver's copy): 16 n^2 bytes, 256 MiB at
+    n = 4096.
+    """
+    n = len(m)
     m.flat[::n + 1] -= lam - 2**10 * margin
     b = make_generator(n).standard_normal(n)
-    return lam, margin, np.linalg.solve(m, b - b.mean())
+    return np.linalg.solve(m, b - b.mean())
 
 
 def _best_prefix_cut(g: RegularGraph, v: np.ndarray) -> float:
@@ -305,18 +326,29 @@ def _best_prefix_cut(g: RegularGraph, v: np.ndarray) -> float:
     return float(np.min(cut / (g.d * np.minimum(k, n - k))))
 
 
+def _cheeger_lower(g: RegularGraph, lam: float, margin: float) -> float:
+    return max(lam - margin, 0.0) / (2 * g.d)
+
+
+def conductance_lower_bound(g: RegularGraph) -> float:
+    """(lambda2_hat(M) - margin) / (2d) <= phi(G): the Cheeger bound
+    lambda_2 / 2 on the normalized Laplacian with the eigensolver's backward
+    error subtracted.  Needs one ``eigvalsh`` and no solve."""
+    _, lam, margin = _laplacian_lambda2(g)
+    return _cheeger_lower(g, lam, margin)
+
+
 def conductance_bounds(g: RegularGraph) -> tuple[float, float]:
     """(lower, upper) with lower <= phi(G) <= upper.
 
-    lower = (lambda2_hat(M) - margin) / (2d), the Cheeger bound lambda_2/2
-    on the normalized Laplacian with the eigensolver's backward error
-    subtracted; upper = min(sqrt(2 lambda_2), the sweep cut along v2), with
-    the margin added under the square root.
+    lower is ``conductance_lower_bound``; upper = min(sqrt(2 lambda_2), the
+    sweep cut along a lambda_2 eigenvector), with the margin added under the
+    square root.
     """
-    lam, margin, v = _laplacian_pair(g)
-    lower = max(lam - margin, 0.0) / (2 * g.d)
-    upper = min(math.sqrt(2 * (lam + margin) / g.d), _best_prefix_cut(g, v))
-    return lower, upper
+    m, lam, margin = _laplacian_lambda2(g)
+    upper = math.sqrt(2 * (lam + margin) / g.d)
+    return (_cheeger_lower(g, lam, margin),
+            min(upper, _best_prefix_cut(g, _inverse_iteration(m, lam, margin))))
 
 
 # -- file format --------------------------------------------------------------

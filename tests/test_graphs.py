@@ -2,7 +2,7 @@
 
 Exact conductance values for the small named graphs are known in closed
 form and double-checked here against a brute-force subset enumeration
-written independently of the Gray-code implementation.
+written independently of the size-class implementation.
 """
 from __future__ import annotations
 
@@ -14,17 +14,17 @@ import subprocess
 import sys
 import tracemalloc
 from fractions import Fraction
-from itertools import combinations
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from binlab.core import LoadState
 from binlab.cli import main
 from binlab.graphs import (DENSE_LIMIT, EXACT_LIMIT, GraphSamplingError, RegularGraph,
-                           _best_prefix_cut, _laplacian_pair, build_graph,
-                           complete_graph, conductance_bounds,
-                           conductance_exact, cycle_graph,
+                           _best_prefix_cut, _inverse_iteration, _laplacian_lambda2,
+                           build_graph, complete_graph, conductance_bounds,
+                           conductance_exact, conductance_lower_bound, cycle_graph,
                            hypercube_graph,
                            random_regular_graph, read_graph_file,
                            torus_grid_graph, write_graph_file)
@@ -32,14 +32,17 @@ from binlab.processes import ProcessSpec, empirical_allocation_vector
 
 
 def brute_conductance(g: RegularGraph) -> Fraction:
-    """Independent oracle: direct minimum over all subsets via itertools."""
-    best = Fraction(1)
-    for size in range(1, g.n // 2 + 1):
-        for subset in combinations(range(g.n), size):
-            s = set(subset)
-            cut = sum((u in s) != (v in s) for u, v in g.edges)
-            best = min(best, Fraction(cut, g.d * size))
-    return best
+    """Independent oracle, fast to n = 22: every S holding vertex 0 as one
+    bitmask, its cut summed edge by edge over all S at once in numpy."""
+    n = g.n
+    masks = np.arange(1 << (n - 1), dtype=np.int32) << 1 | 1
+    member = [(masks >> v & 1).astype(np.uint8) for v in range(n)]
+    cut = np.zeros(len(masks), dtype=np.uint8)
+    for u, v in g.edges:
+        cut += member[u] ^ member[v]
+    size = np.sum(member, axis=0, dtype=np.int32)
+    side = np.minimum(size, n - size)
+    return min(Fraction(int(cut[side == s].min()), g.d * s) for s in range(1, n // 2 + 1))
 
 
 def test_builders_shape():
@@ -103,9 +106,12 @@ def test_conductance_complete_formula(n):
       for n, seed in ((12, 3), (14, 4), (16, 9)) for d in (3, 4, 5)),
     # seeds the sampler only finds a simple 5-regular pairing for past 1000 tries
     random_regular_graph(12, 5, seed=1), random_regular_graph(14, 5, seed=2),
+    # past n = 17 the high vertices walk their Gray code over many steps
+    *(random_regular_graph(n, d, seed=n + d) for n in (18, 20, 22) for d in (3, 4)),
 ])
 def test_conductance_exact_matches_brute_force(g):
-    assert conductance_exact(g) == pytest.approx(float(brute_conductance(g)), abs=1e-12)
+    phi = brute_conductance(g)
+    assert conductance_exact(g) == phi.numerator / phi.denominator  # correctly rounded
 
 
 @pytest.mark.parametrize("g,phi", [
@@ -135,7 +141,17 @@ def test_bounds_sandwich_exact(g):
     assert lo <= phi + 1e-9, (lo, phi)
     assert phi <= hi + 1e-9, (phi, hi)
     # a sweep cut is a genuine cut
-    assert _best_prefix_cut(g, _laplacian_pair(g)[2]) >= phi - 1e-9
+    assert _best_prefix_cut(g, _inverse_iteration(*_laplacian_lambda2(g))) >= phi - 1e-9
+
+
+@pytest.mark.parametrize("g", [
+    complete_graph(8), cycle_graph(64), hypercube_graph(64), torus_grid_graph(100),
+    random_regular_graph(200, 4, seed=7), random_regular_graph(1024, 4, seed=1),
+])
+def test_lower_bound_is_the_bounds_lower_bound(g):
+    """gamma = auto reads the lower bound without the solve; it must be the
+    same float that conductance_bounds reports."""
+    assert conductance_lower_bound(g) == conductance_bounds(g)[0]
 
 
 @pytest.mark.parametrize("n", [12, 64, 256, 1024, 2048])
@@ -157,12 +173,13 @@ def test_bounds_on_larger_graph():
 
 _BOUNDS_SCRIPT = """\
 import json, sys
-from binlab.graphs import build_graph, conductance_bounds
+from binlab.graphs import build_graph, conductance_bounds, conductance_lower_bound
 from binlab.tableio import format_cell
 out = []
 for kind, n, d in json.loads(sys.argv[1]):
-    lo, hi = conductance_bounds(build_graph(kind, n, d, seed=1))
-    out.append([format_cell(lo), f"{hi:.6g}"])
+    g = build_graph(kind, n, d, seed=1)
+    lo, hi = conductance_bounds(g)
+    out.append([format_cell(lo), f"{hi:.6g}", format_cell(conductance_lower_bound(g))])
 print(json.dumps(out))
 """
 
@@ -170,7 +187,10 @@ print(json.dumps(out))
 def test_bounds_do_not_depend_on_blas_threads():
     """The sweep vector comes from a fixed start vector, so the printed
     bounds are the same under one and two BLAS threads, also where lambda_2
-    is repeated (cycle, torus grid, hypercube)."""
+    is repeated (cycle, torus grid, hypercube).  The lower bound is printed
+    from both paths, as the CSV cells print it: its last bits can move with
+    the thread count (cycle 256 reads 0x1.3bcfbd977a226p-13 under one
+    thread and 0x1.3bcfbd9779006p-13 under two), far below nine digits."""
     cases = json.dumps([["cycle", 256, None], ["cycle", 512, None],
                         ["random-regular", 1024, 4], ["torus-grid", 256, None],
                         ["hypercube", 256, None]])

@@ -435,6 +435,46 @@ def test_cli_drift_check_bytes_pinned(tmp_path, monkeypatch, capsys, name):
     assert digest == {"drift-certs.csv": certs_sha, "drift-checks.csv": checks_sha}
 
 
+# sha256 of runs.csv from a graphical gamma = auto sweep at ns = 64,128.
+# cond_epsilon is the conductance lower bound, and gamma_value and
+# gamma_total follow from it; the random-regular graph is drawn from the
+# config seed, so its pairing sampler feeds the bytes too.
+_GRAPHICAL_PINS = {
+    ("cycle", "exp1"): "67008c6020851c97e3a4fe2361d1d16826941eb978fa87f94435eef8d44d82f3",
+    ("cycle", "unit"): "90fadcbcfb817179a103bf3d2ad1ee09fe9fb1d1f8dca2ee53b1b27778cc2fb9",
+    ("random-regular:d=4", "exp1"):
+        "6e3384399eae514f173a9dc5e543059c6e44350826d2de47a7abf1e7811331b3",
+    ("random-regular:d=4", "unit"):
+        "0cb0b06216abe78402935ac7aee43a3acea993bb47bb4a8b710c2aab8de0177b",
+}
+
+
+@pytest.mark.parametrize("graph,weights", sorted(_GRAPHICAL_PINS))
+def test_cli_graphical_sweep_bytes_pinned(tmp_path, monkeypatch, capsys, graph, weights):
+    cfg = tmp_path / "graphical.cfg"
+    cfg.write_text(f"processes = graphical\nns = 64,128\nm = 10n\nreps = 2\n"
+                   f"graph = {graph}\nweights = {weights}\nseed = 5\ngamma = auto\n")
+    monkeypatch.setenv("BINLAB_OUT", str(tmp_path))
+    assert main(["simulate", str(cfg)]) == 0
+    capsys.readouterr()
+    digest = hashlib.sha256((tmp_path / "runs.csv").read_bytes()).hexdigest()
+    assert digest == _GRAPHICAL_PINS[graph, weights]
+
+
+# at n = 16 the hypercube and the torus grid are 4-regular: a d= that
+# matches the kind's degree is refused too
+@pytest.mark.parametrize("graph", ["cycle:d=4", "complete:d=3", "hypercube:d=4",
+                                   "torus-grid:d=4"])
+def test_cli_simulate_rejects_d_on_fixed_degree_graph(tmp_path, monkeypatch, capsys, graph):
+    cfg = tmp_path / "graphical.cfg"
+    cfg.write_text(f"processes = graphical\nns = 16\nm = 10n\ngraph = {graph}\n")
+    monkeypatch.setenv("BINLAB_OUT", str(tmp_path))
+    assert main(["simulate", str(cfg)]) == 1
+    kind = graph.partition(":")[0]
+    assert f"graph kind '{kind}' fixes its own degree" in capsys.readouterr().err
+    assert not (tmp_path / "runs.csv").exists()
+
+
 @pytest.mark.parametrize("line,key", [
     ("batches = 2n", "batches"), ("probe_steps = 3,5", "probe_steps"),
     ("thresholds = 1", "thresholds"), ("keep = trajectory", "keep"),
@@ -518,16 +558,17 @@ def test_cli_plot_names_a_missing_column(tmp_path, capsys, flag):
 # The runtime is numpy only: no command imports scipy.  multiprocessing is
 # imported only when a sweep fans out, so commands that never do so do not
 # pay for it.  Each case runs in a fresh interpreter and reports the
-# modules of both packages left in sys.modules.
+# modules of the named packages left in sys.modules.
 
 _SRC = Path(__file__).resolve().parents[1] / "src"
 _NOTHING = {"scipy": [], "multiprocessing": []}
 
 
-def _loaded(tmp_path, body: str) -> dict[str, list[str]]:
+def _loaded(tmp_path, body: str,
+            packages: tuple[str, ...] = ("scipy", "multiprocessing")) -> dict[str, list[str]]:
     code = (f"import json, sys\n{body}\n"
             "print(json.dumps({p: sorted(k for k in sys.modules "
-            "if k.partition('.')[0] == p) for p in ('scipy', 'multiprocessing')}))\n")
+            f"if k == p or k.startswith(p + '.')) for p in {packages!r}}}))\n")
     env = {**os.environ, "PYTHONPATH": str(_SRC), "BINLAB_OUT": str(tmp_path)}
     res = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
                          text=True, check=True)
@@ -564,6 +605,19 @@ def test_graphical_auto_gamma_loads_no_scipy(tmp_path):
     assert _loaded(tmp_path, _cli_body("simulate", str(cfg))) == _NOTHING
     eps = read_csv(tmp_path / "runs.csv").column("cond_epsilon")
     assert eps and all(0 < e <= 2 / 16 for e in eps)  # the cycle's phi is 2/n
+
+
+def test_graphical_sweep_loads_no_numpy_ma(tmp_path):
+    # the pairing sampler's repeated-edge test sorts instead of np.unique,
+    # whose first call imports numpy.ma
+    cfg = tmp_path / "rr4.cfg"
+    cfg.write_text("processes = graphical\nns = 64\nm = 10n\n"
+                   "graph = random-regular:d=4\ngamma = auto\n")
+    body = _cli_body("simulate", str(cfg))
+    assert _loaded(tmp_path, body, ("numpy.ma",)) == {"numpy.ma": []}
+    # positive control: the helper sees numpy.ma where np.unique runs
+    assert "numpy.ma" in _loaded(tmp_path, "import numpy as np\nnp.unique([2, 1])",
+                                 ("numpy.ma",))["numpy.ma"]
 
 
 def test_conductance_bounds_cli_loads_no_scipy(tmp_path):
