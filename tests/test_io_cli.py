@@ -6,8 +6,10 @@ captured output; the printed vector/conductance lines are golden.
 from __future__ import annotations
 
 import hashlib
+import inspect
 import json
 import os
+import runpy
 import subprocess
 import sys
 from pathlib import Path
@@ -564,15 +566,19 @@ _SRC = Path(__file__).resolve().parents[1] / "src"
 _NOTHING = {"scipy": [], "multiprocessing": []}
 
 
-def _loaded(tmp_path, body: str,
-            packages: tuple[str, ...] = ("scipy", "multiprocessing")) -> dict[str, list[str]]:
-    code = (f"import json, sys\n{body}\n"
-            "print(json.dumps({p: sorted(k for k in sys.modules "
-            f"if k == p or k.startswith(p + '.')) for p in {packages!r}}}))\n")
+def _fresh(tmp_path, code: str):
+    """Run ``code`` in a fresh interpreter; its last stdout line, as JSON."""
     env = {**os.environ, "PYTHONPATH": str(_SRC), "BINLAB_OUT": str(tmp_path)}
     res = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
                          text=True, check=True)
     return json.loads(res.stdout.splitlines()[-1])
+
+
+def _loaded(tmp_path, body: str,
+            packages: tuple[str, ...] = ("scipy", "multiprocessing")) -> dict[str, list[str]]:
+    return _fresh(tmp_path, f"import json, sys\n{body}\n"
+                  "print(json.dumps({p: sorted(k for k in sys.modules "
+                  f"if k == p or k.startswith(p + '.')) for p in {packages!r}}}))\n")
 
 
 def _cli_body(*argv: str) -> str:
@@ -627,13 +633,34 @@ def test_conductance_bounds_cli_loads_no_scipy(tmp_path):
 
 
 def test_fanned_out_sweep_loads_multiprocessing(tmp_path):
-    # positive control: a sweep at the fan-out threshold starts a worker pool
+    # positive control: a sweep at the fan-out threshold starts a worker pool;
+    # its workers fork from main()'s frozen heap and write the serial bytes
     cfg = tmp_path / "plain.cfg"
     cfg.write_text("processes = two-choice\nns = 16\nm = 10n\nreps = 2\n")
     body = ("import binlab.experiments as e\n"
             "e.FANOUT_MIN_BALLS = 0\n"
-            "e._usable_cpus = lambda: 2\n" + _cli_body("simulate", str(cfg)))
+            "e._usable_cpus = lambda: 2\n"
+            + _cli_body("simulate", str(cfg), "--out", "fanned.csv"))
     assert "multiprocessing.pool" in _loaded(tmp_path, body)["multiprocessing"]
+    serial = _cli_body("simulate", str(cfg), "--out", "serial.csv")
+    assert _loaded(tmp_path, serial) == _NOTHING
+    assert (tmp_path / "fanned.csv").read_bytes() == (tmp_path / "serial.csv").read_bytes()
+
+
+@pytest.mark.parametrize("cmd", ["simulate", "drift-check", "conductance"])
+def test_main_freezes_the_start_up_heap(tmp_path, cmd):
+    # what is alive once binlab.cli is imported is frozen out of the cyclic
+    # collector, so interpreter teardown does not walk and free it
+    cfg = tmp_path / "plain.cfg"
+    cfg.write_text("processes = two-choice\nns = 8\nm = 2n\n")
+    graph = tmp_path / "c8.txt"
+    write_graph_file(cycle_graph(8), str(graph))
+    body = ("import gc, json\nimport binlab.cli\ngc.collect()\n"
+            "alive = len(gc.get_objects())\n"
+            + _cli_body(cmd, str(graph if cmd == "conductance" else cfg))
+            + "\nprint(json.dumps([alive, gc.get_freeze_count()]))")
+    alive, frozen = _fresh(tmp_path, body)
+    assert frozen >= alive
 
 
 def test_numeric_mgf_loads_no_scipy_and_matches_closed_form(tmp_path):
@@ -670,3 +697,21 @@ def test_selftest_passes_with_scipy_blocked(tmp_path):
             "    raise AssertionError('the blocker let scipy through')\n"
             + _cli_body("selftest"))
     assert _loaded(tmp_path, body) == _NOTHING
+
+
+# -- names the benchmark traces ----------------------------------------------
+# perfbench/tracing.py wraps these by name; a rename breaks `--trace 1` with
+# an AttributeError, and only this test would otherwise notice.
+
+def test_traced_names_resolve():
+    tracing = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
+    names = [(modname, attr) for _, modname, attr, _ in runpy.run_path(str(tracing))["TRACED"]]
+    names.append(("binlab.processes", "make_engine"))
+    # tracing.install looks each one up in sys.modules once binlab.cli is imported
+    for modname, attr in names:
+        assert callable(getattr(sys.modules[modname], attr, None)), f"{modname}.{attr}"
+    assert callable(sys.modules["binlab.core"].LoadState.apply_allocation)
+    # the count functions read these arguments by name
+    check = sys.modules["binlab.potentials"].drift_step_bound_check
+    assert "trials" in inspect.signature(check).parameters
+    assert "path" in inspect.signature(sys.modules["binlab.tableio"].write_csv).parameters
