@@ -24,13 +24,12 @@ class LoadState:
     loads         : per-bin load, indexed by bin id (0-based); a read-only
                     float64 view that ``apply_allocation`` updates
     total_weight  : sum of all loads, a Python float summed left to right
-    step          : number of allocations applied so far
     sorted_index  : bin ids in non-increasing load order (rank 0 = heaviest);
                     equal loads appear in ascending bin-id order
     rank_of       : inverse of sorted_index
     """
 
-    __slots__ = ("n", "loads", "_loads", "total_weight", "step", "_ranked")
+    __slots__ = ("n", "loads", "_loads", "total_weight", "_ranked")
 
     def __init__(self, n: int):
         if n < 1:
@@ -40,12 +39,11 @@ class LoadState:
         self.loads = self._loads.view()
         self.loads.flags.writeable = False
         self.total_weight = 0.0
-        self.step = 0
         self._ranked = None
 
     @classmethod
     def from_loads(cls, loads) -> "LoadState":
-        """Build a state with prescribed initial loads (copied; step stays 0)."""
+        """Build a state with prescribed initial loads (copied)."""
         vals = np.array(loads, dtype=float)
         st = cls(len(vals))
         st._loads[:] = vals
@@ -61,7 +59,6 @@ class LoadState:
             raise ValueError(f"weight must be non-negative, got {weight}")
         self._loads[bin_id] += weight
         self.total_weight += weight
-        self.step += 1
         self._ranked = None
 
     # -- rank order ----------------------------------------------------------

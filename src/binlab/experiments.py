@@ -93,11 +93,15 @@ class ExperimentConfig:
                                  f"got {self.gamma!r}")
         if not all(math.isfinite(z) for z in self.thresholds):
             raise ValueError(f"thresholds must be finite, got {self.thresholds}")
-        # the batched analysis covers unit-weight balls only
+        # batched rounds take unit-weight balls and rank ties by ascending id
         wd = parse_weights(self.weights)
-        if wd.kind != "unit" and any(scaled_count(b, 2) > 0 for b in self.batches):
-            raise ValueError("batched rounds are defined for unit weights only; "
-                             "use weights=unit or batches=0")
+        if any(scaled_count(b, 2) > 0 for b in self.batches):
+            if wd.kind != "unit":
+                raise ValueError("batched rounds are defined for unit weights only; "
+                                 "use weights=unit or batches=0")
+            if self.tie_rule == "random":
+                raise ValueError("batched rounds break ties by ascending bin id; "
+                                 "use tie_rule=higher-index or batches=0")
 
 
 def _auto_gamma(spec: ProcessSpec, n: int, wdist: WeightDistribution):

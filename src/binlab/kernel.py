@@ -1,5 +1,5 @@
 """The compiled kernel behind ``processes.make_engine`` and
-``processes.run_batched``.
+``processes._BatchedEngine``.
 
 ``_kernel.c`` holds the per-ball decision loops of all engine families
 (``binlab_advance``) and the ranking of batched rounds (``binlab_batched``:
@@ -14,7 +14,7 @@ byte-identical to the exact path ``processes.step`` and to the numpy
 reference round ``processes._batched_round``.  When no compiler is found or
 the build fails, ``load()`` warns once and returns None, and the callers
 fall back to those references: ``make_engine`` to a ``step`` loop
-(``processes._StepEngine``), ``run_batched`` to the numpy round.
+(``processes._StepEngine``), ``_BatchedEngine`` to the numpy round.
 """
 from __future__ import annotations
 
@@ -133,8 +133,9 @@ def apply_rounds(lib, loads: np.ndarray, counts: np.ndarray) -> None:
 
 class KernelEngine:
     """A per-ball engine run by the compiled kernel: ``advance(target)``,
-    ``balls``, ``steps``, ``spec`` and ``loads`` (a float64 array the kernel
-    updates in place), the interface ``processes._StepEngine`` shares.
+    ``balls``, ``spec`` and ``loads`` (a float64 array the kernel updates
+    in place), the interface ``processes._StepEngine`` and
+    ``processes._BatchedEngine`` share.
 
     Draws come from ``source`` exactly as ``processes._Draws`` takes them
     for ``step``: ``bins()`` (``edges()`` for graphical), ``floats()`` and
@@ -145,7 +146,6 @@ class KernelEngine:
 
     def __init__(self, lib, spec, n: int, source):
         self.spec = spec
-        self.n = n
         self.loads = np.zeros(n)
         self._advance = lib.binlab_advance
         st = self._st = _Engine()
@@ -199,10 +199,6 @@ class KernelEngine:
     @property
     def balls(self) -> int:
         return self._st.balls
-
-    @property
-    def steps(self) -> int:
-        return self._st.steps
 
     def advance(self, target: int) -> None:
         if not 0 <= target < 1 << 63:  # ctypes would wrap it to an int64

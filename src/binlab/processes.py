@@ -29,13 +29,19 @@ exact       ``sample_round``/``step`` over a ``LoadState``: the oracle, with
             a ``step`` loop with the engine interface.
 kernel      what ``make_engine`` returns: the per-ball decision loops of
             ``_kernel.c``, compiled on first use (see ``kernel.py``), over a
-            float64 load array.  ``run`` uses it for every sweep, and
-            ``run_batched`` ranks and applies its rounds with it.
+            float64 load array.  ``run`` uses it for every sweep.
 
 Both consume random draws in the same documented order, so a seeded run or
-a scripted one gives the same loads, ball and step counts on the kernel as
-on ``step``.  Batched rounds have a numpy reference, ``_batched_round``,
-which is also ``run_batched``'s fallback without the kernel.
+a scripted one gives the same loads and ball counts on the kernel as on
+``step``.
+
+Batched rounds (several balls per step) are a third engine,
+``_BatchedEngine``: b unit balls per round from the rank vector against
+the round-start ranking, ties by ascending id (``tie_rule="random"`` is
+refused), applied by the kernel or the numpy reference ``_batched_round``.
+``run`` and ``run_batched`` drive every engine through one probe loop and
+one interface: ``advance(target)`` (until at least ``target`` balls),
+``balls``, ``loads`` (the live float64 load array) and ``spec``.
 
 The lesser-loaded rule is ``_lightest``: the least-loaded candidates in
 first-seen order, without repeats.  A tie goes to the highest bin id, or
@@ -159,21 +165,6 @@ def parse_process(text: str, weights: WeightDistribution | None = None,
     if graph is not None:
         kw["graph"] = graph
     return ProcessSpec(kind=kind, tie_rule=tie_rule, **kw)
-
-
-@dataclass(frozen=True)
-class RoundOutcome:
-    """What one round allocated: (bin, weight) per ball, in landing order."""
-
-    bins_hit: tuple[tuple[int, float], ...]
-    steps_consumed: int
-    samples_used: int
-
-    def balls(self) -> int:
-        return len(self.bins_hit)
-
-    def total_weight(self) -> float:
-        return sum(w for _, w in self.bins_hit)
 
 
 # -- allocation vectors (time-homogeneous kinds) ------------------------------
@@ -534,72 +525,68 @@ def _pick_min(loads, cands, tie_rule, draws: _Draws) -> int:
     return best[min(int(draws.float() * k), k - 1)]
 
 
-def sample_round(spec: ProcessSpec, state: LoadState, draws: _Draws) -> RoundOutcome:
+def sample_round(spec: ProcessSpec, state: LoadState,
+                 draws: _Draws) -> tuple[tuple[int, float], ...]:
     """Sample one round's allocations against the current state without
-    mutating it."""
+    mutating it: (bin, weight) per ball, in landing order."""
     n = state.n
     loads = state.loads
     kind = spec.kind
 
-    if kind == "one-choice":
-        b = draws.bin()
-        return RoundOutcome(((b, draws.weight()),), 1, 1)
-
-    if kind in ("two-choice", "d-choice"):
-        d = 2 if kind == "two-choice" else spec.d
+    if kind in ("one-choice", "two-choice", "d-choice"):
+        d = {"one-choice": 1, "two-choice": 2}.get(kind, spec.d)
         b = _pick_min(loads, draws.bins(d), spec.tie_rule, draws)
-        return RoundOutcome(((b, draws.weight()),), 1, d)
+        return ((b, draws.weight()),)
 
     if kind == "one-plus-beta":
         if draws.float() < spec.beta:
             b = _pick_min(loads, draws.bins(2), spec.tie_rule, draws)
-            return RoundOutcome(((b, draws.weight()),), 1, 2)
-        b = draws.bin()
-        return RoundOutcome(((b, draws.weight()),), 1, 1)
+        else:
+            b = draws.bin()
+        return ((b, draws.weight()),)
 
     if kind == "quantile":
-        t = quantile_index(spec.delta, n)
-        i1 = draws.bin()
-        if state.rank(i1) >= t:
-            return RoundOutcome(((i1, draws.weight()),), 1, 1)
-        i2 = draws.bin()
-        return RoundOutcome(((i2, draws.weight()),), 1, 2)
+        b = draws.bin()
+        if state.rank(b) < quantile_index(spec.delta, n):
+            b = draws.bin()  # below the quantile: a fresh sample
+        return ((b, draws.weight()),)
 
     if kind == "twinning":
         t = quantile_index(spec.delta, n)
         i = draws.bin()
         if state.rank(i) < t:
-            return RoundOutcome(((i, 1.0),), 1, 1)
-        return RoundOutcome(((i, 1.0), (i, 1.0)), 1, 1)
+            return ((i, 1.0),)
+        return ((i, 1.0), (i, 1.0))
 
     if kind == "penalty":
         t = quantile_index(spec.delta, n)
         i1 = draws.bin()
         if state.rank(i1) >= t:
-            return RoundOutcome(((i1, 1.0),), 1, 1)
+            return ((i1, 1.0),)
         i2 = draws.bin()
-        return RoundOutcome(((i2, 1.0), (i2, 1.0)), 1, 2)
+        return ((i2, 1.0), (i2, 1.0))
 
     if kind == "reset-memory":
         i1, i2 = draws.bins(2)
         w1 = draws.weight()
         b = _pick_min(loads, (i1, i2), spec.tie_rule, draws)
         w2 = draws.weight()
-        return RoundOutcome(((i1, w1), (b, w2)), 2, 2)
+        return ((i1, w1), (b, w2))
 
     if kind == "graphical":
         e = draws.edge()
         u, v = spec.graph.edges[e]
         b = _pick_min(loads, (u, v), spec.tie_rule, draws)
-        return RoundOutcome(((b, draws.weight()),), 1, 2)
+        return ((b, draws.weight()),)
 
     raise UnsupportedProcessError(f"cannot sample {kind}")
 
 
-def step(spec: ProcessSpec, state: LoadState, draws: _Draws) -> RoundOutcome:
-    """Sample one round and apply it to the state."""
+def step(spec: ProcessSpec, state: LoadState,
+         draws: _Draws) -> tuple[tuple[int, float], ...]:
+    """Sample one round, apply it to the state and return its pairs."""
     out = sample_round(spec, state, draws)
-    for b, w in out.bins_hit:
+    for b, w in out:
         state.apply_allocation(b, w)
     return out
 
@@ -702,7 +689,6 @@ class _StepEngine:
         self.spec = spec
         self.state = LoadState(n)
         self.balls = 0
-        self.steps = 0
         self._draws = _Draws(n, spec.weights, n_edges=_n_edges(spec), source=source)
 
     @property
@@ -711,9 +697,7 @@ class _StepEngine:
 
     def advance(self, target: int) -> None:
         while self.balls < target:
-            out = step(self.spec, self.state, draws=self._draws)
-            self.balls += out.balls()
-            self.steps += out.steps_consumed
+            self.balls += len(step(self.spec, self.state, draws=self._draws))
 
 
 def make_engine(spec: ProcessSpec, n: int, rng: np.random.Generator | None = None,
@@ -740,6 +724,47 @@ def _source(spec: ProcessSpec, n: int, rng, source):
     if rng is None:
         raise ValueError("need rng or source")
     return _ChunkSource(rng, n, spec.weights, _n_edges(spec), max(_CHUNK, spec.d or 0))
+
+
+class _BatchedEngine:
+    """Batched rounds with the engine interface.  Each round adds b unit
+    balls, one multinomial row of rank counts from ``rank_vector``, to the
+    bins ranked at the round's start (heaviest first, ties by ascending
+    id); ``advance`` runs whole rounds, so it stops less than b balls past
+    its target.  The rows come from ``rng.multinomial(b, pv, size=k)``
+    calls of at most ``_DRAW_COUNTS`` counts (one row when n is larger),
+    which numpy draws exactly as k single calls.  The compiled kernel
+    ranks and applies them (``kernel.apply_rounds``); without it,
+    ``_batched_round`` applies one at a time."""
+
+    def __init__(self, spec: ProcessSpec, n: int, b: int, rng: np.random.Generator):
+        if spec.weights.kind != "unit":
+            raise ValueError("batched rounds support unit weights only")
+        if spec.tie_rule == "random":
+            raise ValueError("batched rounds break ties by ascending bin id, not at random")
+        if b < 1:
+            raise ValueError(f"batch size must be >= 1, got {b}")
+        self.spec = spec
+        self._b = b
+        self.loads = np.zeros(n)
+        self.balls = 0
+        self._pv = rank_vector(spec, n)
+        self._lib = kernel.load()
+        self._per_draw = max(1, _DRAW_COUNTS // n)
+        self._rng = rng
+
+    def advance(self, target: int) -> None:
+        rounds = max(0, -(-(target - self.balls) // self._b))
+        while rounds:
+            counts = self._rng.multinomial(self._b, self._pv,
+                                           size=min(rounds, self._per_draw))
+            if self._lib is None:
+                for row in counts:
+                    _batched_round(self.loads, row)
+            else:
+                kernel.apply_rounds(self._lib, self.loads, counts)
+            rounds -= len(counts)
+            self.balls += self._b * len(counts)
 
 
 # -- runs and probes ------------------------------------------------------------
@@ -779,7 +804,7 @@ def _probe_points(probe: ProbeConfig | None, n: int, m: int) -> list[int]:
 
 
 def _snapshot(loads, balls: int, probe: ProbeConfig | None, seed: int) -> ProbeRow:
-    # a copy: engines and run_batched hand over their live load arrays
+    # a copy: engines hand over their live load arrays
     y = np.array(loads, dtype=float)
     y -= y.mean()
     gap = float(y.max())
@@ -802,6 +827,16 @@ def _snapshot(loads, balls: int, probe: ProbeConfig | None, seed: int) -> ProbeR
                     gamma_total=total, bins_ge=bins_ge, seed=seed)
 
 
+def _probe_run(eng, probe: ProbeConfig | None, n: int, m: int,
+               seed: int) -> list[ProbeRow]:
+    """Advance ``eng`` to each probe point and snapshot it there."""
+    rows = []
+    for pt in _probe_points(probe, n, m):
+        eng.advance(pt)
+        rows.append(_snapshot(eng.loads, eng.balls, probe, seed))
+    return rows
+
+
 def run(spec: ProcessSpec, n: int, m: int, seed: int,
         probe: ProbeConfig | None = None) -> list[ProbeRow]:
     """Run until at least m balls are allocated, recording probes.
@@ -812,52 +847,16 @@ def run(spec: ProcessSpec, n: int, m: int, seed: int,
     """
     if n < 1 or m < 0:
         raise ValueError("need n >= 1 and m >= 0")
-    rng = make_generator(seed, 0)
-    eng = make_engine(spec, n, rng)
-    rows = []
-    for pt in _probe_points(probe, n, m):
-        eng.advance(pt)
-        rows.append(_snapshot(eng.loads, eng.balls, probe, seed))
-    return rows
+    eng = make_engine(spec, n, make_generator(seed, 0))
+    return _probe_run(eng, probe, n, m, seed)
 
 
 def run_batched(spec: ProcessSpec, n: int, m: int, b: int, seed: int,
                 probe: ProbeConfig | None = None) -> list[ProbeRow]:
-    """Batched variant: rounds of b balls drawn i.i.d. from the process's
-    allocation vector against the round-start ranking.  Unit weights only;
-    probes land on round boundaries.
-
-    Each round is one multinomial row of rank counts.  A probe segment's
-    rows come from ``rng.multinomial(b, pv, size=k)`` calls of at most
-    ``_DRAW_COUNTS`` (2^17) counts each, or one row when n is larger; numpy
-    draws the k rows of such a call exactly as k single calls, so the
-    chunking does not change the stream.  The compiled kernel ranks and
-    applies the rows (``kernel.apply_rounds``); without it,
-    ``_batched_round`` applies them one at a time.
-    """
-    if spec.weights.kind != "unit":
-        raise ValueError("batched rounds support unit weights only")
-    if b < 1:
-        raise ValueError(f"batch size must be >= 1, got {b}")
+    """``run`` on ``_BatchedEngine``'s rounds of b balls; probes land on
+    round boundaries."""
     if n < 1 or m < 0:
         raise ValueError("need n >= 1 and m >= 0")
-    pv = rank_vector(spec, n)
-    lib = kernel.load()
-    per_draw = max(1, _DRAW_COUNTS // n)
-    rng = make_generator(seed, 0)
-    loads = np.zeros(n)
-    rows = []
-    balls = 0
-    for pt in _probe_points(probe, n, m):
-        rounds = max(0, -(-(pt - balls) // b))
-        while rounds:
-            counts = rng.multinomial(b, pv, size=min(rounds, per_draw))
-            if lib is None:
-                for row in counts:
-                    _batched_round(loads, row)
-            else:
-                kernel.apply_rounds(lib, loads, counts)
-            rounds -= len(counts)
-            balls += b * len(counts)
-        rows.append(_snapshot(loads, balls, probe, seed))
-    return rows
+    # not through make_engine, whose engines the benchmark times as per-ball work
+    eng = _BatchedEngine(spec, n, b, make_generator(seed, 0))
+    return _probe_run(eng, probe, n, m, seed)

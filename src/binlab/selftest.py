@@ -241,7 +241,7 @@ def check_engine_agreement():
                               source=processes._ScriptSource(**streams))
         balls = 0
         for _ in range(rounds):
-            balls += processes.step(spec, st, draws=dr).balls()
+            balls += len(processes.step(spec, st, draws=dr))
         eng = processes.make_engine(spec, n,
                                     source=processes._ScriptSource(**streams))
         eng.advance(balls)

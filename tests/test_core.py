@@ -57,7 +57,7 @@ def test_apply_allocation_validates():
         st_.apply_allocation(-1, 1.0)
     with pytest.raises(ValueError):
         st_.apply_allocation(0, -0.5)
-    assert st_.step == 0 and list(st_.loads) == [0.0] * 4
+    assert st_.total_weight == 0.0 and list(st_.loads) == [0.0] * 4
 
 
 @pytest.mark.parametrize("seed", [0, 1, 2, 3])
@@ -82,7 +82,6 @@ def test_weight_conservation(rng):
         st_.apply_allocation(int(rng.integers(0, 8)), w)
         total += w
     assert st_.total_weight == pytest.approx(total, abs=1e-9)
-    assert st_.step == 300
     assert float(np.sum(st_.normalized())) == pytest.approx(0.0, abs=1e-7)
 
 

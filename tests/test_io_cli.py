@@ -305,6 +305,20 @@ def test_cli_batched_kind_without_vector_fails_before_any_run(tmp_path, monkeypa
     assert calls == []
 
 
+def test_cli_batched_random_ties_fail_before_any_run(tmp_path, monkeypatch, capsys):
+    calls = []
+    monkeypatch.setattr(experiments, "_execute", calls.append)
+    monkeypatch.setenv("BINLAB_OUT", str(tmp_path))
+    cfg = tmp_path / "batched.cfg"
+    cfg.write_text("processes = two-choice\nns = 64\nm = 10b\nseed = 5\n"
+                   "batches = 1n\ntie_rule = random\n")
+    assert main(["simulate", str(cfg)]) == 1
+    assert capsys.readouterr().err == (
+        "error: batched rounds break ties by ascending bin id; "
+        "use tie_rule=higher-index or batches=0\n")
+    assert calls == [] and not (tmp_path / "runs.csv").exists()
+
+
 def test_cli_simulate_single_bin_auto_gamma_has_empty_conditions(tmp_path, monkeypatch,
                                                                   capsys):
     cfg = tmp_path / "one.cfg"
@@ -461,6 +475,40 @@ def test_cli_graphical_sweep_bytes_pinned(tmp_path, monkeypatch, capsys, graph, 
     capsys.readouterr()
     digest = hashlib.sha256((tmp_path / "runs.csv").read_bytes()).hexdigest()
     assert digest == _GRAPHICAL_PINS[graph, weights]
+
+
+# sha256 of runs.csv from trajectory sweeps: every per-ball kind (exp1
+# weights where the kind allows them, random ties, gamma = auto), and the
+# batched kinds at n = 10 and 96 with probes off the round boundaries.
+_SWEEP_PINS = {
+    "per-ball-exp1": (
+        "processes = one-choice,two-choice,d-choice:d=3,one-plus-beta:beta=0.5,"
+        "quantile:delta=0.5,reset-memory,graphical\nns = 12,96\nm = 12n\nreps = 2\n"
+        "seed = 3\nweights = exp1\ntie_rule = random\nkeep = trajectory\n"
+        "gamma = auto\nthresholds = 1,2.5\ngraph = cycle\n",
+        "cf81a790e42dbe0724bc5a855f85835883cd316ab45e5ea57c001b86dc90eba3"),
+    "per-ball-unit": (
+        "processes = twinning:delta=0.5,penalty:delta=0.25\nns = 12,96\nm = 12n\n"
+        "reps = 2\nseed = 3\ntie_rule = random\nkeep = trajectory\ngamma = auto\n"
+        "thresholds = 1,2.5\n",
+        "890fc23a9eced0b39fb431632e26af9fe04ad44235d0fdf5332e6d33de18a175"),
+    "batched": (
+        "processes = two-choice,d-choice:d=3,one-plus-beta:beta=0.5,quantile:delta=0.5\n"
+        "ns = 10,96\nm = 40b\nreps = 2\nseed = 4\nbatches = 1n,3n,7\nkeep = trajectory\n"
+        "probe_steps = 0,5,33,101,250,1000\ngamma = 0.5\nthresholds = 1,2\n",
+        "c22019c50488bd8daa7a32fa99174834facf7d6ce799aecabdb72a9caf2052fd"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_SWEEP_PINS))
+def test_cli_sweep_bytes_pinned(tmp_path, monkeypatch, capsys, name):
+    text, sha = _SWEEP_PINS[name]
+    cfg = tmp_path / "sweep.cfg"
+    cfg.write_text(text)
+    monkeypatch.setenv("BINLAB_OUT", str(tmp_path))
+    assert main(["simulate", str(cfg)]) == 0
+    capsys.readouterr()
+    assert hashlib.sha256((tmp_path / "runs.csv").read_bytes()).hexdigest() == sha
 
 
 # at n = 16 the hypercube and the torus grid are 4-regular: a d= that
@@ -715,3 +763,51 @@ def test_traced_names_resolve():
     check = sys.modules["binlab.potentials"].drift_step_bound_check
     assert "trials" in inspect.signature(check).parameters
     assert "path" in inspect.signature(sys.modules["binlab.tableio"].write_csv).parameters
+
+
+def _traced_sweep(tmp_path, cfg_text: str):
+    """``binlab simulate`` under perfbench's spans, in a fresh interpreter:
+    the span totals and the rows written."""
+    tracing = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
+    cfg, spans = tmp_path / "traced.cfg", tmp_path / "spans.bin"
+    cfg.write_text(cfg_text)
+    totals = _fresh(tmp_path, (
+        "import json, runpy\nimport binlab.cli\n"
+        f"tr = runpy.run_path({str(tracing)!r})\n"
+        "rec = tr['SpanRecorder']()\ntr['install'](rec)\n"
+        f"assert binlab.cli.main(['simulate', {str(cfg)!r}]) == 0\n"
+        f"rec.dump({str(spans)!r})\n"
+        f"print(json.dumps(tr['span_totals']({str(spans)!r})))\n"))
+    return totals, read_csv(tmp_path / "runs.csv")
+
+
+def _advance_spans(totals) -> set[str]:
+    return {k for k in totals if k.startswith("processes.engine_advance.")}
+
+
+def test_traced_spans_per_layer(tmp_path):
+    # serial sweeps (far below FANOUT_MIN_BALLS), so every span is recorded here
+    totals, table = _traced_sweep(tmp_path, (
+        "processes = two-choice,twinning:delta=0.5,reset-memory\nns = 16,32\n"
+        "m = 10n\nreps = 2\nkeep = trajectory\n"))
+    assert totals["processes.run"]["calls"] == 3 * 2 * 2
+    assert "processes.run_batched" not in totals
+    assert _advance_spans(totals) == {"processes.engine_advance.two-choice",
+                                      "processes.engine_advance.twinning",
+                                      "processes.engine_advance.reset-memory"}
+    assert totals["processes.snapshot"]["calls"] == len(table)
+
+    totals, table = _traced_sweep(tmp_path, (
+        "processes = two-choice,quantile:delta=0.5\nns = 16\nm = 10b\nreps = 2\n"
+        "batches = 1n,3\nkeep = trajectory\nprobe_steps = 5,17,29\n"))
+    col = {h: i for i, h in enumerate(table.headers)}
+    final = {}
+    for row in table.rows:
+        key = tuple(row[col[h]] for h in ("point", "n", "b", "seed"))
+        final[key] = max(final.get(key, 0), row[col["step"]])
+    assert len(final) == 2 * 2 * 2
+    assert totals["processes.run_batched"]["calls"] == len(final)
+    assert totals["processes.run_batched"]["count"] == sum(final.values())
+    assert "processes.run" not in totals
+    assert _advance_spans(totals) == set()
+    assert totals["processes.snapshot"]["calls"] == len(table)

@@ -4,12 +4,14 @@
 back to without a compiler, runs it ball by ball on the draw chunks the
 kernel reads, under the same rule: a decision needing k bins discards a
 chunk holding fewer.  Each kernel run is compared with it on the same
-source: loads with ``==``, and the ball and step counts.  The full matrix
-of kinds, weight laws, tie rules and sizes runs on short seeded chunks, so
-refills and discards come every few balls; one run per kind on the real
-16 384-draw chunks crosses a chunk boundary on each stream it reads, save
-reset-memory's rare tie coins.  A batched sweep is compared, byte for
-byte, with the same sweep on the numpy rounds.
+source: loads with ``==``, and the ball counts.  The full matrix of kinds,
+weight laws, tie rules and sizes runs on short seeded chunks, so refills
+and discards come every few balls; the same matrix checks the engine
+interface on both engines, and on ``_BatchedEngine`` where a case can be
+batched.  One run per kind on the real 16 384-draw chunks crosses a chunk
+boundary on each stream it reads, save reset-memory's rare tie coins.  A
+batched sweep is compared, byte for byte, with the same sweep on the numpy
+rounds.
 """
 from __future__ import annotations
 
@@ -25,9 +27,9 @@ from binlab.cli import main
 from binlab.core import new_state
 from binlab.experiments import ExperimentConfig, sweep
 from binlab.graphs import cycle_graph
-from binlab.processes import (_CHUNK, _ChunkSource, _Draws, _n_edges,
-                              _ScriptSource, _source, _StepEngine, make_engine,
-                              parse_process, sample_round, step)
+from binlab.processes import (_CHUNK, _BatchedEngine, _ChunkSource, _Draws,
+                              _n_edges, _ScriptSource, _source, _StepEngine,
+                              make_engine, parse_process, sample_round, step)
 from binlab.rng import make_generator
 from binlab.tableio import dumps_csv
 from binlab.weights import parse_weights
@@ -43,6 +45,7 @@ KINDS = ("one-choice", "two-choice", "d-choice:d=3", "one-plus-beta:beta=0.5",
          "quantile:delta=0.5", "twinning:delta=0.5", "penalty:delta=0.25",
          "reset-memory", "graphical")
 UNIT_ONLY = ("twinning", "penalty")
+BATCHED_KINDS = ("one-choice", "two-choice", "d-choice", "one-plus-beta", "quantile")
 TARGETS = (1, 100, 600)
 
 CASES = [(k, w, tie, n)
@@ -63,8 +66,24 @@ def _fallback(spec, n, rng=None, source=None):
 
 
 def _same(eng, ref):
-    return (list(eng.loads) == list(ref.loads) and eng.balls == ref.balls
-            and eng.steps == ref.steps)
+    return list(eng.loads) == list(ref.loads) and eng.balls == ref.balls
+
+
+# balls an advance may run past its target: the most one round allocates
+OVERSHOOT = {"twinning": 2, "penalty": 2, "reset-memory": 2}
+BATCH = 7
+
+
+def _advance_checked(eng, target, overshoot, unit):
+    """``eng.advance(target)``, checking the engine interface on the way."""
+    before = (eng.balls, list(eng.loads))
+    eng.advance(eng.balls)  # a target at or below balls is a no-op
+    eng.advance(0)
+    assert (eng.balls, list(eng.loads)) == before
+    eng.advance(target)
+    assert target <= eng.balls < target + overshoot
+    if unit:
+        assert eng.loads.sum() == eng.balls
 
 
 class _ShortChunks:
@@ -95,10 +114,17 @@ def test_kernel_matches_reference(compiled, text, wtext, tie, n):
     eng = make_engine(spec, n, source=_ShortChunks(41, spec, n))
     ref = _fallback(spec, n, source=_ShortChunks(41, spec, n))
     assert isinstance(eng, kernel.KernelEngine)
+    unit, over = wtext == "unit", OVERSHOOT.get(spec.kind, 1)
+    batched = None
+    if unit and tie == "higher-index" and spec.kind in BATCHED_KINDS:
+        batched = _BatchedEngine(spec, n, BATCH, make_generator(41, n))
     for target in TARGETS:
-        eng.advance(target)
-        ref.advance(target)
+        _advance_checked(eng, target, over, unit)
+        _advance_checked(ref, target, over, unit)
         assert _same(eng, ref), (text, wtext, tie, n, target)
+        if batched is not None:
+            _advance_checked(batched, target, BATCH, unit)
+            assert batched.balls % BATCH == 0
 
 
 class _CountingChunks(_ChunkSource):
@@ -177,7 +203,7 @@ def test_kernel_replays_exact_path_with_random_ties(compiled, text, wtext):
         bins=bins, floats=floats, weights=ws, edges=edges))
     balls = 0
     while balls < target:
-        balls += step(spec, state, draws=draws).balls()
+        balls += len(step(spec, state, draws=draws))
     eng = make_engine(spec, n, source=_ScriptSource(bins=bins, floats=floats,
                                                     weights=ws, edges=edges))
     eng.advance(target)
@@ -198,7 +224,7 @@ def test_short_chunks_discard_like_reference(compiled, text):
                    source=_ShortChunks(2, spec, n))
     balls = 0
     while balls < 500:
-        balls += step(spec, state, draws=draws).balls()
+        balls += len(step(spec, state, draws=draws))
     assert eng.balls == balls
     assert list(eng.loads) == list(state.loads)
 

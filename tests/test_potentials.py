@@ -288,7 +288,7 @@ def _brute_force_change(spec, state, gamma, side) -> Decimal:
     for bins, floats in scripts:
         draws = _Draws(n, parse_weights("unit"),
                        source=_ScriptSource(bins=bins, floats=floats))
-        hit = [state.rank_of[b] for b, _ in sample_round(spec, state, draws=draws).bins_hit]
+        hit = [state.rank_of[b] for b, _ in sample_round(spec, state, draws=draws)]
         for r in range(n):
             c = hit.count(r)
             total += pot[r] * (m_in ** c * m_out ** (len(hit) - c) - 1)
@@ -360,7 +360,7 @@ def test_monte_carlo_step_bound_agrees_with_exact(text, wtext, gamma):
         # one round reads at most two bins, two tie floats and two weights
         source = _ScriptSource(bins=rng.integers(0, n, size=2), floats=rng.random(2),
                                weights=w.sample(rng, 2))
-        return list(sample_round(spec, st, _Draws(n, w, source)).bins_hit)
+        return list(sample_round(spec, st, _Draws(n, w, source)))
 
     for i, side in enumerate(("phi", "psi")):
         exact = drift_step_bound_exact(state, p, law, w, gamma, k=k, r=1.0, side=side)

@@ -18,9 +18,10 @@ import pytest
 
 from binlab import kernel
 from binlab.core import LoadState, new_state, tie_blocks
+from binlab.experiments import ExperimentConfig
 from binlab.graphs import complete_graph, cycle_graph, hypercube_graph
 from binlab.processes import (ENUM_LIMIT, ProbeConfig, ProcessSpec,
-                              RoundOutcome, UnsupportedProcessError, _ChunkSource,
+                              UnsupportedProcessError, _BatchedEngine, _ChunkSource,
                               _Draws, _ScriptSource, _batched_round, _n_edges,
                               _probe_points,
                               _snapshot, allocation_vector, canonical_conditions,
@@ -297,48 +298,47 @@ def scripted(n, wdist=None, n_edges=0, **streams) -> _Draws:
 def test_two_choice_forced_picks_lighter():
     state = LoadState.from_loads([5, 0])
     out = sample_round(u(), state, draws=scripted(2, bins=[0, 1]))
-    assert out.bins_hit == ((1, 1.0),)
-    assert out.samples_used == 2 and out.steps_consumed == 1
+    assert out == ((1, 1.0),)
     assert list(state.loads) == [5, 0]  # sample_round never mutates
 
 
 def test_two_choice_tie_rules():
     state = LoadState.from_loads([3, 3])
     out = sample_round(u(), state, draws=scripted(2, bins=[0, 1]))
-    assert out.bins_hit[0][0] == 1  # higher index wins ties
+    assert out[0][0] == 1  # higher index wins ties
     spec = ProcessSpec(kind="two-choice", tie_rule="random")
     lo = sample_round(spec, state,
                       draws=scripted(2, bins=[0, 1], floats=[0.0]))
     hi = sample_round(spec, state,
                       draws=scripted(2, bins=[0, 1], floats=[0.99]))
-    assert {lo.bins_hit[0][0], hi.bins_hit[0][0]} == {0, 1}
+    assert {lo[0][0], hi[0][0]} == {0, 1}
 
 
 def test_quantile_forced_branches():
     spec = parse_process("quantile:delta=0.5")
     state = LoadState.from_loads([9, 7, 5, 3])
     keep = sample_round(spec, state, draws=scripted(4, bins=[2]))
-    assert keep.bins_hit == ((2, 1.0),) and keep.samples_used == 1
+    assert keep == ((2, 1.0),)
     redraw = sample_round(spec, state, draws=scripted(4, bins=[0, 3]))
-    assert redraw.bins_hit == ((3, 1.0),) and redraw.samples_used == 2
+    assert redraw == ((3, 1.0),)
 
 
 def test_twinning_forced_branches():
     spec = parse_process("twinning:delta=0.5")
     state = LoadState.from_loads([9, 7, 5, 3])
     heavy = sample_round(spec, state, draws=scripted(4, bins=[0]))
-    assert heavy.bins_hit == ((0, 1.0),)
+    assert heavy == ((0, 1.0),)
     light = sample_round(spec, state, draws=scripted(4, bins=[3]))
-    assert light.bins_hit == ((3, 1.0), (3, 1.0))  # twin lands in the same bin
+    assert light == ((3, 1.0), (3, 1.0))  # twin lands in the same bin
 
 
 def test_penalty_forced_branches():
     spec = parse_process("penalty:delta=0.5")
     state = LoadState.from_loads([9, 7, 5, 3])
     light = sample_round(spec, state, draws=scripted(4, bins=[3]))
-    assert light.bins_hit == ((3, 1.0),)
+    assert light == ((3, 1.0),)
     heavy = sample_round(spec, state, draws=scripted(4, bins=[0, 2]))
-    assert heavy.bins_hit == ((2, 1.0), (2, 1.0))  # both balls to the second draw
+    assert heavy == ((2, 1.0), (2, 1.0))  # both balls to the second draw
 
 
 def test_reset_memory_compares_round_start_loads():
@@ -347,9 +347,8 @@ def test_reset_memory_compares_round_start_loads():
     out = step(spec, state, draws=scripted(2, bins=[0, 1]))
     # ball 1 raises bin 0 to 1, but the comparison uses the round-start
     # loads (0, 1), so ball 2 still goes to bin 0
-    assert out.bins_hit == ((0, 1.0), (0, 1.0))
+    assert out == ((0, 1.0), (0, 1.0))
     assert list(state.loads) == [2, 1]
-    assert out.steps_consumed == 2
 
 
 def test_one_plus_beta_forced_coin():
@@ -357,17 +356,17 @@ def test_one_plus_beta_forced_coin():
     state = LoadState.from_loads([4, 0, 2])
     one = sample_round(spec, state,
                        draws=scripted(3, bins=[0], floats=[0.9]))
-    assert one.bins_hit == ((0, 1.0),) and one.samples_used == 1
+    assert one == ((0, 1.0),)
     two = sample_round(spec, state,
                        draws=scripted(3, bins=[0, 2], floats=[0.1]))
-    assert two.bins_hit == ((2, 1.0),) and two.samples_used == 2
+    assert two == ((2, 1.0),)
 
 
 def test_graphical_forced_edge():
     spec = ProcessSpec(kind="graphical", graph=cycle_graph(4))
     state = LoadState.from_loads([0, 5, 3, 1])
     out = sample_round(spec, state, draws=scripted(4, n_edges=4, edges=[1]))
-    assert out.bins_hit == ((2, 1.0),)  # edge (1,2): bin 2 is lighter
+    assert out == ((2, 1.0),)  # edge (1,2): bin 2 is lighter
 
 
 def test_weighted_round_consumes_weight_draw():
@@ -375,8 +374,7 @@ def test_weighted_round_consumes_weight_draw():
     state = LoadState.from_loads([5, 0])
     out = sample_round(spec, state,
                        draws=scripted(2, spec.weights, bins=[0, 1], weights=[2.5]))
-    assert out.bins_hit == ((1, 2.5),)
-    assert out.total_weight() == 2.5
+    assert out == ((1, 2.5),)
 
 
 def test_forced_draws_exhaustion():
@@ -423,7 +421,7 @@ def test_sampler_matches_enumeration_on_every_script(text, graph, tie):
                                                      float_scripts):
             draws = scripted(n, n_edges=_n_edges(spec), bins=bins, floats=floats,
                              edges=edges)
-            for b, _ in sample_round(spec, state, draws=draws).bins_hit:
+            for b, _ in sample_round(spec, state, draws=draws):
                 got[state.rank_of[b]] += share
         assert got == expected_ball_counts(spec, state), loads
 
@@ -456,7 +454,7 @@ def round_law_brute_force(spec, state) -> dict:
                                                  float_scripts):
         draws = scripted(n, n_edges=_n_edges(spec), bins=bins, floats=floats,
                          edges=edges)
-        hit = [state.rank_of[b] for b, _ in sample_round(spec, state, draws=draws).bins_hit]
+        hit = [state.rank_of[b] for b, _ in sample_round(spec, state, draws=draws)]
         for r in range(n):
             row = law.setdefault((len(hit), hit.count(r)), [F(0)] * n)
             row[r] += share
@@ -562,7 +560,7 @@ def test_engine_replays_exact_path(text, wtext):
     draws = scripted(n, spec.weights, bins=bins, floats=floats, weights=wdraws)
     balls = 0
     while balls < target:
-        balls += step(spec, state, draws=draws).balls()
+        balls += len(step(spec, state, draws=draws))
 
     eng = make_engine(spec, n, source=_ScriptSource(bins=bins, floats=floats,
                                                     weights=wdraws))
@@ -815,6 +813,19 @@ def test_run_batched_rejects_weighted_and_dynamic():
         run_batched(parse_process("twinning:delta=0.5"), 16, 64, b=16, seed=0)
 
 
+def test_batched_rounds_refuse_random_ties():
+    # a round ranks its bins with ties by ascending id whatever the rule says
+    spec = ProcessSpec(kind="two-choice", tie_rule="random")
+    with pytest.raises(ValueError, match="ascending bin id"):
+        run_batched(spec, 64, 640, b=64, seed=5)
+    with pytest.raises(ValueError, match="ascending bin id"):
+        _BatchedEngine(spec, 64, 64, make_generator(5, 0))
+    with pytest.raises(ValueError, match="ascending bin id"):
+        ExperimentConfig(processes=("two-choice",), ns=(64,), batches=("0", "1n"),
+                         tie_rule="random")
+    ExperimentConfig(processes=("two-choice",), ns=(64,), tie_rule="random")
+
+
 def test_run_batched_gap_grows_with_b():
     spec = u()
     n = 256
@@ -838,9 +849,6 @@ def test_round_outcome_invariants(text):
     draws = _Draws(8, spec.weights, _ChunkSource(make_generator(23, 1), 8, spec.weights))
     for _ in range(200):
         out = step(spec, state, draws)
-        assert isinstance(out, RoundOutcome)
-        assert 1 <= out.balls() <= 2
-        assert out.steps_consumed in (1, 2)
-        assert out.samples_used >= 1
-        assert all(0 <= b < 8 and w > 0 for b, w in out.bins_hit)
+        assert 1 <= len(out) <= 2
+        assert all(0 <= b < 8 and w > 0 for b, w in out)
     assert state.total_weight == pytest.approx(sum(state.loads))
