@@ -3,17 +3,18 @@
  *
  * binlab_advance() runs one engine until at least `target` balls are
  * allocated.  Random draws arrive in chunks that the Python side supplies
- * through the refill callback, which the loops call at exactly the points
- * where the Python reference engines call their draw source, including
- * the rule that a decision needing k bins discards the rest of a chunk
- * holding fewer than k (a fresh chunk that short is an error).  So both
- * paths consume one stream identically.
+ * through the refill callback.  The loops read them in the order of the
+ * draw protocol that processes._Draws defines for the exact path `step`,
+ * including its rule that a decision needing k bins discards the rest of
+ * a chunk holding fewer than k (a fresh chunk that short is an error).  So
+ * both paths consume one stream identically.
  * The Python side checks that every bin or edge index is in range.
  *
  * Loads are doubles.  Unit counts stay exact below 2^53, and weighted sums
  * round exactly as Python floats do, provided the file is compiled without
  * FMA contraction or fast-math (see binlab/kernel.py for the flags).
  */
+#include <math.h>
 #include <stdint.h>
 #include <stdlib.h>
 
@@ -33,13 +34,15 @@ typedef struct {
     stream_t s[3];
     refill_fn refill;        /* sets s[stream].buf and .len; nonzero on error */
     double *loads;
-    int64_t balls, steps;
+    int64_t n, balls;
     int64_t family, random_ties, unit;
     int64_t d;               /* CHOICE: samples per ball */
     double beta;             /* CHOICE: one-plus-beta mixing probability, or -1 */
     int64_t t;               /* threshold kinds: size of the top-t set */
-    int64_t *heap;           /* top-t members, a min-heap on (load, -bin) */
-    int64_t *slot;           /* heap index of each bin, -1 for non-members */
+    double wl;               /* unit weights: load and id of the top set's */
+    int64_t wc;              /* weakest member, which fixes the whole set */
+    int64_t *heap;           /* weighted QUANTILE: top-t members, a min-heap on (load, -bin) */
+    int64_t *slot;           /* weighted QUANTILE: heap index of each bin, -1 for non-members */
     const int64_t *eu, *ev;  /* GRAPH: edge endpoints */
 } engine_t;
 
@@ -114,7 +117,10 @@ static void sift_down(engine_t *e, int64_t i)
     slot[x] = i;
 }
 
-/* The load of bin b grew: restore the heap, or let b displace the weakest
+/* Weighted quantile keeps its top-t members in a heap on (load, -bin):
+ * its loads rarely tie, so nearly every change of the top set would take
+ * the weakest-member pointer's O(n) pass (see advance_threshold).
+ * The load of bin b grew: restore the heap, or let b displace the weakest
  * member when it now beats it.  Only b changed, so one swap keeps the set
  * exactly the top t ranks. */
 static void raised(engine_t *e, int64_t b)
@@ -189,53 +195,107 @@ static int advance_choice(engine_t *e, int64_t target)
         balls++;
     }
 done:
-    e->steps += balls - e->balls;
     e->balls = balls;
     return rc;
 }
 
+/* Threshold kinds: is the sampled bin among the t heaviest?
+ *
+ * With unit weights the top set is fixed by its weakest member (wl, wc)
+ * in the order heavier first, then lower id: a bin is a member when it is
+ * at least as strong.  Only the bin a ball lands on changes, so the set
+ * changes only when that bin rises above the weakest member, from below
+ * or from being it.  The new weakest member is then the weakest bin above
+ * the old one: the next lower id at load wl, or else the highest id at
+ * the lowest load above wl, which for whole loads is nearly always
+ * wl + 1.  Within one wl, wc only moves down, and wl rises about once per
+ * n balls, so the upkeep is amortised O(1) per ball.
+ */
+
+/* Bin b at load l is stronger than the weakest member (wl, wc). */
+static inline int above(double l, int64_t b, double wl, int64_t wc)
+{
+    return (l > wl) | ((l == wl) & (b < wc));
+}
+
+/* The highest id at or below i whose load is exactly l, or -1. */
+static inline int64_t highest_at(const double *L, int64_t i, double l)
+{
+    while (i >= 0 && L[i] != l)
+        i--;
+    return i;
+}
+
+/* The weakest bin above (*wl, *wc), which moves there. */
+static void next_weakest(const double *L, int64_t n, double *wl, int64_t *wc)
+{
+    int64_t i = highest_at(L, *wc - 1, *wl);
+    if (i < 0) {
+        double up = *wl + 1.0;  /* loads are whole: most often the next one up */
+        i = highest_at(L, n - 1, up);
+        if (i < 0) {
+            up = INFINITY;
+            for (int64_t j = 0; j < n; j++)
+                up = L[j] > *wl && L[j] < up ? L[j] : up;
+            i = highest_at(L, n - 1, up);
+        }
+        *wl = up;
+    }
+    *wc = i;
+}
+
 static int advance_threshold(engine_t *e, int64_t target)
 {
+    double *L = e->loads, wl = e->wl;
+    int64_t balls = e->balls, wc = e->wc, b, add;
+    int rc = OK;
+    while (balls < target) {
+        NEXT_BIN(b);
+        int member = above(L[b], b, wl, wc) | (b == wc);
+        add = 1;
+        if (e->family == TWINNING) {
+            add += !member;
+        } else if (member) {  /* resampled: quantile's one ball, penalty's two */
+            NEXT_BIN(b);
+            add += e->family == PENALTY;
+        }
+        double l = L[b];
+        L[b] = l + (double)add;
+        if (!above(l, b, wl, wc) & above(L[b], b, wl, wc))
+            next_weakest(L, e->n, &wl, &wc);
+        balls += add;
+    }
+done:
+    e->balls = balls;
+    e->wl = wl;
+    e->wc = wc;
+    return rc;
+}
+
+static int advance_weighted_quantile(engine_t *e, int64_t target)
+{
     double *L = e->loads;
-    const int64_t *slot = e->slot;
-    int64_t balls = e->balls, steps = e->steps, b;
+    int64_t balls = e->balls, b;
     int rc = OK;
     double x;
     while (balls < target) {
         NEXT_BIN(b);
-        if (e->family == TWINNING) {
-            int64_t add = slot[b] >= 0 ? 1 : 2;
-            L[b] += (double)add;
-            balls += add;
-        } else if (e->family == PENALTY) {
-            if (slot[b] < 0) {
-                L[b] += 1.0;
-                balls += 1;
-            } else {
-                NEXT_BIN(b);
-                L[b] += 2.0;
-                balls += 2;
-            }
-        } else {  /* QUANTILE: a member of the top set is resampled */
-            if (slot[b] >= 0)
-                NEXT_BIN(b);
-            NEXT_WEIGHT(x);
-            L[b] += x;
-            balls += 1;
-        }
+        if (e->slot[b] >= 0)
+            NEXT_BIN(b);
+        NEXT_WEIGHT(x);
+        L[b] += x;
+        balls++;
         raised(e, b);
-        steps++;
     }
 done:
     e->balls = balls;
-    e->steps = steps;
     return rc;
 }
 
 static int advance_reset(engine_t *e, int64_t target)
 {
     double *L = e->loads;
-    int64_t balls = e->balls, steps = e->steps;
+    int64_t balls = e->balls;
     int rc = OK;
     while (balls < target) {
         NEED(BINS, 2);
@@ -252,11 +312,9 @@ static int advance_reset(engine_t *e, int64_t target)
         NEXT_WEIGHT(x);
         L[b] += x;
         balls += 2;
-        steps += 2;
     }
 done:
     e->balls = balls;
-    e->steps = steps;
     return rc;
 }
 
@@ -280,7 +338,6 @@ static int advance_graph(engine_t *e, int64_t target)
         balls++;
     }
 done:
-    e->steps += balls - e->balls;
     e->balls = balls;
     return rc;
 }
@@ -291,6 +348,9 @@ int binlab_advance(engine_t *e, int64_t target)
     case CHOICE:
         return advance_choice(e, target);
     case QUANTILE:
+        if (!e->unit)
+            return advance_weighted_quantile(e, target);
+        /* fall through */
     case TWINNING:
     case PENALTY:
         return advance_threshold(e, target);
@@ -299,6 +359,12 @@ int binlab_advance(engine_t *e, int64_t target)
     default:
         return advance_graph(e, target);
     }
+}
+
+/* The size of engine_t, which kernel.py's ctypes mirror must match. */
+int64_t binlab_engine_size(void)
+{
+    return (int64_t)sizeof(engine_t);
 }
 
 /* Batched rounds: binlab_batched() applies `rounds` rows of rank counts to

@@ -18,6 +18,7 @@ from .configfile import load_config
 from .core import LoadState
 from .experiments import aggregate, scaled_count, sweep
 from .graphs import EXACT_LIMIT, conductance_bounds, conductance_exact, read_graph_file
+from .kernel import check_ball_target
 from .potentials import (certify_drift, drift_step_bound_exact, gamma_for_weighted,
                          require_c1)
 from .processes import (UnsupportedProcessError, allocation_vector,
@@ -138,8 +139,9 @@ def _cmd_drift_check(args) -> int:
                 gamma = float(cfg.gamma)
             p = comparison_vector(spec, n)
             require_c1(p, cond)
-            eng = make_engine(spec, n, make_generator(seed, pi, ni))
             m = scaled_count(cfg.m, n)
+            check_ball_target(m)
+            eng = make_engine(spec, n, make_generator(seed, pi, ni))
             k_quad = 2.0 * cond.c_cap * s
             for probe_at in range(0, m + 1, max(n, 1)):
                 eng.advance(probe_at)

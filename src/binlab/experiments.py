@@ -154,6 +154,7 @@ def sweep(cfg: ExperimentConfig) -> Table:
                 if b > 0:
                     rank_vector(spec, n)  # raises here, before any run, if it has none
                 m = scaled_count(cfg.m, n, b)
+                kernel.check_ball_target(m)  # here, before any run starts
                 gamma, cond = None, (None,) * 4
                 if cfg.gamma == "auto":
                     gamma, cond = _auto_gamma(spec, n, wdist)

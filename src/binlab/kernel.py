@@ -51,11 +51,12 @@ class _Engine(ctypes.Structure):
     """Mirror of ``engine_t`` in _kernel.c."""
 
     _fields_ = [("s", _Stream * 3), ("refill", _Refill),
-                ("loads", ctypes.c_void_p), ("balls", ctypes.c_int64),
-                ("steps", ctypes.c_int64), ("family", ctypes.c_int64),
+                ("loads", ctypes.c_void_p), ("n", ctypes.c_int64),
+                ("balls", ctypes.c_int64), ("family", ctypes.c_int64),
                 ("random_ties", ctypes.c_int64), ("unit", ctypes.c_int64),
                 ("d", ctypes.c_int64), ("beta", ctypes.c_double),
-                ("t", ctypes.c_int64), ("heap", ctypes.c_void_p),
+                ("t", ctypes.c_int64), ("wl", ctypes.c_double),
+                ("wc", ctypes.c_int64), ("heap", ctypes.c_void_p),
                 ("slot", ctypes.c_void_p), ("eu", ctypes.c_void_p),
                 ("ev", ctypes.c_void_p)]
 
@@ -112,6 +113,7 @@ def load():
     lib.binlab_batched.argtypes = [ctypes.c_void_p, ctypes.c_int64,
                                    ctypes.c_void_p, ctypes.c_int64]
     lib.binlab_batched.restype = ctypes.c_int
+    lib.binlab_engine_size.restype = ctypes.c_int64
     return lib
 
 
@@ -129,6 +131,15 @@ def apply_rounds(lib, loads: np.ndarray, counts: np.ndarray) -> None:
     if lib.binlab_batched(loads.ctypes.data, len(loads), counts.ctypes.data,
                           len(counts)) == _NO_MEMORY:
         raise MemoryError("no memory to rank a batched round")
+
+
+def check_ball_target(target: int) -> None:
+    """Refuse a ball target outside [0, 2^63).  The kernel counts balls in
+    an int64, to which ctypes would wrap a larger target, and the Python
+    engines would never reach one: every run checks its target here before
+    its engine advances."""
+    if not 0 <= target < 1 << 63:
+        raise ValueError(f"ball target {target} is outside [0, 2^63)")
 
 
 class KernelEngine:
@@ -149,7 +160,7 @@ class KernelEngine:
         self.loads = np.zeros(n)
         self._advance = lib.binlab_advance
         st = self._st = _Engine()
-        st.loads = self.loads.ctypes.data
+        st.loads, st.n = self.loads.ctypes.data, n
         st.family = _FAMILY[spec.kind]
         st.random_ties = spec.tie_rule == "random"
         st.unit = spec.weights.kind == "unit"
@@ -158,12 +169,14 @@ class KernelEngine:
         self._arrays = [self.loads]  # everything the kernel points into
         if spec.kind in ("quantile", "twinning", "penalty"):
             # top-t members 0..t-1 at equal load: the highest id is weakest
-            t = quantile_index(spec.delta, n)
-            heap = np.arange(t - 1, -1, -1, dtype=np.int64)
-            slot = np.full(n, -1, dtype=np.int64)
-            slot[heap] = np.arange(t)
-            st.t, st.heap, st.slot = t, heap.ctypes.data, slot.ctypes.data
-            self._arrays += [heap, slot]
+            st.t = t = quantile_index(spec.delta, n)
+            st.wc = t - 1  # at wl = 0
+            if not st.unit:  # weighted quantile keeps its members in a heap
+                heap = np.arange(t - 1, -1, -1, dtype=np.int64)
+                slot = np.full(n, -1, dtype=np.int64)
+                slot[heap] = np.arange(t)
+                st.heap, st.slot = heap.ctypes.data, slot.ctypes.data
+                self._arrays += [heap, slot]
         bound = n  # of the indices on the BINS stream
         if spec.kind == "graphical":
             ends = np.array(spec.graph.edges, dtype=np.int64).reshape(-1, 2)
@@ -201,8 +214,7 @@ class KernelEngine:
         return self._st.balls
 
     def advance(self, target: int) -> None:
-        if not 0 <= target < 1 << 63:  # ctypes would wrap it to an int64
-            raise ValueError(f"ball target {target} is outside [0, 2^63)")
+        check_ball_target(target)
         rc = self._advance(ctypes.byref(self._st), target)
         if rc == _REFILL_FAILED:
             raise self._errors.pop()

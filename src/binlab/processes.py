@@ -845,8 +845,9 @@ def run(spec: ProcessSpec, n: int, m: int, seed: int,
     recorded step is the actual ball count.  Deterministic in (spec, n, m,
     seed).
     """
-    if n < 1 or m < 0:
-        raise ValueError("need n >= 1 and m >= 0")
+    if n < 1:
+        raise ValueError("need n >= 1")
+    kernel.check_ball_target(m)
     eng = make_engine(spec, n, make_generator(seed, 0))
     return _probe_run(eng, probe, n, m, seed)
 
@@ -855,8 +856,9 @@ def run_batched(spec: ProcessSpec, n: int, m: int, b: int, seed: int,
                 probe: ProbeConfig | None = None) -> list[ProbeRow]:
     """``run`` on ``_BatchedEngine``'s rounds of b balls; probes land on
     round boundaries."""
-    if n < 1 or m < 0:
-        raise ValueError("need n >= 1 and m >= 0")
+    if n < 1:
+        raise ValueError("need n >= 1")
+    kernel.check_ball_target(m)
     # not through make_engine, whose engines the benchmark times as per-ball work
     eng = _BatchedEngine(spec, n, b, make_generator(seed, 0))
     return _probe_run(eng, probe, n, m, seed)

@@ -9,12 +9,14 @@ weight laws, tie rules and sizes runs on short seeded chunks, so refills
 and discards come every few balls; the same matrix checks the engine
 interface on both engines, and on ``_BatchedEngine`` where a case can be
 batched.  One run per kind on the real 16 384-draw chunks crosses a chunk
-boundary on each stream it reads, save reset-memory's rare tie coins.  A
-batched sweep is compared, byte for byte, with the same sweep on the numpy
-rounds.
+boundary on each stream it reads, save reset-memory's rare tie coins.  The
+threshold kinds' top set is stressed at both ends of t, on draws that
+spread the loads wide, and at n = 1024.  A batched sweep is compared, byte
+for byte, with the same sweep on the numpy rounds.
 """
 from __future__ import annotations
 
+import ctypes
 import itertools
 import os
 import subprocess
@@ -250,6 +252,90 @@ def test_ball_target_outside_int64_is_an_error(compiled, tmp_path, capsys, m):
     assert main(["simulate", str(cfg), "--out", str(out)]) == 1
     assert "outside [0, 2^63)" in capsys.readouterr().err
     assert not out.exists()
+
+
+def test_ball_target_check_runs_before_any_engine(tmp_path):
+    # without the kernel, _StepEngine and _BatchedEngine would count towards
+    # 2^63 for ever: every path must refuse the target first
+    code = ("import sys\n"
+            "from binlab import kernel\n"
+            "from binlab.cli import main\n"
+            "from binlab.processes import parse_process, run, run_batched\n"
+            "kernel.load = lambda: None\n"
+            "spec, m = parse_process('two-choice'), 1 << 63\n"
+            "for go in (lambda: run(spec, 8, m, 1), lambda: run_batched(spec, 8, m, 8, 1)):\n"
+            "    try:\n"
+            "        go()\n"
+            "    except ValueError as exc:\n"
+            "        print(exc)\n"
+            "print([main(args.split()) for args in sys.argv[1:]])\n")
+    common = f"ns = 8\nm = {1 << 63}\n"
+    per_ball, batched = tmp_path / "per-ball.cfg", tmp_path / "batched.cfg"
+    per_ball.write_text("processes = two-choice,twinning:delta=0.5\n" + common)
+    batched.write_text("processes = two-choice\nbatches = 1n\n" + common)
+    out = tmp_path / "out.csv"
+    commands = (f"simulate {per_ball} --out {out}", f"simulate {batched} --out {out}",
+                f"drift-check {per_ball} --out {out} --checks-out {out}")
+    proc = subprocess.run([sys.executable, "-c", code, *commands], timeout=60,
+                          capture_output=True, text=True, check=True)
+    assert proc.stdout.split("\n")[-2] == "[1, 1, 1]"
+    assert proc.stdout.count("outside [0, 2^63)") == 2  # run, run_batched
+    assert proc.stderr.count("outside [0, 2^63)") == 3
+    assert not out.exists()
+
+
+def test_engine_struct_matches_kernel(compiled):
+    # a field added on one side only would shift every field after it
+    assert kernel.load().binlab_engine_size() == ctypes.sizeof(kernel._Engine)
+
+
+def _skewed_bins(seed, n, count):
+    """Bins of which nine in ten hit ids 0-2: their loads run far ahead, the
+    spread grows wide, and the top set's weakest member often has to jump
+    over loads no bin holds."""
+    rng = make_generator(seed, n)
+    bins = rng.integers(0, n, size=count)
+    hot = rng.random(count) < 0.9
+    bins[hot] = rng.integers(0, 3, size=int(hot.sum()))
+    return bins.tolist()
+
+
+POINTER_CASES = [(k, w, t, skewed)
+                 for k, w in (("quantile", "unit"), ("twinning", "unit"),
+                              ("penalty", "unit"), ("quantile", "poisson:l=0.3"))
+                 for t in (1, 2, 8, 15) for skewed in (True, False)]
+
+
+@pytest.mark.parametrize("kind,wtext,t,skewed", POINTER_CASES,
+                         ids=["-".join(map(str, c)) for c in POINTER_CASES])
+def test_top_set_matches_step(compiled, kind, wtext, t, skewed):
+    # t = 1 and t = n - 1 are the ends of the top set's range; poisson
+    # weights are 0 on three balls in four, so a ball often leaves a load,
+    # the weakest member's included, where it was
+    n, count = 16, 4000
+    spec = _spec(f"{kind}:delta={t / n}", wtext, n=n)
+    rng = make_generator(11, t, skewed)
+    bins = _skewed_bins(t, n, count) if skewed else rng.integers(0, n, count).tolist()
+    script = dict(bins=bins, weights=spec.weights.sample(rng, count).tolist())
+    eng = make_engine(spec, n, source=_ScriptSource(**script))
+    ref = _fallback(spec, n, source=_ScriptSource(**script))
+    eng.advance(count // 2 - 1)  # a decision reads at most two bins
+    ref.advance(count // 2 - 1)
+    assert _same(eng, ref)
+    if skewed:
+        assert eng.loads.max() - eng.loads.min() > 100
+
+
+@pytest.mark.parametrize("text", ["quantile:delta=0.5", "twinning:delta=0.5",
+                                  "penalty:delta=0.25"])
+def test_threshold_kinds_match_step_at_scale(compiled, text):
+    n = 1024
+    spec = _spec(text, n=n)
+    eng = make_engine(spec, n, make_generator(9, n))
+    ref = _fallback(spec, n, make_generator(9, n))
+    eng.advance(20 * n)
+    ref.advance(20 * n)
+    assert _same(eng, ref)
 
 
 @pytest.mark.parametrize("d,tie", [(300, "higher-index"), (300, "random"),
