@@ -15,20 +15,13 @@ from fractions import Fraction
 
 from .checks import CERT_CSV_HEADER, CHECK_CSV_HEADER, PreconditionError
 from .configfile import load_config
-from .core import LoadState
-from .experiments import aggregate, scaled_count, sweep
+from .experiments import aggregate, certify, scaled_count, sweep
 from .graphs import EXACT_LIMIT, conductance_bounds, conductance_exact, read_graph_file
-from .kernel import check_ball_target
-from .potentials import (certify_drift, drift_step_bound_exact, gamma_for_weighted,
-                         require_c1)
 from .processes import (UnsupportedProcessError, allocation_vector,
-                        canonical_conditions, comparison_vector, make_engine,
-                        parse_process, round_law)
-from .rng import make_generator
+                        canonical_conditions, parse_process)
 from .selftest import GROUPS, run_selftest
 from .tableio import read_csv, write_csv
 from .vectors import check_conditions
-from .weights import parse_weights, s_for_gamma
 from .svgplot import PlotSpec, render_svg
 
 
@@ -50,28 +43,22 @@ def _frac(x: float) -> str:
     return str(Fraction(x).limit_denominator(10 ** 6))
 
 
-def _simulate_unsupported(cfg) -> str | None:
-    """The first config setting simulate would ignore, as a message."""
+def _refuse_simulate_ignored(cfg) -> None:
+    """Raise ValueError naming the first config key simulate would ignore."""
     graphical = any(p.strip().partition(":")[0] == "graphical" for p in cfg.processes)
     ignored = (
         ("probe_steps", cfg.probe_steps is not None and cfg.keep == "final",
          "under keep = final, which probes at m only"),
-        ("cond_delta", bool(cfg.cond_delta), "(drift-check only)"),
-        ("cond_epsilon", bool(cfg.cond_epsilon), "(drift-check only)"),
         ("graph", bool(cfg.graph) and not graphical, "without a graphical process"),
     )
     for key, is_set, why in ignored:
         if is_set:
-            return f"config key {key} is not supported by simulate {why}"
-    return None
+            raise ValueError(f"config key {key} is not supported by simulate {why}")
 
 
 def _cmd_simulate(args) -> int:
     cfg = load_config(args.config)
-    problem = _simulate_unsupported(cfg)
-    if problem:
-        print(f"error: {problem}", file=sys.stderr)
-        return 1
+    _refuse_simulate_ignored(cfg)
     if args.seed is not None:
         cfg = replace(cfg, seed=args.seed)
     table = sweep(cfg)
@@ -86,8 +73,8 @@ def _cmd_simulate(args) -> int:
     return 0
 
 
-def _drift_check_unsupported(cfg) -> str | None:
-    """The first config setting drift-check would ignore, as a message."""
+def _refuse_drift_check_ignored(cfg) -> None:
+    """Raise ValueError naming the first config key drift-check would ignore."""
     ignored = (
         ("batches", any(scaled_count(b, 2) > 0 for b in cfg.batches)),
         ("probe_steps", cfg.probe_steps is not None),
@@ -98,11 +85,10 @@ def _drift_check_unsupported(cfg) -> str | None:
     )
     for key, is_set in ignored:
         if is_set:
-            return f"config key {key} is not supported by drift-check"
+            raise ValueError(f"config key {key} is not supported by drift-check")
     for ptext in cfg.processes:
         if ptext.strip().partition(":")[0] == "graphical":
-            return "graphical processes are not supported by drift-check"
-    return None
+            raise ValueError("graphical processes are not supported by drift-check")
 
 
 def _tightest(results) -> str:
@@ -116,47 +102,15 @@ def _tightest(results) -> str:
 
 def _cmd_drift_check(args) -> int:
     cfg = load_config(args.config)
-    problem = _drift_check_unsupported(cfg)
-    if problem:
-        print(f"error: {problem}", file=sys.stderr)
-        return 1
-    seed = args.seed if args.seed is not None else cfg.seed
-    wdist = parse_weights(cfg.weights)
-    certs, checks = [], []
-    for pi, ptext in enumerate(cfg.processes):
-        spec = parse_process(ptext, weights=wdist, tie_rule=cfg.tie_rule)
-        for ni, n in enumerate(cfg.ns):
-            cond = canonical_conditions(spec, n)
-            if cfg.cond_delta or cfg.cond_epsilon:
-                cond = type(cond)(
-                    delta=float(cfg.cond_delta) if cfg.cond_delta else cond.delta,
-                    epsilon=float(cfg.cond_epsilon) if cfg.cond_epsilon else cond.epsilon,
-                    c_cap=cond.c_cap)
-            s = s_for_gamma(wdist)
-            if cfg.gamma == "auto" or not cfg.gamma:
-                gamma = gamma_for_weighted(cond, cond.c_cap, s)
-            else:
-                gamma = float(cfg.gamma)
-            p = comparison_vector(spec, n)
-            require_c1(p, cond)
-            m = scaled_count(cfg.m, n)
-            check_ball_target(m)
-            eng = make_engine(spec, n, make_generator(seed, pi, ni))
-            k_quad = 2.0 * cond.c_cap * s
-            for probe_at in range(0, m + 1, max(n, 1)):
-                eng.advance(probe_at)
-                state = LoadState.from_loads(eng.loads)
-                certs.append(certify_drift(state, p, cond, gamma, c1_checked=True))
-                law = round_law(spec, state)
-                for side in ("phi", "psi"):
-                    checks.append(drift_step_bound_exact(
-                        state, p, law, wdist, gamma, k=k_quad, r=1.0, side=side))
-    cert_out = _out_path(args.out)
-    with open(cert_out, "w", newline="") as fh:
-        fh.write("\n".join([CERT_CSV_HEADER] + [c.csv_row() for c in certs]) + "\n")
-    checks_out = _out_path(args.checks_out)
-    with open(checks_out, "w", newline="") as fh:
-        fh.write("\n".join([CHECK_CSV_HEADER] + [c.csv_row() for c in checks]) + "\n")
+    _refuse_drift_check_ignored(cfg)
+    if args.seed is not None:
+        cfg = replace(cfg, seed=args.seed)
+    certs, checks = certify(cfg)
+    cert_out, checks_out = _out_path(args.out), _out_path(args.checks_out)
+    for path, header, rows in ((cert_out, CERT_CSV_HEADER, certs),
+                               (checks_out, CHECK_CSV_HEADER, checks)):
+        with open(path, "w", newline="") as fh:
+            fh.write("\n".join([header] + [r.csv_row() for r in rows]) + "\n")
     n_fail = sum(not res.passed for res in certs + checks)
     print(f"drift-check: {len(certs)} certificates + {len(checks)} step-bound checks, "
           f"{n_fail} failures -> {cert_out}, {checks_out}")

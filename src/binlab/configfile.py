@@ -21,8 +21,6 @@ Schema (defaults in parentheses):
     graph        for graphical processes: complete | cycle | hypercube |
                  torus-grid | random-regular:d=<d> ("")
     keep         final | trajectory ("final")
-    cond_delta   drift-check only: override the canonical delta ("")
-    cond_epsilon drift-check only: override the canonical epsilon ("")
 """
 from __future__ import annotations
 
@@ -30,8 +28,7 @@ from .experiments import ExperimentConfig
 
 _LIST_KEYS = {"processes", "ns", "batches", "thresholds", "probe_steps"}
 _INT_KEYS = {"reps", "seed"}
-_STR_KEYS = {"m", "weights", "gamma", "tie_rule", "graph", "keep",
-             "cond_delta", "cond_epsilon"}
+_STR_KEYS = {"m", "weights", "gamma", "tie_rule", "graph", "keep"}
 
 
 def parse_config_text(text: str) -> ExperimentConfig:

@@ -17,13 +17,16 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import kernel
+from .core import LoadState
 from .graphs import RegularGraph, build_graph, conductance_lower_bound
-from .potentials import gamma_for_weighted
+from .potentials import (certify_drift, drift_step_bound_exact, gamma_for_weighted,
+                         require_c1, require_exact_gamma)
 from .processes import (ProbeConfig, ProbeRow, ProcessSpec, UnsupportedProcessError,
-                        canonical_conditions, parse_process, rank_vector, run,
-                        run_batched)
+                        canonical_conditions, comparison_vector, make_engine,
+                        parse_process, rank_vector, round_law, run, run_batched)
+from .rng import make_generator
 from .tableio import Table
-from .weights import WeightDistribution, parse_weights, s_for_gamma
+from .weights import parse_weights, s_for_gamma
 
 _SCALED = re.compile(r"^(\d+)(n|nlogn|b)?$")
 
@@ -64,8 +67,6 @@ class ExperimentConfig:
     tie_rule: str = "higher-index"
     graph: str = ""                     # graph kind for graphical processes
     keep: str = "final"                 # "final" or "trajectory"
-    cond_delta: str = ""                # drift-check: override canonical delta
-    cond_epsilon: str = ""              # drift-check: override canonical epsilon
 
     def __post_init__(self):
         if not self.processes:
@@ -104,19 +105,31 @@ class ExperimentConfig:
                                  "use tie_rule=higher-index or batches=0")
 
 
-def _auto_gamma(spec: ProcessSpec, n: int, wdist: WeightDistribution):
-    """gamma = eps*delta/(16*C*S) from the process's canonical conditions,
-    with (delta, eps, C, S); all None when the process has no bias margin."""
-    try:
-        if spec.kind == "graphical":
-            eps = conductance_lower_bound(spec.graph)
-            cond = canonical_conditions(spec, n, graph_eps=eps)
-        else:
-            cond = canonical_conditions(spec, n)
-    except UnsupportedProcessError:
-        return None, (None,) * 4
-    s = s_for_gamma(wdist)
-    return gamma_for_weighted(cond, cond.c_cap, s), (cond.delta, cond.epsilon, cond.c_cap, s)
+def _cells(cfg: ExperimentConfig):
+    """(process index, n index, n, spec) of each cell, in config order; a
+    graphical process gets its graph built from the config seed."""
+    wdist = parse_weights(cfg.weights)
+    for pi, ptext in enumerate(cfg.processes):
+        kind = ptext.strip().partition(":")[0]
+        for ni, n in enumerate(cfg.ns):
+            graph = None
+            if kind == "graphical":
+                if not cfg.graph:
+                    raise ValueError("graphical process needs a graph= entry")
+                graph = _parse_graph(cfg.graph, n, cfg.seed)
+            yield pi, ni, n, parse_process(ptext, weights=wdist, graph=graph,
+                                           tie_rule=cfg.tie_rule)
+
+
+def _conditions(spec: ProcessSpec, n: int):
+    """(gamma = eps*delta/(16*C*S), canonical conditions, S); raises
+    UnsupportedProcessError when the process has no bias margin."""
+    if spec.kind == "graphical":
+        cond = canonical_conditions(spec, n, graph_eps=conductance_lower_bound(spec.graph))
+    else:
+        cond = canonical_conditions(spec, n)
+    s = s_for_gamma(spec.weights)
+    return gamma_for_weighted(cond, cond.c_cap, s), cond, s
 
 
 def record_headers(thresholds: tuple[float, ...] = ()) -> tuple[str, ...]:
@@ -137,36 +150,29 @@ def run_seed(master: int, *path: int) -> int:
 def sweep(cfg: ExperimentConfig) -> Table:
     """Run the full factorial; rows ordered by (process, n, batch, rep,
     step) and deterministic given the master seed."""
-    wdist = parse_weights(cfg.weights)
     runs = []
-    for pi, ptext in enumerate(cfg.processes):
-        kind = ptext.strip().partition(":")[0]
-        for ni, n in enumerate(cfg.ns):
-            graph = None
-            if kind == "graphical":
-                if not cfg.graph:
-                    raise ValueError("graphical process needs a graph= entry")
-                graph = _parse_graph(cfg.graph, n, cfg.seed)
-            spec = parse_process(ptext, weights=wdist, graph=graph,
-                                 tie_rule=cfg.tie_rule)
-            for bi, btext in enumerate(cfg.batches):
-                b = scaled_count(btext, n)
-                if b > 0:
-                    rank_vector(spec, n)  # raises here, before any run, if it has none
-                m = scaled_count(cfg.m, n, b)
-                kernel.check_ball_target(m)  # here, before any run starts
-                gamma, cond = None, (None,) * 4
-                if cfg.gamma == "auto":
-                    gamma, cond = _auto_gamma(spec, n, wdist)
-                elif cfg.gamma:
-                    gamma = float(cfg.gamma)
-                # keep = final records one row per run: probe only at m
-                steps = (m,) if cfg.keep == "final" else cfg.probe_steps
-                probe = ProbeConfig(steps=steps, gamma=gamma,
-                                    thresholds=cfg.thresholds)
-                for rep in range(cfg.reps):
-                    runs.append(_Run(spec, n, m, b, run_seed(cfg.seed, pi, ni, bi, rep),
-                                     probe, cond))
+    for pi, ni, n, spec in _cells(cfg):
+        gamma, cond = None, (None,) * 4
+        if cfg.gamma == "auto":
+            try:
+                gamma, params, s = _conditions(spec, n)
+                cond = (params.delta, params.epsilon, params.c_cap, s)
+            except UnsupportedProcessError:
+                pass
+        elif cfg.gamma:
+            gamma = float(cfg.gamma)
+        for bi, btext in enumerate(cfg.batches):
+            b = scaled_count(btext, n)
+            if b > 0:
+                rank_vector(spec, n)  # raises here, before any run, if it has none
+            m = scaled_count(cfg.m, n, b)
+            kernel.check_ball_target(m)  # here, before any run starts
+            # keep = final records one row per run: probe only at m
+            steps = (m,) if cfg.keep == "final" else cfg.probe_steps
+            probe = ProbeConfig(steps=steps, gamma=gamma, thresholds=cfg.thresholds)
+            for rep in range(cfg.reps):
+                runs.append(_Run(spec, n, m, b, run_seed(cfg.seed, pi, ni, bi, rep),
+                                 probe, cond))
     table = Table(headers=record_headers(cfg.thresholds))
     for job, rows in zip(runs, _run_all(runs)):
         spec = job.spec
@@ -175,6 +181,36 @@ def sweep(cfg: ExperimentConfig) -> Table:
                           spec.delta, job.b, job.seed, r.step, r.gap, r.max_abs,
                           r.gamma_value, r.gamma_total, *job.cond, *r.bins_ge))
     return table
+
+
+def certify(cfg: ExperimentConfig) -> tuple[list, list]:
+    """The counterpart of ``sweep`` for drift-check: one run per (process,
+    n), probed every n balls up to m; each probe gives a ``certify_drift``
+    certificate and the phi and psi ``drift_step_bound_exact`` checks.
+    Every cell is validated before any engine is built."""
+    cells = []
+    for pi, ni, n, spec in _cells(cfg):
+        gamma, cond, s = _conditions(spec, n)
+        if cfg.gamma not in ("", "auto"):
+            gamma = float(cfg.gamma)
+        require_exact_gamma(gamma)
+        p = comparison_vector(spec, n)
+        require_c1(p, cond)
+        m = scaled_count(cfg.m, n)
+        kernel.check_ball_target(m)
+        cells.append((pi, ni, n, spec, m, gamma, cond, p, 2.0 * cond.c_cap * s))
+    certs, checks = [], []
+    for pi, ni, n, spec, m, gamma, cond, p, k_quad in cells:
+        eng = make_engine(spec, n, make_generator(cfg.seed, pi, ni))
+        for probe_at in range(0, m + 1, n):
+            eng.advance(probe_at)
+            state = LoadState.from_loads(eng.loads)
+            certs.append(certify_drift(state, p, cond, gamma, c1_checked=True))
+            law = round_law(spec, state)
+            for side in ("phi", "psi"):
+                checks.append(drift_step_bound_exact(
+                    state, p, law, spec.weights, gamma, k=k_quad, r=1.0, side=side))
+    return certs, checks
 
 
 @dataclass(frozen=True)

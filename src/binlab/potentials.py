@@ -27,10 +27,11 @@ with an error when Gamma itself leaves the float64 range.
 Per-round precondition.  ``drift_step_bound_exact`` computes E[change of
 phi or psi over one round] exactly from the round's law
 (``processes.round_law``) and the weight law's log-MGF, with no random
-draws.  Its rounding error is below 40u * size, for u = 2^-53 and size
-the sum of the absolute sizes of the terms it adds (defined in its
-docstring); it passes when value <= bound + 64u * size.  ``drift_step_bound_check`` is
-the Monte-Carlo estimate of the same expectation, kept as its cross-check.
+draws.  For gamma in (0, 1/2], all it accepts, its rounding error is below
+40u * size, for u = 2^-53 and size the sum of the absolute sizes of the
+terms it adds (defined in its docstring); it passes when value <= bound +
+64u * size.  ``drift_step_bound_check`` is the Monte-Carlo estimate of the
+same expectation, kept as its cross-check.
 """
 from __future__ import annotations
 
@@ -193,6 +194,13 @@ def gamma_for_weighted(params: ConditionParams, c_cap: float, s: float) -> float
 _EXACT_TOL = 64 * 2.0 ** -53
 
 
+def require_exact_gamma(gamma: float) -> None:
+    """Raise PreconditionError unless 0 < gamma <= 1/2, where the rounding
+    bound of ``drift_step_bound_exact`` is derived."""
+    if not 0 < gamma <= 0.5:
+        raise PreconditionError(f"gamma must lie in (0, 1/2] for the exact check, got {gamma}")
+
+
 def drift_step_bound_exact(state: LoadState, p: ProbabilityVector,
                            law: dict[tuple[int, int], np.ndarray],
                            weights: WeightDistribution, gamma: float, k: float,
@@ -231,6 +239,7 @@ def drift_step_bound_exact(state: LoadState, p: ProbabilityVector,
     """
     if side not in ("phi", "psi"):
         raise ValueError(f"side must be 'phi' or 'psi', got {side!r}")
+    require_exact_gamma(gamma)
     n = state.n
     sign = 1.0 if side == "phi" else -1.0
     la = log_mgf(weights, sign * gamma * (1.0 - 1.0 / n))

@@ -16,7 +16,7 @@ from pathlib import Path
 
 import pytest
 
-from binlab import experiments
+from binlab import experiments, kernel
 from binlab.cli import main
 from binlab.configfile import parse_config_text
 from binlab.graphs import complete_graph, cycle_graph, write_graph_file
@@ -172,8 +172,9 @@ def test_parse_full_config():
 
 
 def test_parse_config_errors():
-    with pytest.raises(ValueError, match="unknown key"):
-        parse_config_text("processes=two-choice\nns=8\ncolor=red\n")
+    for key in ("color", "cond_delta", "cond_epsilon"):
+        with pytest.raises(ValueError, match="unknown key"):
+            parse_config_text(f"processes=two-choice\nns=8\n{key}=0.5\n")
     with pytest.raises(ValueError, match="duplicate"):
         parse_config_text("processes=a\nprocesses=b\nns=8\n")
     with pytest.raises(ValueError, match="processes"):
@@ -335,10 +336,8 @@ def test_cli_simulate_single_bin_auto_gamma_has_empty_conditions(tmp_path, monke
 
 @pytest.mark.parametrize("key,value,why", [
     ("probe_steps", "8", "under keep = final, which probes at m only"),
-    ("cond_delta", "0.5", "(drift-check only)"),
-    ("cond_epsilon", "0.25", "(drift-check only)"),
     ("graph", "cycle", "without a graphical process")],
-    ids=["probe_steps", "cond_delta", "cond_epsilon", "graph"])
+    ids=["probe_steps", "graph"])
 def test_cli_simulate_rejects_ignored_keys(tmp_path, monkeypatch, capsys, key, value, why):
     cfg = tmp_path / "sweep.cfg"
     cfg.write_text(f"processes = two-choice\nns = 8\nm = 2n\n{key} = {value}\n")
@@ -437,15 +436,40 @@ _DRIFT_PINS = {
 }
 
 
-@pytest.mark.parametrize("name", sorted(_DRIFT_PINS))
-def test_cli_drift_check_bytes_pinned(tmp_path, monkeypatch, capsys, name):
+def _built_engines(monkeypatch) -> list[str]:
+    """Class names of the engines ``experiments.certify`` builds, as they
+    are built."""
+    built = []
+    make_engine = experiments.make_engine
+
+    def counted(*args):
+        eng = make_engine(*args)
+        built.append(type(eng).__name__)
+        return eng
+
+    monkeypatch.setattr(experiments, "make_engine", counted)
+    return built
+
+
+# the walk runs on the compiled kernel, and on ``_StepEngine`` when
+# ``kernel.load`` finds no kernel: both write the pinned bytes
+@pytest.mark.parametrize("name,engine", [
+    pytest.param(name, engine, id=name if engine == "kernel" else f"{name}-{engine}")
+    for name in sorted(_DRIFT_PINS) for engine in ("kernel", "fallback")])
+def test_cli_drift_check_bytes_pinned(tmp_path, monkeypatch, capsys, name, engine):
     processes, weights, certs_sha, checks_sha = _DRIFT_PINS[name]
     cfg = tmp_path / "drift.cfg"
     cfg.write_text(f"processes = {processes}\nns = 16,64,256\nm = 10n\n"
                    f"tie_rule = random\nweights = {weights}\nseed = 11\ngamma = auto\n")
     monkeypatch.setenv("BINLAB_OUT", str(tmp_path))
+    built = _built_engines(monkeypatch)
+    if engine == "fallback":
+        monkeypatch.setattr(kernel, "load", lambda: None)
     assert main(["drift-check", str(cfg)]) == 0
     capsys.readouterr()
+    assert len(built) == 3 * len(processes.split(","))  # one walk per (process, n)
+    if engine == "fallback":
+        assert set(built) == {"_StepEngine"}
     digest = {f: hashlib.sha256((tmp_path / f).read_bytes()).hexdigest()
               for f in ("drift-certs.csv", "drift-checks.csv")}
     assert digest == {"drift-certs.csv": certs_sha, "drift-checks.csv": checks_sha}
@@ -557,13 +581,27 @@ def test_cli_drift_check_rejects_graphical(tmp_path, monkeypatch, capsys):
 
 
 def test_cli_drift_check_precondition_violation(tmp_path, monkeypatch, capsys):
-    cfg = tmp_path / "drift.cfg"
-    # eps=0.9 overstates the two-choice bias; C1 fails and certification
-    # must refuse to run rather than emit a failing certificate
-    cfg.write_text("processes = two-choice\nns = 8\nm = 2n\ncond_epsilon = 0.9\n")
+    # the exact step-bound check's rounding bound holds for gamma <= 1/2
+    # only; certification must refuse to run rather than emit rows
     monkeypatch.setenv("BINLAB_OUT", str(tmp_path))
+    built = _built_engines(monkeypatch)
+    cfg = tmp_path / "drift.cfg"
+    for line in ("gamma = 0.9\nweights = geom:p=0.5", "gamma = 1"):
+        cfg.write_text(f"processes = two-choice\nns = 8\nm = 2n\n{line}\n")
+        assert main(["drift-check", str(cfg)]) == 1
+        assert "precondition violated: gamma must lie in (0, 1/2]" in capsys.readouterr().err
+    assert built == [] and list(tmp_path.glob("*.csv")) == []
+
+
+def test_cli_drift_check_fails_before_any_run(tmp_path, monkeypatch, capsys):
+    # beta = 0 has no bias margin: refused before the two-choice cell runs
+    cfg = tmp_path / "drift.cfg"
+    cfg.write_text("processes = two-choice,one-plus-beta:beta=0\nns = 64\nm = 2n\n")
+    monkeypatch.setenv("BINLAB_OUT", str(tmp_path))
+    built = _built_engines(monkeypatch)
     assert main(["drift-check", str(cfg)]) == 1
-    assert "precondition violated" in capsys.readouterr().err
+    assert capsys.readouterr().err == "error: beta=0 is uniform; no bias margin\n"
+    assert built == [] and list(tmp_path.glob("*.csv")) == []
 
 
 def test_cli_selftest_single_group(capsys):
@@ -763,6 +801,25 @@ def test_traced_names_resolve():
     check = sys.modules["binlab.potentials"].drift_step_bound_check
     assert "trials" in inspect.signature(check).parameters
     assert "path" in inspect.signature(sys.modules["binlab.tableio"].write_csv).parameters
+
+
+@pytest.mark.parametrize("cmd", ["simulate", "drift-check", "conductance"])
+def test_perfbench_launch_records_the_set_up_mark(tmp_path, cmd):
+    # launch.py marks the end of set-up by wrapping cli.load_config and
+    # cli.read_graph_file; a command that parses its input elsewhere leaves
+    # every benchmark run without the mark
+    launch = Path(__file__).resolve().parents[1] / "perfbench" / "launch.py"
+    cfg = tmp_path / "tiny.cfg"
+    cfg.write_text("processes = two-choice\nns = 8\nm = 2n\n")
+    graph = tmp_path / "c8.txt"
+    write_graph_file(cycle_graph(8), str(graph))
+    marks = tmp_path / "marks.json"
+    env = {**os.environ, "PYTHONPATH": str(_SRC), "BINLAB_OUT": str(tmp_path),
+           "PERFBENCH_MARKS": str(marks)}
+    subprocess.run([sys.executable, str(launch), cmd,
+                    str(graph if cmd == "conductance" else cfg)],
+                   env=env, capture_output=True, check=True)
+    assert isinstance(json.loads(marks.read_text())["setup_end"], float)
 
 
 def _traced_sweep(tmp_path, cfg_text: str):

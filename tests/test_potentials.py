@@ -381,6 +381,20 @@ def test_exact_step_bound_validates():
                                parse_weights("unit"), 0.01, 2.0, 1.0, side="both")
 
 
+def test_exact_step_bound_refuses_gamma_past_one_half():
+    # the rounding bound in its docstring is derived for gamma <= 1/2
+    spec = parse_process("two-choice", weights=parse_weights("exp1"))
+    state = LoadState.from_loads((2, 1, 1, 0))
+    p, law = comparison_vector(spec, 4), round_law(spec, state)
+    for side in ("phi", "psi"):
+        assert drift_step_bound_exact(state, p, law, spec.weights, 0.5, 4.0, 1.0,
+                                      side=side).passed
+        for gamma in (math.nextafter(0.5, 1), 0.0, -0.1):
+            with pytest.raises(PreconditionError, match=r"\(0, 1/2\]"):
+                drift_step_bound_exact(state, p, law, spec.weights, gamma, 4.0, 1.0,
+                                       side=side)
+
+
 def test_drift_certification_script_runs(tmp_path):
     root = Path(__file__).resolve().parents[1]
     env = {**os.environ, "PYTHONPATH": str(root / "src"), "BINLAB_OUT": str(tmp_path)}
