@@ -1,5 +1,5 @@
-/* Compiled decision loops of the per-ball engines in binlab.processes, and
- * the ranking of its batched rounds.
+/* Compiled decision loops of the per-ball engines in binlab.processes, the
+ * ranking of its batched rounds, and the exact row sums of binlab.potentials.
  *
  * binlab_advance() runs one engine until at least `target` balls are
  * allocated.  Random draws arrive in chunks that the Python side supplies
@@ -440,4 +440,79 @@ int binlab_batched(double *loads, int64_t n, const int64_t *counts, int64_t roun
             return rc;
     }
     return OK;
+}
+
+/* Exactly rounded row sums: binlab_fsum_rows() writes to out[r] the sum of
+ * row r of a rows x cols matrix, as CPython's math.fsum computes it
+ * (Modules/mathmodule.c): Shewchuk's non-overlapping partials, then the
+ * sum of the partials from the top with a round-half-even fix-up across
+ * them.  Both use only additions, subtractions and comparisons, so the
+ * result is math.fsum's bit for bit.
+ *
+ * A row is declined, with NAN in out[r], when the running sum leaves the
+ * finite range (an inf or nan summand, or an intermediate overflow, which
+ * math.fsum answers with a special value or an exception) or when it needs
+ * more than FSUM_PARTIALS partials (math.fsum grows its array; finite rows
+ * rarely need more than a handful).  The caller sums those rows with
+ * math.fsum.  Returns the number of declined rows.
+ */
+#define FSUM_PARTIALS 64
+
+static int fsum_row(const double *a, int64_t len, double *sum)
+{
+    double p[FSUM_PARTIALS];
+    int n = 0;
+    for (int64_t k = 0; k < len; k++) {
+        double x = a[k];
+        int i = 0;
+        for (int j = 0; j < n; j++) {
+            double y = p[j];
+            if (fabs(x) < fabs(y)) {
+                double t = x;
+                x = y;
+                y = t;
+            }
+            double hi = x + y;
+            double lo = y - (hi - x);
+            if (lo != 0.0)
+                p[i++] = lo;
+            x = hi;
+        }
+        n = i;
+        if (x != 0.0) {
+            if (!isfinite(x) || n == FSUM_PARTIALS)
+                return 0;
+            p[n++] = x;
+        }
+    }
+    double hi = 0.0, lo = 0.0;
+    if (n > 0) {
+        hi = p[--n];
+        while (n > 0) {
+            double x = hi, y = p[--n];
+            hi = x + y;
+            lo = y - (hi - x);
+            if (lo != 0.0)
+                break;
+        }
+        if (n > 0 && ((lo < 0.0 && p[n - 1] < 0.0) || (lo > 0.0 && p[n - 1] > 0.0))) {
+            double y = lo * 2.0, x = hi + y;
+            if (y == x - hi)
+                hi = x;
+        }
+    }
+    *sum = hi;
+    return 1;
+}
+
+int64_t binlab_fsum_rows(const double *a, int64_t rows, int64_t cols, double *out)
+{
+    int64_t declined = 0;
+    for (int64_t r = 0; r < rows; r++) {
+        if (!fsum_row(a + r * cols, cols, out + r)) {
+            out[r] = NAN;
+            declined++;
+        }
+    }
+    return declined;
 }

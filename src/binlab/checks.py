@@ -13,16 +13,23 @@ class MgfDivergenceError(ValueError):
     """Exponential moment requested outside the distribution's finite region."""
 
 
-def inputs_hash(*parts) -> str:
-    """Stable short hash of heterogeneous check inputs, for report rows."""
-    h = hashlib.sha256()
+def inputs_prefix(*parts, prefix=None):
+    """The sha256 state after hashing ``parts`` (after ``prefix``'s parts,
+    if given), so rows whose inputs begin alike hash the common parts once."""
+    h = hashlib.sha256() if prefix is None else prefix.copy()
     for part in parts:
         if hasattr(part, "tobytes"):
             h.update(part.tobytes())
         else:
             h.update(repr(part).encode())
         h.update(b"|")
-    return h.hexdigest()[:12]
+    return h
+
+
+def inputs_hash(*parts, prefix=None) -> str:
+    """Stable short hash of heterogeneous check inputs, for report rows;
+    with ``prefix`` from ``inputs_prefix(*head)``, the hash of head + parts."""
+    return inputs_prefix(*parts, prefix=prefix).hexdigest()[:12]
 
 
 CHECK_CSV_HEADER = "name,inputs_hash,value,bound,slack,passed"

@@ -22,7 +22,6 @@ from .processes import (UnsupportedProcessError, allocation_vector,
 from .selftest import GROUPS, run_selftest
 from .tableio import read_csv, write_csv
 from .vectors import check_conditions
-from .svgplot import PlotSpec, render_svg
 
 
 class _Parser(argparse.ArgumentParser):
@@ -156,6 +155,8 @@ def _cmd_vector(args) -> int:
 
 
 def _cmd_plot(args) -> int:
+    from .svgplot import PlotSpec, render_svg  # the one command that draws
+
     table = read_csv(args.table)
     for name in (args.x, args.y, args.group_by):
         if name is not None and name not in table.headers:

@@ -19,8 +19,7 @@ import numpy as np
 from . import kernel
 from .core import LoadState
 from .graphs import RegularGraph, build_graph, conductance_lower_bound
-from .potentials import (certify_drift, drift_step_bound_exact, gamma_for_weighted,
-                         require_c1, require_exact_gamma)
+from .potentials import DriftEvaluator, gamma_for_weighted, require_c1, require_exact_gamma
 from .processes import (ProbeConfig, ProbeRow, ProcessSpec, UnsupportedProcessError,
                         canonical_conditions, comparison_vector, make_engine,
                         parse_process, rank_vector, round_law, run, run_batched)
@@ -183,11 +182,21 @@ def sweep(cfg: ExperimentConfig) -> Table:
     return table
 
 
+# probes per drift-check block: each of its matrices holds at most this many
+# doubles (32 KiB).  On the certify benchmark's configs (n = 64 to 1024),
+# blocks of 2^12 to 2^16 doubles ran equally fast; at 2^12 the peak RSS is
+# that of one probe at a time, while 2^14 added 0.5 MiB.
+_BLOCK_DOUBLES = 1 << 12
+
+
 def certify(cfg: ExperimentConfig) -> tuple[list, list]:
     """The counterpart of ``sweep`` for drift-check: one run per (process,
     n), probed every n balls up to m; each probe gives a ``certify_drift``
     certificate and the phi and psi ``drift_step_bound_exact`` checks.
-    Every cell is validated before any engine is built."""
+    Every cell is validated before any engine is built.  A cell's probes
+    are evaluated in blocks: the engine advances through a block's probes,
+    their states' rows and round laws are stacked into matrices, and one
+    ``DriftEvaluator`` call gives the block's certificates and checks."""
     cells = []
     for pi, ni, n, spec in _cells(cfg):
         gamma, cond, s = _conditions(spec, n)
@@ -201,15 +210,25 @@ def certify(cfg: ExperimentConfig) -> tuple[list, list]:
         cells.append((pi, ni, n, spec, m, gamma, cond, p, 2.0 * cond.c_cap * s))
     certs, checks = [], []
     for pi, ni, n, spec, m, gamma, cond, p, k_quad in cells:
+        ev = DriftEvaluator(p, gamma, params=cond, weights=spec.weights, k=k_quad)
         eng = make_engine(spec, n, make_generator(cfg.seed, pi, ni))
-        for probe_at in range(0, m + 1, n):
-            eng.advance(probe_at)
-            state = LoadState.from_loads(eng.loads)
-            certs.append(certify_drift(state, p, cond, gamma, c1_checked=True))
-            law = round_law(spec, state)
-            for side in ("phi", "psi"):
-                checks.append(drift_step_bound_exact(
-                    state, p, law, spec.weights, gamma, k=k_quad, r=1.0, side=side))
+        probes = range(0, m + 1, n)
+        rows = max(1, _BLOCK_DOUBLES // n)
+        for first in range(0, len(probes), rows):
+            block = probes[first:first + rows]
+            ys = np.empty((len(block), n))
+            for i, probe_at in enumerate(block):
+                eng.advance(probe_at)
+                state = LoadState.from_loads(eng.loads)
+                ys[i] = state.sorted_normalized()
+                one = round_law(spec, state)  # the same atoms on every state of a kind
+                if i == 0:
+                    law = {atom: np.empty_like(ys) for atom in one}
+                for atom, probs in one.items():
+                    law[atom][i] = probs
+            block_certs, block_checks = ev.evaluate(ys, law)
+            certs += block_certs
+            checks += block_checks
     return certs, checks
 
 

@@ -1,29 +1,32 @@
-"""The compiled kernel behind ``processes.make_engine`` and
-``processes._BatchedEngine``.
+"""The compiled kernel behind ``processes.make_engine``,
+``processes._BatchedEngine`` and the exact row sums of ``potentials``.
 
 ``_kernel.c`` holds the per-ball decision loops of all engine families
-(``binlab_advance``) and the ranking of batched rounds (``binlab_batched``:
+(``binlab_advance``), the ranking of batched rounds (``binlab_batched``:
 a counting sort of each round's loads, heaviest first, then the round's
-rank counts added in the same pass).  It is compiled with the local C
-compiler on the first ``load()`` call (never at import), cached as a shared
-library under ``$XDG_CACHE_HOME/binlab`` (default ``~/.cache/binlab``) named
-by the sha256 of the source and the flags, and loaded with ctypes.
+rank counts added in the same pass) and ``math.fsum`` over the rows of a
+matrix (``binlab_fsum_rows``, behind ``fsum_rows``).  It is compiled with
+the local C compiler on the first ``load()`` call (never at import), cached
+as a shared library under ``$XDG_CACHE_HOME/binlab`` (default
+``~/.cache/binlab``) named by the sha256 of the source and the flags, and
+loaded with ctypes.
 ``-ffp-contract=off`` and the absence of ``-ffast-math``/``-march=native``
 keep every float sum rounding exactly as Python's does, so kernel runs are
 byte-identical to the exact path ``processes.step`` and to the numpy
 reference round ``processes._batched_round``.  When no compiler is found or
 the build fails, ``load()`` warns once and returns None, and the callers
 fall back to those references: ``make_engine`` to a ``step`` loop
-(``processes._StepEngine``), ``_BatchedEngine`` to the numpy round.
+(``processes._StepEngine``), ``_BatchedEngine`` to the numpy round,
+``fsum_rows`` to ``math.fsum``.
 """
 from __future__ import annotations
 
 import ctypes
 import functools
 import hashlib
+import math
 import os
 import shutil
-import subprocess
 import tempfile
 import warnings
 
@@ -82,6 +85,8 @@ def _build() -> str:
     path = os.path.join(cache, f"kernel-{digest}.so")
     if os.path.exists(path):
         return path
+    import subprocess  # here, so that a command that finds the library does not load it
+
     os.makedirs(cache, exist_ok=True)
     fd, tmp = tempfile.mkstemp(suffix=".so", dir=cache)
     os.close(fd)
@@ -99,9 +104,9 @@ def _build() -> str:
 
 @functools.lru_cache(maxsize=None)
 def load():
-    """The kernel library, built on first use, with ``binlab_advance`` and
-    ``binlab_batched`` typed; None (with a warning) when it cannot be built
-    or loaded."""
+    """The kernel library, built on first use, with ``binlab_advance``,
+    ``binlab_batched`` and ``binlab_fsum_rows`` typed; None (with a warning)
+    when it cannot be built or loaded."""
     try:
         lib = ctypes.CDLL(_build())
     except OSError as exc:
@@ -114,7 +119,33 @@ def load():
                                    ctypes.c_void_p, ctypes.c_int64]
     lib.binlab_batched.restype = ctypes.c_int
     lib.binlab_engine_size.restype = ctypes.c_int64
+    lib.binlab_fsum_rows.argtypes = [ctypes.c_void_p, ctypes.c_int64, ctypes.c_int64,
+                                     ctypes.c_void_p]
+    lib.binlab_fsum_rows.restype = ctypes.c_int64
     return lib
+
+
+def fsum_rows(a: np.ndarray) -> np.ndarray:
+    """``math.fsum`` of each row of a 2-D array, bit for bit, as float64.
+
+    The kernel sums the rows in C.  Rows it declines (a non-finite value,
+    an intermediate overflow, or more partials than it holds) and, when the
+    kernel cannot be built, all rows go to ``math.fsum``, which gives them
+    its special value or raises its exception."""
+    a = np.ascontiguousarray(a, dtype=np.float64)
+    if a.ndim != 2:
+        raise ValueError(f"fsum_rows needs a 2-D array, got {a.ndim} dimensions")
+    out = np.empty(len(a))
+    lib = load()
+    if lib is None:
+        declined = range(len(a))
+    elif lib.binlab_fsum_rows(a.ctypes.data, a.shape[0], a.shape[1], out.ctypes.data):
+        declined = np.flatnonzero(np.isnan(out)).tolist()
+    else:
+        declined = ()
+    for i in declined:
+        out[i] = math.fsum(a[i].tolist())
+    return out
 
 
 def apply_rounds(lib, loads: np.ndarray, counts: np.ndarray) -> None:

@@ -32,6 +32,11 @@ draws.  For gamma in (0, 1/2], all it accepts, its rounding error is below
 terms it adds (defined in its docstring); it passes when value <= bound +
 64u * size.  ``drift_step_bound_check`` is the Monte-Carlo estimate of the
 same expectation, kept as its cross-check.
+
+Blocks.  ``DriftEvaluator`` computes the certificate and both exact checks
+for a block of states at once, as matrix operations, with the exactly
+rounded sums of ``kernel.fsum_rows``; ``certify_drift`` and
+``drift_step_bound_exact`` are its one-row calls.
 """
 from __future__ import annotations
 
@@ -41,7 +46,8 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .checks import CertResult, CheckResult, PreconditionError, inputs_hash
+from . import kernel
+from .checks import CertResult, CheckResult, PreconditionError, inputs_hash, inputs_prefix
 from .core import LoadState
 from .rng import make_generator
 from .vectors import ConditionParams, ProbabilityVector, check_c1, quantile_index
@@ -51,11 +57,14 @@ from .weights import WeightDistribution, log_mgf
 _EXP_MAX = 300.0
 
 
-def scaled_exp(x: np.ndarray) -> tuple[np.ndarray, float]:
+def scaled_exp(x: np.ndarray) -> tuple[np.ndarray, float | np.ndarray]:
     """``(exp(x - s), s)`` with ``s = max(0, max(x) - _EXP_MAX)``; for
-    s = 0 the terms are exactly ``np.exp(x)``."""
-    s = max(0.0, float(np.max(x)) - _EXP_MAX)
-    return np.exp(x - s), s
+    s = 0 the terms are exactly ``np.exp(x)``.  A matrix is taken row by
+    row: s is then the array of its rows' shifts."""
+    s = np.maximum(0.0, np.max(x, axis=-1) - _EXP_MAX)
+    if x.ndim == 1:
+        return np.exp(x - s), float(s)
+    return np.exp(x - s[:, None]), s
 
 
 def unscaled(total: float, s: float) -> float:
@@ -157,29 +166,7 @@ def certify_drift(state: LoadState, p: ProbabilityVector, params: ConditionParam
         raise PreconditionError(f"gamma must lie in (0, 1], got {gamma}")
     if not c1_checked:
         require_c1(p, params)
-    delta, eps = params.delta, params.epsilon
-    n = state.n
-    y = state.sorted_normalized()
-    ex = gamma * y
-    terms, shift = scaled_exp(np.concatenate((ex, -ex)))
-    phi_i, psi_i = terms[:n], terms[n:]
-    scale = math.exp(-shift)
-    bias = p.array - 1.0 / n
-    value = gamma * (float(np.dot(phi_i, bias)) - float(np.dot(psi_i, bias)))
-    total = float(np.sum(phi_i) + np.sum(psi_i))
-    additive = drift_constant(delta) * gamma * eps * scale
-    bound4 = -total * gamma * eps * delta / (4 * n) + additive
-    bound8 = -total * gamma * eps * delta / (8 * n) + additive
-    tol = 1e-9 * max(abs(value), abs(bound4))
-    return CertResult(
-        inputs=inputs_hash(y, p.array, delta, eps, gamma),
-        value=value,
-        bound=bound4,
-        bound_theorem=bound8,
-        log_scale=shift,
-        passed=value <= bound4 + tol,
-        passed_theorem=value <= bound8 + max(tol, 1e-9 * abs(bound8)),
-    )
+    return DriftEvaluator(p, gamma, params=params).certify(state.sorted_normalized()[None])[0]
 
 
 def gamma_for_weighted(params: ConditionParams, c_cap: float, s: float) -> float:
@@ -227,7 +214,8 @@ def drift_step_bound_exact(state: LoadState, p: ProbabilityVector,
     fl(expm1(L)) within 11u * m; every law entry is within 8u absolute
     (correctly rounded integer ratios, or a few sums and complements of
     them); the at most four products and sums per rank add 8u * sum m; the
-    product with pot and ``math.fsum`` add 2u.  The bound's coefficients
+    product with pot and the exactly rounded sum (``kernel.fsum_rows``,
+    which is ``math.fsum``'s) add 2u.  The bound's coefficients
     are within 4u * (r*gamma*(p_r + 1/n) + k*r*gamma^2/n), and its product
     and sum add 2u.  So value - bound is off by less than 40u * size, with
 
@@ -237,36 +225,141 @@ def drift_step_bound_exact(state: LoadState, p: ProbabilityVector,
     not added to ``bound``.  pot comes from ``scaled_exp``, so value and
     bound share its factor e^{-shift} and stay finite.
     """
-    if side not in ("phi", "psi"):
-        raise ValueError(f"side must be 'phi' or 'psi', got {side!r}")
     require_exact_gamma(gamma)
-    n = state.n
-    sign = 1.0 if side == "phi" else -1.0
-    la = log_mgf(weights, sign * gamma * (1.0 - 1.0 / n))
-    lb = log_mgf(weights, -sign * gamma / n)
-    y = state.sorted_normalized()
-    pot, _ = scaled_exp(sign * gamma * y)
-    change = np.zeros(n)
-    mag = 0.0
-    for (balls, c), prob in law.items():
-        ell = c * la + (balls - c) * lb
-        change += prob * math.expm1(ell)
-        mag += (c * abs(la) + (balls - c) * abs(lb)) * math.exp(max(ell, 0.0))
-    probs = p.array
-    coef = sign * (probs - 1.0 / n) * r * gamma + k * r * gamma * gamma / n
-    value = math.fsum((pot * change).tolist())
-    bound = math.fsum((pot * coef).tolist())
-    size = math.fsum((pot * (mag + r * gamma * (probs + 1.0 / n)
-                             + k * r * gamma * gamma / n)).tolist())
-    atoms = sorted(law)
-    return CheckResult(
-        name=f"drift_step_bound({side})",
-        value=value,
-        bound=bound,
-        passed=value <= bound + _EXACT_TOL * size,
-        inputs=inputs_hash(y, probs, gamma, k, r, side, weights.label(), atoms,
-                           *(law[a] for a in atoms)),
-    )
+    ev = DriftEvaluator(p, gamma, weights=weights, k=k, r=r)
+    return ev.step_bounds(state.sorted_normalized()[None],
+                          {atom: probs[None] for atom, probs in law.items()}, side)[0]
+
+
+class _Block:
+    """A block of states: the (B, n) matrix ``ys`` of their rank-ordered
+    normalized loads, each side's ``scaled_exp`` terms of gamma * ys row by
+    row (``pot``, with the per-row ``shift``), and each row's hash prefix
+    (the row, then the vector)."""
+
+    def __init__(self, ys: np.ndarray, gamma: float, probs: np.ndarray):
+        ex = gamma * ys
+        self.ys = ys
+        self.pot, self.shift = {}, {}
+        for side, x in (("phi", ex), ("psi", -ex)):
+            self.pot[side], self.shift[side] = scaled_exp(x)
+        self.prefix = [inputs_prefix(y, probs) for y in ys]
+
+
+class DriftEvaluator:
+    """``certify_drift`` and ``drift_step_bound_exact`` for one cell, on
+    blocks of states.
+
+    A cell is one vector ``p`` and smoothing ``gamma``, with the conditions
+    ``params`` the certificate needs and the weight law, k and r the step
+    bounds need.  A block of B states is the (B, n) matrix ``ys`` of their
+    ``sorted_normalized`` rows, and its ``law`` maps each atom (K, c) to the
+    (B, n) matrix of their ``processes.round_law`` rows, every row's atoms
+    in the same order.  What depends on the cell only (the bias, the
+    log-MGFs, ``coef``, ``mag``, the size coefficients and the per-atom
+    expm1 factors) is computed once.  The potentials, the expected changes
+    and the products that ``kernel.fsum_rows`` sums are matrix operations.
+    Callers validate the cell: C1 for the certificate, gamma <= 1/2 for the
+    step bounds.  The one-state functions are this code on a block of one
+    row, so each row's result is theirs, bit for bit.
+    """
+
+    def __init__(self, p: ProbabilityVector, gamma: float,
+                 params: ConditionParams | None = None,
+                 weights: WeightDistribution | None = None, k: float = 0.0, r: float = 1.0):
+        self.p, self.gamma = p, gamma
+        self.params, self.weights, self.k, self.r = params, weights, k, r
+        self._bias = p.array - 1.0 / p.n
+        if params is not None:  # the additive term, before its scale
+            self._additive = drift_constant(params.delta) * gamma * params.epsilon
+        self._sides: dict[tuple, tuple] = {}
+
+    def certify(self, ys: np.ndarray) -> list[CertResult]:
+        """The drift certificate of each row of ``ys``."""
+        return self._certify(_Block(ys, self.gamma, self.p.array))
+
+    def step_bounds(self, ys: np.ndarray, law: dict[tuple[int, int], np.ndarray],
+                    side: str) -> list[CheckResult]:
+        """The exact step-bound check of one side for each row of ``ys``."""
+        return self._step_bounds(_Block(ys, self.gamma, self.p.array), law, side)
+
+    def evaluate(self, ys: np.ndarray, law: dict[tuple[int, int], np.ndarray]
+                 ) -> tuple[list[CertResult], list[CheckResult]]:
+        """Each row's certificate, and its phi and psi checks in that order."""
+        blk = _Block(ys, self.gamma, self.p.array)
+        phi, psi = (self._step_bounds(blk, law, side) for side in ("phi", "psi"))
+        return self._certify(blk), [c for pair in zip(phi, psi) for c in pair]
+
+    def _certify(self, blk: _Block) -> list[CertResult]:
+        delta, eps = self.params.delta, self.params.epsilon
+        gamma, n, bias = self.gamma, self.p.n, self._bias
+        certs = []
+        for i, (s_phi, s_psi) in enumerate(zip(blk.shift["phi"].tolist(),
+                                               blk.shift["psi"].tolist())):
+            # both sides share the larger shift, the one of their concatenation
+            shift = max(s_phi, s_psi)
+            phi_i, psi_i = blk.pot["phi"][i], blk.pot["psi"][i]
+            if s_phi != s_psi:
+                ex = gamma * blk.ys[i]
+                phi_i, psi_i = np.exp(ex - shift), np.exp(-ex - shift)
+            value = gamma * (float(np.dot(phi_i, bias)) - float(np.dot(psi_i, bias)))
+            total = float(np.sum(phi_i) + np.sum(psi_i))
+            scaled = self._additive * math.exp(-shift)
+            bound4 = -total * gamma * eps * delta / (4 * n) + scaled
+            bound8 = -total * gamma * eps * delta / (8 * n) + scaled
+            tol = 1e-9 * max(abs(value), abs(bound4))
+            certs.append(CertResult(
+                inputs=inputs_hash(delta, eps, gamma, prefix=blk.prefix[i]),
+                value=value,
+                bound=bound4,
+                bound_theorem=bound8,
+                log_scale=shift,
+                passed=value <= bound4 + tol,
+                passed_theorem=value <= bound8 + max(tol, 1e-9 * abs(bound8)),
+            ))
+        return certs
+
+    def _side_terms(self, side: str, atoms: tuple) -> tuple:
+        """(per-atom expm1 factors, coef, size_coef) of one side: size_coef
+        times pot is the summand of ``drift_step_bound_exact``'s size."""
+        n, gamma, k, r = self.p.n, self.gamma, self.k, self.r
+        sign = 1.0 if side == "phi" else -1.0
+        la = log_mgf(self.weights, sign * gamma * (1.0 - 1.0 / n))
+        lb = log_mgf(self.weights, -sign * gamma / n)
+        factors, mag = [], 0.0
+        for balls, c in atoms:
+            ell = c * la + (balls - c) * lb
+            factors.append(math.expm1(ell))
+            mag += (c * abs(la) + (balls - c) * abs(lb)) * math.exp(max(ell, 0.0))
+        probs = self.p.array
+        coef = sign * (probs - 1.0 / n) * r * gamma + k * r * gamma * gamma / n
+        size_coef = mag + r * gamma * (probs + 1.0 / n) + k * r * gamma * gamma / n
+        return factors, coef, size_coef
+
+    def _step_bounds(self, blk: _Block, law: dict[tuple[int, int], np.ndarray],
+                     side: str) -> list[CheckResult]:
+        if side not in ("phi", "psi"):
+            raise ValueError(f"side must be 'phi' or 'psi', got {side!r}")
+        atoms = tuple(law)
+        if (side, atoms) not in self._sides:
+            self._sides[side, atoms] = self._side_terms(side, atoms)
+        factors, coef, size_coef = self._sides[side, atoms]
+        pot = blk.pot[side]
+        change, prod = np.zeros(pot.shape), np.empty(pot.shape)
+        for atom, factor in zip(atoms, factors):
+            change += np.multiply(law[atom], factor, out=prod)
+        value = kernel.fsum_rows(np.multiply(pot, change, out=prod)).tolist()
+        bound = kernel.fsum_rows(np.multiply(pot, coef, out=prod)).tolist()
+        size = kernel.fsum_rows(np.multiply(pot, size_coef, out=prod)).tolist()
+        ordered = sorted(atoms)
+        head = (self.gamma, self.k, self.r, side, self.weights.label(), ordered)
+        return [CheckResult(
+            name=f"drift_step_bound({side})",
+            value=v,
+            bound=b,
+            passed=v <= b + _EXACT_TOL * z,
+            inputs=inputs_hash(*head, *(law[a][i] for a in ordered), prefix=blk.prefix[i]),
+        ) for i, (v, b, z) in enumerate(zip(value, bound, size))]
 
 
 RoundSampler = Callable[[LoadState, np.random.Generator], list]

@@ -624,9 +624,11 @@ def _batched_round(loads: np.ndarray, counts: np.ndarray) -> None:
 class _ChunkSource:
     """Draws for the engines in chunks of ``_CHUNK`` per call, and bins in
     chunks of ``bins_size`` (at least one decision's worth); tests
-    substitute scripted chunks.  The chunk size is part of the stream:
-    numpy drops its buffered 32-bit half at the end of each ``integers``
-    call."""
+    substitute scripted chunks.  The chunk size is part of the stream: the
+    bins, floats and weights chunks interleave on one generator, so a
+    different size moves every later draw.  numpy's Philox keeps its
+    buffered 32-bit half across calls (even across ``random()`` draws),
+    so consecutive ``integers`` calls alone would read as one."""
 
     def __init__(self, rng: np.random.Generator, n: int,
                  wdist: WeightDistribution, n_edges: int = 0,
@@ -829,9 +831,13 @@ def _snapshot(loads, balls: int, probe: ProbeConfig | None, seed: int) -> ProbeR
 
 def _probe_run(eng, probe: ProbeConfig | None, n: int, m: int,
                seed: int) -> list[ProbeRow]:
-    """Advance ``eng`` to each probe point and snapshot it there."""
+    """Advance ``eng`` to each probe point and snapshot it there, one row
+    per ball count: a point the engine already passed (a multi-ball step or
+    a batched round can overshoot several) has no row of its own."""
     rows = []
     for pt in _probe_points(probe, n, m):
+        if rows and eng.balls >= pt:
+            continue
         eng.advance(pt)
         rows.append(_snapshot(eng.loads, eng.balls, probe, seed))
     return rows

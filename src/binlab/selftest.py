@@ -12,7 +12,7 @@ from fractions import Fraction
 import numpy as np
 
 from . import configfile, core, experiments, graphs, kernel, potentials, processes
-from . import svgplot, tableio, vectors, weights
+from . import tableio, vectors, weights
 from .checks import PreconditionError
 from .rng import make_generator
 
@@ -378,6 +378,8 @@ def check_csv_roundtrip():
 
 
 def check_svg_deterministic():
+    from . import svgplot  # imported here so that binlab.cli does not load it
+
     t = tableio.Table(headers=("x", "y", "g"))
     for i in range(6):
         t.append((i + 1, float(2 ** i), "a" if i % 2 else "b"))

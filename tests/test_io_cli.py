@@ -520,7 +520,7 @@ _SWEEP_PINS = {
         "processes = two-choice,d-choice:d=3,one-plus-beta:beta=0.5,quantile:delta=0.5\n"
         "ns = 10,96\nm = 40b\nreps = 2\nseed = 4\nbatches = 1n,3n,7\nkeep = trajectory\n"
         "probe_steps = 0,5,33,101,250,1000\ngamma = 0.5\nthresholds = 1,2\n",
-        "c22019c50488bd8daa7a32fa99174834facf7d6ce799aecabdb72a9caf2052fd"),
+        "8593fa304eb89e0f741159f324aa601dd61dc761b268f74b63a03d3a57dce6d5"),
 }
 
 
@@ -801,6 +801,30 @@ def test_traced_names_resolve():
     check = sys.modules["binlab.potentials"].drift_step_bound_check
     assert "trials" in inspect.signature(check).parameters
     assert "path" in inspect.signature(sys.modules["binlab.tableio"].write_csv).parameters
+
+
+def test_import_cli_loads_what_the_benchmark_needs_and_no_more(tmp_path):
+    # tracing.install looks every traced module up in sys.modules after
+    # `import binlab.cli`, and launch.py patches cli.load_config and
+    # cli.read_graph_file; the compiler's subprocess and the plot's svgplot
+    # load only where they run
+    tracing = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
+    traced = sorted({modname for _, modname, _, _ in runpy.run_path(str(tracing))["TRACED"]})
+    names = traced + ["subprocess", "binlab.svgplot"]
+    loaded = _fresh(tmp_path, (
+        "import json, sys\nimport binlab.cli as cli\n"
+        "assert callable(cli.load_config) and callable(cli.read_graph_file)\n"
+        f"print(json.dumps([m for m in {names!r} if m in sys.modules]))\n"))
+    assert loaded == traced
+    kernel.load()  # a command that finds the library cached compiles nothing
+    cfg = tmp_path / "drift.cfg"
+    cfg.write_text("processes = two-choice\nns = 8\nm = 2n\n")
+    body = _cli_body("drift-check", str(cfg))
+    assert _loaded(tmp_path, body, ("subprocess",)) == {"subprocess": []}
+    table = tmp_path / "t.csv"
+    table.write_text("x,y\n1,2\n2,3\n")
+    body = _cli_body("plot", str(table), "--x", "x", "--y", "y")
+    assert _loaded(tmp_path, body, ("binlab.svgplot",)) == {"binlab.svgplot": ["binlab.svgplot"]}
 
 
 @pytest.mark.parametrize("cmd", ["simulate", "drift-check", "conductance"])

@@ -12,16 +12,20 @@ batched.  One run per kind on the real 16 384-draw chunks crosses a chunk
 boundary on each stream it reads, save reset-memory's rare tie coins.  The
 threshold kinds' top set is stressed at both ends of t, on draws that
 spread the loads wide, and at n = 1024.  A batched sweep is compared, byte
-for byte, with the same sweep on the numpy rounds.
+for byte, with the same sweep on the numpy rounds.  The exact row sums are
+compared with ``math.fsum`` bit for bit, with and without the kernel.
 """
 from __future__ import annotations
 
 import ctypes
 import itertools
+import math
 import os
+import re
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 
 from binlab import kernel, processes
@@ -469,3 +473,68 @@ def test_kernel_built_on_first_engine_not_at_import(tmp_path):
     assert out[0] == "False"
     if kernel._compiler() is not None:
         assert out[1] == "[True]"  # one library, no temp file left behind
+
+
+# -- exact row sums ----------------------------------------------------------------
+
+def _fsum_corpus() -> list[list[float]]:
+    rng = make_generator(17, 3)
+    tiny = 5e-324
+    rows = [
+        [], [0.0], [-0.0], [-0.0, -0.0], [0.0, -0.0], [tiny], [-tiny, tiny, tiny],
+        [2.2250738585072014e-308, -tiny, 1e-310],          # subnormals
+        [1e16, 1.0, -1e16], [1e100, 1.0, -1e100, 1e-100],   # cancellation
+        [1e308, -1e308, 1e-308], [1.7976931348623157e308, -1.7976931348623157e308, 3.0],
+        [1.0, 2.0 ** -53], [1.0, -(2.0 ** -54)], [1.0, 2.0 ** -53, 2.0 ** -106],  # ties
+        [1e-16, 1.0, 1e16], [-1e-16, -1.0, -1e16], [2.0 ** 53, 1.0, -(2.0 ** -60)],
+        [2.0 ** 53, 1.0, 2.0 ** -60], [3.0, 2.0 ** 53, -(2.0 ** -60), 1.0],
+        [2.0 ** (20 * k) for k in range(-50, 51)],          # more partials than C keeps
+    ]
+    for length in (1, 2, 7, 33, 255):
+        mags = 10.0 ** rng.integers(-300, 301, size=length)
+        rows.append((rng.normal(size=length) * mags).tolist())
+        half = rng.normal(size=length) * 1e16
+        rows.append(np.concatenate([half, -half[::-1], rng.normal(size=3)]).tolist())
+        rows.append(np.ldexp(rng.choice([-1.0, 1.0], size=length),
+                             rng.integers(-1074, 1000, size=length)).tolist())
+    return rows
+
+
+@pytest.fixture(params=["kernel", "fallback"])
+def fsum_engine(request, monkeypatch):
+    if request.param == "kernel" and kernel.load() is None:
+        pytest.skip("no C compiler: fsum_rows runs math.fsum")
+    if request.param == "fallback":
+        monkeypatch.setattr(kernel, "load", lambda: None)
+    return request.param
+
+
+def test_fsum_rows_is_math_fsum_bit_for_bit(fsum_engine):
+    for row in _fsum_corpus():
+        got = kernel.fsum_rows(np.array([row], dtype=float).reshape(1, len(row)))
+        assert got.shape == (1,)
+        assert float(got[0]).hex() == math.fsum(row).hex(), row
+    # one matrix of equal-length rows: lengths 0, 1 and odd
+    rng = make_generator(17, 4)
+    for length in (0, 1, 5, 1001):
+        a = rng.normal(size=(9, length)) * 10.0 ** rng.integers(-300, 301, size=(9, length))
+        a[1] = -a[0]
+        want = [math.fsum(r) for r in a.tolist()]
+        assert [x.hex() for x in kernel.fsum_rows(a).tolist()] == [x.hex() for x in want]
+
+
+@pytest.mark.parametrize("row", [
+    [math.inf, 1.0], [1.0, -math.inf, 2.0], [math.inf, math.inf], [math.nan, 1.0],
+    [1.0, math.inf, math.nan], [math.inf, -math.inf], [1e308, 1e308],
+    [-1e308, 1.0, -1e308, 1e308], [math.inf, 1e308, 1e308]])
+def test_fsum_rows_special_rows_are_math_fsum(fsum_engine, row):
+    try:
+        want = math.fsum(row)
+    except (OverflowError, ValueError) as exc:
+        with pytest.raises(type(exc), match=re.escape(str(exc))):
+            kernel.fsum_rows(np.array([row]))
+        return
+    # a finite row beside a special one keeps the kernel's value
+    got = kernel.fsum_rows(np.array([row, [0.5] * len(row)]))
+    assert float(got[0]).hex() == want.hex()
+    assert got[1] == math.fsum([0.5] * len(row))

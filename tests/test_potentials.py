@@ -23,9 +23,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from binlab import kernel
 from binlab.checks import PreconditionError
 from binlab.core import LoadState, new_state
-from binlab.potentials import (certify_drift, drift_constant,
+from binlab.potentials import (DriftEvaluator, certify_drift, drift_constant,
                                drift_step_bound_check, drift_step_bound_exact,
                                gamma_expectation_bound, gamma_for_weighted,
                                potential, require_c1, scaled_exp)
@@ -371,6 +372,90 @@ def test_monte_carlo_step_bound_agrees_with_exact(text, wtext, gamma):
         assert se > 0 and exact.passed
         assert abs(mc.value - exact.value) <= 4 * se + tol, \
             (side, mc.value, exact.value, (mc.value - exact.value) / se)
+
+
+def _exact_reference(state, p, law, w, gamma, k, r, side) -> tuple[float, float, float]:
+    """(value, bound, size) of ``drift_step_bound_exact`` one rank at a
+    time, summed with ``math.fsum``."""
+    n = state.n
+    s = 1.0 if side == "phi" else -1.0
+    la = log_mgf(w, s * gamma * (1.0 - 1.0 / n))
+    lb = log_mgf(w, -s * gamma / n)
+    pot, _ = scaled_exp(s * gamma * state.sorted_normalized())
+    change, mag = np.zeros(n), 0.0
+    for (balls, c), prob in law.items():
+        ell = c * la + (balls - c) * lb
+        change += prob * math.expm1(ell)
+        mag += (c * abs(la) + (balls - c) * abs(lb)) * math.exp(max(ell, 0.0))
+    probs = p.array
+    coef = s * (probs - 1.0 / n) * r * gamma + k * r * gamma * gamma / n
+    size = mag + r * gamma * (probs + 1.0 / n) + k * r * gamma * gamma / n
+    return tuple(math.fsum((pot * v).tolist()) for v in (change, coef, size))
+
+
+def _cert_reference(state, p, params, gamma) -> tuple[float, float, float, float]:
+    """(value, bound, bound_theorem, log_scale) of ``certify_drift``, from
+    one ``scaled_exp`` of both sides."""
+    n, delta, eps = state.n, params.delta, params.epsilon
+    ex = gamma * state.sorted_normalized()
+    terms, shift = scaled_exp(np.concatenate((ex, -ex)))
+    bias = p.array - 1.0 / n
+    value = gamma * (float(np.dot(terms[:n], bias)) - float(np.dot(terms[n:], bias)))
+    total = float(np.sum(terms[:n]) + np.sum(terms[n:]))
+    additive = drift_constant(delta) * gamma * eps * math.exp(-shift)
+    return (value, -total * gamma * eps * delta / (4 * n) + additive,
+            -total * gamma * eps * delta / (8 * n) + additive, shift)
+
+
+def _block_states(spec, n, seed) -> list[LoadState]:
+    """Random states with ties (and fractional loads under weights), and
+    two far from flat, where the certificate's log_scale is positive: one
+    bin far above the rest (phi's shift) and one far below (psi's)."""
+    rng = make_generator(seed, 9)
+    states = []
+    for _ in range(6):
+        loads = rng.integers(0, 4, size=n).astype(float)
+        if spec.weights.kind != "unit":
+            loads += rng.exponential(size=n) * (rng.random(n) < 0.5)
+        states.append(LoadState.from_loads(loads))
+    states.append(LoadState.from_loads([2000.0] + [0.0] * (n - 1)))
+    states.append(LoadState.from_loads([1300.0] * (n - 1) + [0.0]))
+    return states
+
+
+@pytest.mark.parametrize("engine", ["kernel", "fallback"])
+@pytest.mark.parametrize("text,wtext,tie", [
+    ("two-choice", "exp1", "random"), ("reset-memory", "geom:p=0.5", "random"),
+    ("quantile:delta=0.5", "poisson:l=2", "higher-index"),
+    ("twinning:delta=0.5", "unit", "random"), ("penalty:delta=0.25", "unit", "higher-index")])
+def test_block_evaluator_rows_equal_one_row_calls(monkeypatch, engine, text, wtext, tie):
+    if engine == "fallback":
+        monkeypatch.setattr(kernel, "load", lambda: None)
+    n, gamma, k = 24, 0.5, 3.0
+    spec = parse_process(text, weights=parse_weights(wtext), tie_rule=tie)
+    cond, p = canonical_conditions(spec, n), comparison_vector(spec, n)
+    states = _block_states(spec, n, len(text))
+    laws = [round_law(spec, st) for st in states]
+    ys = np.array([st.sorted_normalized() for st in states])
+    law = {atom: np.array([one[atom] for one in laws]) for atom in laws[0]}
+    ev = DriftEvaluator(p, gamma, params=cond, weights=spec.weights, k=k)
+    certs, checks = ev.evaluate(ys, law)
+    assert certs == [certify_drift(st, p, cond, gamma) for st in states]
+    assert certs == ev.certify(ys)
+    assert {c.log_scale > 0 for c in certs} == {True, False}
+    for cert, st in zip(certs, states):
+        want = _cert_reference(st, p, cond, gamma)
+        assert (cert.value, cert.bound, cert.bound_theorem, cert.log_scale) == want
+    one_row = [drift_step_bound_exact(st, p, one, spec.weights, gamma, k, 1.0, side)
+               for st, one in zip(states, laws) for side in ("phi", "psi")]
+    assert checks == one_row
+    assert checks[1::2] == ev.step_bounds(ys, law, "psi")
+    for i, (st, one) in enumerate(zip(states, laws)):
+        for j, side in enumerate(("phi", "psi")):
+            res = checks[2 * i + j]
+            want = _exact_reference(st, p, one, spec.weights, gamma, k, 1.0, side)
+            assert (res.value, res.bound) == want[:2]
+            assert res.passed == (want[0] <= want[1] + 64 * U * want[2])
 
 
 def test_exact_step_bound_validates():

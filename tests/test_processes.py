@@ -18,7 +18,7 @@ import pytest
 
 from binlab import kernel
 from binlab.core import LoadState, new_state, tie_blocks
-from binlab.experiments import ExperimentConfig
+from binlab.experiments import ExperimentConfig, aggregate, sweep
 from binlab.graphs import complete_graph, cycle_graph, hypercube_graph
 from binlab.processes import (ENUM_LIMIT, ProbeConfig, ProcessSpec,
                               UnsupportedProcessError, _BatchedEngine, _ChunkSource,
@@ -744,6 +744,8 @@ def _batched_per_round(spec, n, m, b, seed, probe=None):
     loads = np.zeros(n)
     rows, balls = [], 0
     for pt in _probe_points(probe, n, m):
+        if rows and balls >= pt:  # one row per ball count
+            continue
         while balls < pt:
             _batched_round(loads, rng.multinomial(b, pv))
             balls += b
@@ -803,6 +805,47 @@ def test_run_batched_basics():
     assert all(r.step % 128 == 0 or r.step == 0 for r in rows)
     again = run_batched(spec, 64, 640, b=128, seed=9)
     assert rows == again
+
+
+def test_batched_probes_give_one_row_per_ball_count():
+    # rounds of 4n balls pass four probe points at once: each ball count is
+    # one row, so aggregating one repetition counts one
+    table = sweep(ExperimentConfig(processes=("two-choice",), ns=(16,), m="3b",
+                                   batches=("4n",), keep="trajectory"))
+    assert table.column("step") == [64, 128, 192]
+    assert aggregate(table).column("reps") == [1, 1, 1]
+    # explicit probes inside one round, and 0 before the first
+    rows = run_batched(u(), 16, 192, b=64, seed=1,
+                       probe=ProbeConfig(steps=(0, 5, 10, 33, 64, 100)))
+    assert [r.step for r in rows] == [0, 64, 128, 192]
+
+
+def test_per_ball_probes_give_one_row_per_ball_count():
+    # twinning's two-ball steps pass some consecutive probe points
+    rows = run(parse_process("twinning:delta=0.5"), 16, 60, seed=3,
+               probe=ProbeConfig(steps=tuple(range(61))))
+    steps = [r.step for r in rows]
+    assert steps == sorted(set(steps)) and steps[0] == 0 and steps[-1] >= 60
+    assert len(steps) < 61  # some points were passed by a two-ball step
+
+
+def test_chunk_source_stream_keeps_the_buffered_half():
+    # numpy's Philox keeps the spare 32-bit half of a 64-bit draw across
+    # integers calls, so 3 then 5 bins read as a chunk of 8 ...
+    a, b = make_generator(5, 0), make_generator(5, 0)
+    split = a.integers(0, 1000, size=3).tolist() + a.integers(0, 1000, size=5).tolist()
+    assert split == b.integers(0, 1000, size=8).tolist()
+    # ... and across a random() draw between them
+    a, b = make_generator(5, 0), make_generator(5, 0)
+    head, floats, tail = a.integers(0, 1000, size=3), a.random(2), a.integers(0, 1000, size=1)
+    assert head.tolist() + tail.tolist() == b.integers(0, 1000, size=4).tolist()
+    assert floats.tolist() == b.random(2).tolist()
+    # the chunk size is still part of the stream: the floats drawn after a
+    # chunk of bins move with its size
+    unit = parse_weights("unit")
+    s3, s5 = (_ChunkSource(make_generator(5, 0), 16, unit, bins_size=k) for k in (3, 5))
+    assert s3.bins().tolist() == s5.bins().tolist()[:3]
+    assert s3.floats().tolist() != s5.floats().tolist()
 
 
 def test_run_batched_rejects_weighted_and_dynamic():
