@@ -16,9 +16,10 @@ from pathlib import Path
 
 import numpy as np
 
-from binlab.checks import CERT_CSV_HEADER
+from binlab.checks import CertResult
 from binlab.core import LoadState
 from binlab.potentials import certify_drift
+from binlab.tableio import Table, write_csv
 from binlab.vectors import ConditionParams, ProbabilityVector, worst_case_vector
 
 DELTAS = (0.25, 1 / 3, 0.5, 0.75)
@@ -60,7 +61,7 @@ def main(argv=None) -> None:
     args = ap.parse_args(argv)
 
     rng = np.random.default_rng(args.seed)
-    rows = [CERT_CSV_HEADER]
+    table = Table(CertResult.COLUMNS)
     failures = 0
     min_slack = math.inf
     for _ in range(args.count):
@@ -72,14 +73,14 @@ def main(argv=None) -> None:
         p = compliant_vector(rng, delta, eps, n)
         res = certify_drift(state, p,
                             ConditionParams(delta=delta, epsilon=eps), gamma)
-        rows.append(res.csv_row())
+        table.append(res.row())
         failures += not res.passed
         min_slack = min(min_slack, res.slack)
 
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     path = out / "drift_certificates.csv"
-    path.write_text("\n".join(rows) + "\n")
+    write_csv(table, path)
     print(f"{args.count - failures}/{args.count} certificates passed "
           f"(min slack {min_slack:.4g}); rows in {path}")
     if failures:

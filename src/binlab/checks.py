@@ -32,12 +32,11 @@ def inputs_hash(*parts, prefix=None) -> str:
     return inputs_prefix(*parts, prefix=prefix).hexdigest()[:12]
 
 
-CHECK_CSV_HEADER = "name,inputs_hash,value,bound,slack,passed"
-
-
 @dataclass(frozen=True)
 class CheckResult:
     """Outcome of a single inequality check: value <= bound."""
+
+    COLUMNS = ("name", "inputs_hash", "value", "bound", "slack", "passed")
 
     name: str
     value: float
@@ -49,12 +48,9 @@ class CheckResult:
     def slack(self) -> float:
         return self.bound - self.value
 
-    def csv_row(self) -> str:
-        return (f"{self.name},{self.inputs},{self.value:.9g},{self.bound:.9g},"
-                f"{self.slack:.9g},{int(self.passed)}")
-
-
-CERT_CSV_HEADER = "inputs_hash,value,bound,bound_theorem,slack,log_scale,passed,passed_theorem"
+    def row(self) -> tuple:
+        """The cells under ``COLUMNS``, for ``tableio``."""
+        return (self.name, self.inputs, self.value, self.bound, self.slack, int(self.passed))
 
 
 @dataclass(frozen=True)
@@ -65,6 +61,9 @@ class CertResult:
     applied when the raw potentials would overflow; log_scale is 0.0 in the
     ordinary regime.
     """
+
+    COLUMNS = ("inputs_hash", "value", "bound", "bound_theorem", "slack", "log_scale",
+               "passed", "passed_theorem")
 
     inputs: str
     value: float
@@ -78,7 +77,7 @@ class CertResult:
     def slack(self) -> float:
         return self.bound - self.value
 
-    def csv_row(self) -> str:
-        return (f"{self.inputs},{self.value:.9g},{self.bound:.9g},"
-                f"{self.bound_theorem:.9g},{self.slack:.9g},{self.log_scale:.9g},"
-                f"{int(self.passed)},{int(self.passed_theorem)}")
+    def row(self) -> tuple:
+        """The cells under ``COLUMNS``, for ``tableio``."""
+        return (self.inputs, self.value, self.bound, self.bound_theorem, self.slack,
+                self.log_scale, int(self.passed), int(self.passed_theorem))

@@ -13,14 +13,14 @@ import sys
 from dataclasses import replace
 from fractions import Fraction
 
-from .checks import CERT_CSV_HEADER, CHECK_CSV_HEADER, PreconditionError
+from .checks import CertResult, CheckResult, PreconditionError
 from .configfile import load_config
-from .experiments import aggregate, certify, scaled_count, sweep
+from .experiments import aggregate, certify, sweep
 from .graphs import EXACT_LIMIT, conductance_bounds, conductance_exact, read_graph_file
 from .processes import (UnsupportedProcessError, allocation_vector,
                         canonical_conditions, parse_process)
 from .selftest import GROUPS, run_selftest
-from .tableio import read_csv, write_csv
+from .tableio import Table, read_csv, write_csv
 from .vectors import check_conditions
 
 
@@ -42,22 +42,8 @@ def _frac(x: float) -> str:
     return str(Fraction(x).limit_denominator(10 ** 6))
 
 
-def _refuse_simulate_ignored(cfg) -> None:
-    """Raise ValueError naming the first config key simulate would ignore."""
-    graphical = any(p.strip().partition(":")[0] == "graphical" for p in cfg.processes)
-    ignored = (
-        ("probe_steps", cfg.probe_steps is not None and cfg.keep == "final",
-         "under keep = final, which probes at m only"),
-        ("graph", bool(cfg.graph) and not graphical, "without a graphical process"),
-    )
-    for key, is_set, why in ignored:
-        if is_set:
-            raise ValueError(f"config key {key} is not supported by simulate {why}")
-
-
 def _cmd_simulate(args) -> int:
     cfg = load_config(args.config)
-    _refuse_simulate_ignored(cfg)
     if args.seed is not None:
         cfg = replace(cfg, seed=args.seed)
     table = sweep(cfg)
@@ -72,24 +58,6 @@ def _cmd_simulate(args) -> int:
     return 0
 
 
-def _refuse_drift_check_ignored(cfg) -> None:
-    """Raise ValueError naming the first config key drift-check would ignore."""
-    ignored = (
-        ("batches", any(scaled_count(b, 2) > 0 for b in cfg.batches)),
-        ("probe_steps", cfg.probe_steps is not None),
-        ("thresholds", bool(cfg.thresholds)),
-        ("keep", cfg.keep == "trajectory"),
-        ("reps", cfg.reps > 1),
-        ("graph", bool(cfg.graph)),
-    )
-    for key, is_set in ignored:
-        if is_set:
-            raise ValueError(f"config key {key} is not supported by drift-check")
-    for ptext in cfg.processes:
-        if ptext.strip().partition(":")[0] == "graphical":
-            raise ValueError("graphical processes are not supported by drift-check")
-
-
 def _tightest(results) -> str:
     """Smallest slack relative to |bound|, with its inputs hash."""
     def relative(res):
@@ -101,15 +69,12 @@ def _tightest(results) -> str:
 
 def _cmd_drift_check(args) -> int:
     cfg = load_config(args.config)
-    _refuse_drift_check_ignored(cfg)
     if args.seed is not None:
         cfg = replace(cfg, seed=args.seed)
     certs, checks = certify(cfg)
     cert_out, checks_out = _out_path(args.out), _out_path(args.checks_out)
-    for path, header, rows in ((cert_out, CERT_CSV_HEADER, certs),
-                               (checks_out, CHECK_CSV_HEADER, checks)):
-        with open(path, "w", newline="") as fh:
-            fh.write("\n".join([header] + [r.csv_row() for r in rows]) + "\n")
+    for path, rec, rows in ((cert_out, CertResult, certs), (checks_out, CheckResult, checks)):
+        write_csv(Table(rec.COLUMNS, [r.row() for r in rows]), path)
     n_fail = sum(not res.passed for res in certs + checks)
     print(f"drift-check: {len(certs)} certificates + {len(checks)} step-bound checks, "
           f"{n_fail} failures -> {cert_out}, {checks_out}")
@@ -183,11 +148,11 @@ def main(argv=None) -> int:
     numpy's and binlab's import-time state) is frozen out of the cyclic
     garbage collector.  No output waits for a collection, so nothing is
     lost: every output file is written and closed inside a ``with`` block
-    (``tableio.write_csv``, ``_cmd_drift_check``, ``graphs.write_graph_file``,
-    ``svgplot``), the interpreter still flushes stdout and stderr and runs
-    atexit handlers, and the sweep's worker pool is closed by its own
-    ``with`` block.  Objects a command creates stay collectable, so a file
-    the command leaks is still reported as a ``ResourceWarning``.
+    (``tableio.write_csv``, ``graphs.write_graph_file``, ``svgplot``), the
+    interpreter still flushes stdout and stderr and runs atexit handlers,
+    and the sweep's worker pool is closed by its own ``with`` block.
+    Objects a command creates stay collectable, so a file the command
+    leaks is still reported as a ``ResourceWarning``.
     """
     parser = _Parser(prog="binlab",
                      description="balanced-allocation simulations and checks")

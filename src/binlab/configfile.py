@@ -24,11 +24,27 @@ Schema (defaults in parentheses):
 """
 from __future__ import annotations
 
+import dataclasses
+import typing
+
 from .experiments import ExperimentConfig
 
-_LIST_KEYS = {"processes", "ns", "batches", "thresholds", "probe_steps"}
-_INT_KEYS = {"reps", "seed"}
-_STR_KEYS = {"m", "weights", "gamma", "tie_rule", "graph", "keep"}
+
+def _parser(hint):
+    """The function that turns a value's text into a field of type ``hint``:
+    ``X | None`` parses as X, and ``tuple[X, ...]`` as a comma list of X."""
+    args = [a for a in typing.get_args(hint) if a is not type(None)]
+    if typing.get_origin(hint) is tuple:
+        return lambda text: tuple(args[0](v.strip()) for v in text.split(",") if v.strip())
+    return _parser(args[0]) if args else hint
+
+
+# ExperimentConfig owns the schema: its fields are the keys, the fields
+# without a default the required ones, and their types the value parsers
+_PARSERS = {key: _parser(hint)
+            for key, hint in typing.get_type_hints(ExperimentConfig).items()}
+_REQUIRED = tuple(f.name for f in dataclasses.fields(ExperimentConfig)
+                  if f.default is dataclasses.MISSING)
 
 
 def parse_config_text(text: str) -> ExperimentConfig:
@@ -41,29 +57,14 @@ def parse_config_text(text: str) -> ExperimentConfig:
         if not sep:
             raise ValueError(f"line {lineno}: expected key=value, got {raw!r}")
         key = key.strip()
-        value = value.strip()
         if key in kw:
             raise ValueError(f"line {lineno}: duplicate key {key!r}")
-        if key in _LIST_KEYS:
-            items = [v.strip() for v in value.split(",") if v.strip()]
-            if key == "ns":
-                kw[key] = tuple(int(v) for v in items)
-            elif key == "thresholds":
-                kw[key] = tuple(float(v) for v in items)
-            elif key == "probe_steps":
-                kw[key] = tuple(int(v) for v in items)
-            else:
-                kw[key] = tuple(items)
-        elif key in _INT_KEYS:
-            kw[key] = int(value)
-        elif key in _STR_KEYS:
-            kw[key] = value
-        else:
+        if key not in _PARSERS:
             raise ValueError(f"line {lineno}: unknown key {key!r}")
-    if "processes" not in kw:
-        raise ValueError("config needs a processes= line")
-    if "ns" not in kw:
-        raise ValueError("config needs an ns= line")
+        kw[key] = _PARSERS[key](value.strip())
+    for key in _REQUIRED:
+        if key not in kw:
+            raise ValueError(f"config lacks required key {key!r}")
     return ExperimentConfig(**kw)
 
 

@@ -104,15 +104,27 @@ class ExperimentConfig:
                                  "use tie_rule=higher-index or batches=0")
 
 
+def _refuse_ignored(cfg: ExperimentConfig, command: str, ignored: dict[str, str]) -> None:
+    """Raise ValueError naming the first key of ``ignored`` (key: why the
+    command ignores it) that ``cfg`` sets to other than its default."""
+    for key, why in ignored.items():
+        # a dataclass keeps each field's default as a class attribute
+        if getattr(cfg, key) != getattr(ExperimentConfig, key):
+            raise ValueError(f"config key {key} is not supported by {command} {why}".rstrip())
+
+
+def _graphical(ptext: str) -> bool:
+    return ptext.strip().partition(":")[0] == "graphical"
+
+
 def _cells(cfg: ExperimentConfig):
     """(process index, n index, n, spec) of each cell, in config order; a
     graphical process gets its graph built from the config seed."""
     wdist = parse_weights(cfg.weights)
     for pi, ptext in enumerate(cfg.processes):
-        kind = ptext.strip().partition(":")[0]
         for ni, n in enumerate(cfg.ns):
             graph = None
-            if kind == "graphical":
+            if _graphical(ptext):
                 if not cfg.graph:
                     raise ValueError("graphical process needs a graph= entry")
                 graph = _parse_graph(cfg.graph, n, cfg.seed)
@@ -148,7 +160,14 @@ def run_seed(master: int, *path: int) -> int:
 
 def sweep(cfg: ExperimentConfig) -> Table:
     """Run the full factorial; rows ordered by (process, n, batch, rep,
-    step) and deterministic given the master seed."""
+    step) and deterministic given the master seed.  Refuses probe_steps
+    under keep = final, and graph without a graphical process."""
+    ignored = {}
+    if cfg.keep == "final":
+        ignored["probe_steps"] = "under keep = final, which probes at m only"
+    if not any(_graphical(p) for p in cfg.processes):
+        ignored["graph"] = "without a graphical process"
+    _refuse_ignored(cfg, "simulate", ignored)
     runs = []
     for pi, ni, n, spec in _cells(cfg):
         gamma, cond = None, (None,) * 4
@@ -193,10 +212,15 @@ def certify(cfg: ExperimentConfig) -> tuple[list, list]:
     """The counterpart of ``sweep`` for drift-check: one run per (process,
     n), probed every n balls up to m; each probe gives a ``certify_drift``
     certificate and the phi and psi ``drift_step_bound_exact`` checks.
-    Every cell is validated before any engine is built.  A cell's probes
+    Graphical processes and the keys it does not read are refused, and
+    every cell is validated, before any engine is built.  A cell's probes
     are evaluated in blocks: the engine advances through a block's probes,
     their states' rows and round laws are stacked into matrices, and one
     ``DriftEvaluator`` call gives the block's certificates and checks."""
+    _refuse_ignored(cfg, "drift-check", dict.fromkeys(
+        ("batches", "probe_steps", "thresholds", "keep", "reps", "graph"), ""))
+    if any(_graphical(p) for p in cfg.processes):
+        raise ValueError("graphical processes are not supported by drift-check")
     cells = []
     for pi, ni, n, spec in _cells(cfg):
         gamma, cond, s = _conditions(spec, n)

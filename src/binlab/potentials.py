@@ -149,23 +149,20 @@ def require_c1(p: ProbabilityVector, params: ConditionParams) -> None:
 
 
 def certify_drift(state: LoadState, p: ProbabilityVector, params: ConditionParams,
-                  gamma: float, *, c1_checked: bool = False) -> CertResult:
+                  gamma: float) -> CertResult:
     """Certify the one-step drift inequality on a concrete instance.
 
     The vector must satisfy C1(delta, eps) — violations raise
-    PreconditionError rather than producing a failed certificate.  A caller
-    that certifies many states against one vector runs ``require_c1`` once
-    and passes ``c1_checked=True``.  Both the tight (4n) and relaxed (8n)
-    additive forms are evaluated.  Everything is computed under the common
-    factor exp(-shift) of ``scaled_exp``, recorded as log_scale; the
-    inequality is scale-invariant.
+    PreconditionError rather than producing a failed certificate.  Both the
+    tight (4n) and relaxed (8n) additive forms are evaluated.  Everything is
+    computed under the common factor exp(-shift) of ``scaled_exp``, recorded
+    as log_scale; the inequality is scale-invariant.
     """
     if p.n != state.n:
         raise PreconditionError(f"vector has {p.n} entries but state has {state.n} bins")
     if not 0 < gamma <= 1:
         raise PreconditionError(f"gamma must lie in (0, 1], got {gamma}")
-    if not c1_checked:
-        require_c1(p, params)
+    require_c1(p, params)
     return DriftEvaluator(p, gamma, params=params).certify(state.sorted_normalized()[None])[0]
 
 

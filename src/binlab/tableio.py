@@ -11,12 +11,12 @@ from dataclasses import dataclass, field
 
 
 def format_cell(v) -> str:
+    if isinstance(v, float):  # first: most cells are floats, and no bool is one
+        return f"{v:.9g}"
     if v is None:
         return ""
     if isinstance(v, bool):
         return "1" if v else "0"
-    if isinstance(v, float):
-        return f"{v:.9g}"
     return str(v)
 
 
@@ -52,8 +52,7 @@ def dumps_csv(table: Table) -> str:
     buf = io.StringIO()
     w = csv.writer(buf, quoting=csv.QUOTE_MINIMAL, lineterminator="\n")
     w.writerow(table.headers)
-    for row in table.rows:
-        w.writerow([format_cell(v) for v in row])
+    w.writerows([format_cell(v) for v in row] for row in table.rows)
     return buf.getvalue()
 
 

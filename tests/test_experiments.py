@@ -7,7 +7,7 @@ import multiprocessing.pool
 import pytest
 
 from binlab import experiments
-from binlab.experiments import (ExperimentConfig, aggregate, final_gaps,
+from binlab.experiments import (ExperimentConfig, aggregate, certify, final_gaps,
                                 gap_scaling_report, lower_bound_trials,
                                 record_headers, run_seed, scaled_count, sweep)
 from binlab import processes
@@ -154,6 +154,37 @@ def test_sweep_batched_and_graphical():
     assert len(gt) == 1
     with pytest.raises(ValueError, match="graph"):
         sweep(ExperimentConfig(processes=("graphical",), ns=(16,), m="5n"))
+
+
+def _no_cells(monkeypatch) -> list:
+    """Calls of ``experiments._cells``, which no refused config reaches."""
+    calls = []
+    monkeypatch.setattr(experiments, "_cells", lambda cfg: calls.append(cfg) or iter(()))
+    return calls
+
+
+def test_sweep_refuses_probe_steps_under_keep_final(monkeypatch):
+    cells = _no_cells(monkeypatch)
+    cfg = ExperimentConfig(processes=("two-choice",), ns=(8,), m="2n", probe_steps=(8,))
+    with pytest.raises(ValueError, match="^config key probe_steps is not supported by "
+                                         "simulate under keep = final, which probes at m only$"):
+        sweep(cfg)
+    assert cells == []
+
+
+# the library form of drift-check makes its refusals, before any cell resolves
+@pytest.mark.parametrize("change,text", [
+    ({"reps": 5}, "config key reps is not supported by drift-check"),
+    ({"batches": ("2n",)}, "config key batches is not supported by drift-check"),
+    ({"processes": ("two-choice", "graphical")},
+     "graphical processes are not supported by drift-check"),
+], ids=["reps", "batches", "graphical"])
+def test_certify_refuses_what_drift_check_ignores(monkeypatch, change, text):
+    cells = _no_cells(monkeypatch)
+    cfg = ExperimentConfig(**{"processes": ("two-choice",), "ns": (8,), "m": "2n", **change})
+    with pytest.raises(ValueError, match=f"^{text}$"):
+        certify(cfg)
+    assert cells == []
 
 
 @pytest.mark.parametrize("cfg", [

@@ -9,16 +9,19 @@ import hashlib
 import inspect
 import json
 import os
+import re
 import runpy
 import subprocess
 import sys
+from dataclasses import fields
 from pathlib import Path
 
 import pytest
 
-from binlab import experiments, kernel
+from binlab import configfile, experiments, kernel
 from binlab.cli import main
 from binlab.configfile import parse_config_text
+from binlab.experiments import ExperimentConfig
 from binlab.graphs import complete_graph, cycle_graph, write_graph_file
 from binlab.svgplot import PlotSpec, Series, render_series, render_svg, table_series
 from binlab.tableio import Table, dumps_csv, format_cell, read_csv, write_csv
@@ -173,13 +176,13 @@ def test_parse_full_config():
 
 def test_parse_config_errors():
     for key in ("color", "cond_delta", "cond_epsilon"):
-        with pytest.raises(ValueError, match="unknown key"):
+        with pytest.raises(ValueError, match=f"^line 3: unknown key '{key}'$"):
             parse_config_text(f"processes=two-choice\nns=8\n{key}=0.5\n")
-    with pytest.raises(ValueError, match="duplicate"):
+    with pytest.raises(ValueError, match="^line 2: duplicate key 'processes'$"):
         parse_config_text("processes=a\nprocesses=b\nns=8\n")
-    with pytest.raises(ValueError, match="processes"):
+    with pytest.raises(ValueError, match="^config lacks required key 'processes'$"):
         parse_config_text("ns=8\n")
-    with pytest.raises(ValueError, match="ns"):
+    with pytest.raises(ValueError, match="^config lacks required key 'ns'$"):
         parse_config_text("processes=two-choice\n")
     with pytest.raises(ValueError, match="key=value"):
         parse_config_text("processes two-choice\nns=8\n")
@@ -188,6 +191,28 @@ def test_parse_config_errors():
 def test_parse_config_minimal_defaults():
     cfg = parse_config_text("processes=two-choice\nns=8\n")
     assert cfg.m == "100n" and cfg.reps == 1 and cfg.batches == ("0",)
+
+
+def test_parse_config_sets_every_key():
+    text = ("processes = two-choice, graphical\nns = 16, 64\nm = 20n\nreps = 3\nseed = 7\n"
+            "weights = unit\nbatches = 0, 2n\ngamma = 0.25\nthresholds = 1.0, 2.5\n"
+            "probe_steps = 64, 8\ntie_rule = higher-index\ngraph = random-regular:d=4\n"
+            "keep = trajectory\n")
+    built = ExperimentConfig(
+        processes=("two-choice", "graphical"), ns=(16, 64), m="20n", reps=3, seed=7,
+        weights="unit", batches=("0", "2n"), gamma="0.25", thresholds=(1.0, 2.5),
+        probe_steps=(8, 64), tie_rule="higher-index", graph="random-regular:d=4",
+        keep="trajectory")
+    assert len(text.splitlines()) == len(fields(ExperimentConfig)) == 13
+    assert parse_config_text(text) == built
+
+
+def test_configfile_schema_lists_the_config_fields():
+    # the module docstring is the human-readable schema: one entry per key,
+    # in the order of ExperimentConfig's fields
+    keys = re.findall(r"^    ([a-z_]+) ", configfile.__doc__.partition("Schema")[2],
+                      flags=re.MULTILINE)
+    assert keys == [f.name for f in fields(ExperimentConfig)]
 
 
 # -- cli -----------------------------------------------------------------------
@@ -552,7 +577,9 @@ def test_cli_simulate_rejects_d_on_fixed_degree_graph(tmp_path, monkeypatch, cap
 @pytest.mark.parametrize("line,key", [
     ("batches = 2n", "batches"), ("probe_steps = 3,5", "probe_steps"),
     ("thresholds = 1", "thresholds"), ("keep = trajectory", "keep"),
-    ("reps = 5", "reps"), ("graph = cycle", "graph")])
+    ("reps = 5", "reps"), ("graph = cycle", "graph"),
+    # other spellings of the default `batches = 0` differ from it
+    ("batches = 0,0", "batches"), ("batches = 0n", "batches")])
 def test_cli_drift_check_rejects_ignored_keys(tmp_path, monkeypatch, capsys, line, key):
     cfg = tmp_path / "drift.cfg"
     cfg.write_text(f"processes = two-choice\nns = 8\nm = 2n\n{line}\n")
@@ -561,6 +588,16 @@ def test_cli_drift_check_rejects_ignored_keys(tmp_path, monkeypatch, capsys, lin
     err = capsys.readouterr().err
     assert f"config key {key} is not supported by drift-check" in err
     assert not (tmp_path / "drift-certs.csv").exists()
+
+
+# a key written out at its default is not set: `batches = 0` and `reps = 1` pass
+def test_cli_drift_check_accepts_keys_at_their_defaults(tmp_path, monkeypatch, capsys):
+    cfg = tmp_path / "drift.cfg"
+    cfg.write_text("processes = two-choice\nns = 8\nm = 2n\nbatches = 0\nreps = 1\n"
+                   "keep = final\nthresholds =\ngraph =\n")
+    monkeypatch.setenv("BINLAB_OUT", str(tmp_path))
+    assert main(["drift-check", str(cfg)]) == 0
+    assert "0 failures" in capsys.readouterr().out
 
 
 def test_cli_drift_check_single_bin_exits_1(tmp_path, monkeypatch, capsys):
