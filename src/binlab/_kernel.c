@@ -13,6 +13,10 @@
  * Loads are doubles.  Unit counts stay exact below 2^53, and weighted sums
  * round exactly as Python floats do, provided the file is compiled without
  * FMA contraction or fast-math (see binlab/kernel.py for the flags).
+ *
+ * The file keeps no global mutable state: every call works only on the
+ * engine, arrays and buffers it is handed, so engines on different threads
+ * may run at once (binlab.experiments fans sweeps out that way).
  */
 #include <math.h>
 #include <stdint.h>

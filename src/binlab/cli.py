@@ -150,7 +150,7 @@ def main(argv=None) -> int:
     lost: every output file is written and closed inside a ``with`` block
     (``tableio.write_csv``, ``graphs.write_graph_file``, ``svgplot``), the
     interpreter still flushes stdout and stderr and runs atexit handlers,
-    and the sweep's worker pool is closed by its own ``with`` block.
+    and a fanned-out sweep joins its worker threads before it returns.
     Objects a command creates stay collectable, so a file the command
     leaks is still reported as a ``ResourceWarning``.
     """
@@ -202,8 +202,8 @@ def main(argv=None) -> int:
         return int(e.code or 0)
     # Frozen, the ~24k start-up objects are left for the OS to reclaim at
     # exit; otherwise the final collection walks and frees them one by one,
-    # 30-50 ms per process and as long as many a command's work.  Forked
-    # pool workers inherit a heap the collector skips.
+    # 30-50 ms per process and as long as many a command's work.  A fanned-out
+    # sweep's worker threads share the heap, so their collections skip it too.
     gc.freeze()
 
     handlers = {

@@ -44,10 +44,10 @@ class LoadState:
     @classmethod
     def from_loads(cls, loads) -> "LoadState":
         """Build a state with prescribed initial loads (copied)."""
-        vals = np.array(loads, dtype=float)
-        st = cls(len(vals))
-        st._loads[:] = vals
-        st.total_weight = sum(vals.tolist())
+        st = cls(len(loads))
+        st._loads[:] = loads
+        # from 0.0 left to right, as Python's sum() adds floats before 3.12
+        st.total_weight = float(np.add.accumulate(np.concatenate(([0.0], st._loads)))[-1])
         return st
 
     def apply_allocation(self, bin_id: int, weight: float) -> None:

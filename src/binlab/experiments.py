@@ -12,6 +12,7 @@ import math
 import os
 import re
 import statistics
+import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -275,12 +276,14 @@ def _execute(job: _Run) -> list[ProbeRow]:
     return run(job.spec, job.n, job.m, job.seed, job.probe)
 
 
-# A sweep whose runs request at least this many balls in total is spread
-# over the usable CPUs.  Starting, feeding and closing a worker pool costs
-# 12-20 ms on a 2-CPU x86-64 host, where 2^24 balls take 0.4-1.7 s of engine
-# or batched work in one process: a sweep that fans out gains far more
-# than the pool costs, and a small one pays nothing.
-FANOUT_MIN_BALLS = 1 << 24
+# A sweep fans out only when its runs request at least this many balls in
+# total.  Below it sit the conductance workload's graphical sweeps with
+# gamma = auto (0.37 M and 0.57 M balls): their eigvalsh leaves OpenBLAS's
+# threads spinning, and two workers beside that spin took them 205 ms
+# against 202 ms serial (medians of 20 fresh processes, 2-CPU x86-64 host).
+# Above it, the sweep-engines sweeps (2.6 M and 4.1 M balls) went from 70
+# to 47 ms and from 124 to 81 ms on two threads.
+FANOUT_MIN_BALLS = 1 << 21
 
 
 def _usable_cpus() -> int:
@@ -294,23 +297,43 @@ def _usable_cpus() -> int:
 def _run_all(runs: list[_Run]) -> list[list[ProbeRow]]:
     """Probe rows of every run, in the order of ``runs``.
 
-    Each run is seeded by its own coordinates, so where it executes cannot
-    change its rows.  Large sweeps go to a pool of forked workers: a fork
-    inherits the imported modules, the loaded kernel and the batched rank
-    vectors that ``sweep`` built, where a spawned worker would import
-    binlab again.  The parent's only other thread is OpenBLAS's, which
-    shuts itself down around a fork.
+    Each run is seeded by its own coordinates, so where it runs cannot
+    change its rows.  A large sweep of one-row runs on the kernel spreads
+    over one thread per usable CPU: the kernel and numpy's Philox fills
+    release the GIL.  Runs that probe along the way stay serial, since each
+    probe takes the GIL back (a sweep probed every n balls ran 2x slower on
+    two threads).  The workers take runs in order and none after a failure,
+    so every run before the failing one has started, and the error raised
+    is the one a serial sweep raises.
     """
     workers = min(_usable_cpus(), len(runs))
-    if workers >= 2 and sum(job.m for job in runs) >= FANOUT_MIN_BALLS:
-        import multiprocessing
-        if "fork" in multiprocessing.get_all_start_methods():
-            kernel.load()  # every run uses it: build or open it once, not per worker
-            with multiprocessing.get_context("fork").Pool(workers) as pool:
-                # imap hands out one run at a time and yields in order, so a
-                # failing run raises the error it would raise in this process
-                return list(pool.imap(_execute, runs))
-    return [_execute(job) for job in runs]
+    if (workers < 2 or sum(job.m for job in runs) < FANOUT_MIN_BALLS
+            or any(job.probe.steps != (job.m,) for job in runs)
+            or kernel.load() is None):
+        return [_execute(job) for job in runs]
+    rows, errors = [None] * len(runs), {}
+    lock, todo = threading.Lock(), iter(range(len(runs)))
+
+    def work():
+        while True:
+            with lock:
+                i = None if errors else next(todo, None)
+            if i is None:
+                return
+            try:
+                rows[i] = _execute(runs[i])
+            except BaseException as exc:
+                errors[i] = exc
+
+    # daemons, so that an interrupted sweep exits without finishing its runs
+    threads = [threading.Thread(target=work, daemon=True) for _ in range(workers)]
+    for t in threads:
+        t.start()
+    for t in threads:
+        t.join()
+    if errors:
+        raise errors[min(errors)]
+    return rows
 
 
 def _parse_graph(text: str, n: int, seed: int) -> RegularGraph:
@@ -443,12 +466,11 @@ _UNIFORM_COMPONENT = ("one-choice", "one-plus-beta", "twinning", "penalty",
 
 
 def final_gaps(spec: ProcessSpec, n: int, m: int, reps: int, seed: int) -> list[float]:
-    """Final-step gap of `reps` independent runs (deterministic per seed)."""
-    gaps = []
-    for rep in range(reps):
-        rows = run(spec, n, m, run_seed(seed, rep))
-        gaps.append(rows[-1].gap)
-    return gaps
+    """Final-step gap of `reps` independent runs (deterministic per seed),
+    each probed at m only."""
+    probe = ProbeConfig(steps=(m,))
+    runs = [_Run(spec, n, m, 0, run_seed(seed, rep), probe, ()) for rep in range(reps)]
+    return [rows[-1].gap for rows in _run_all(runs)]
 
 
 def lower_bound_trials(spec: ProcessSpec, n: int, c_scale: float, kappa: float,

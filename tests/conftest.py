@@ -1,6 +1,8 @@
 """Session set-up shared by the suites."""
 from __future__ import annotations
 
+import threading
+
 import pytest
 
 
@@ -12,3 +14,13 @@ def kernel_cache(tmp_path_factory):
     with pytest.MonkeyPatch.context() as mp:
         mp.setenv("XDG_CACHE_HOME", str(path))
         yield path
+
+
+@pytest.fixture
+def thread_starts(monkeypatch) -> list:
+    """The threads started while the test runs, in order."""
+    starts = []
+    start = threading.Thread.start
+    monkeypatch.setattr(threading.Thread, "start",
+                        lambda self: starts.append(self) or start(self))
+    return starts

@@ -112,6 +112,20 @@ def test_from_loads_copies_its_input():
         a.loads[0] = 7.0  # handed out read-only
 
 
+@pytest.mark.parametrize("loads", [
+    [1e16, 1.0, -1e16],               # compensated summation gives 1.0
+    [0.1] * 10 + [1e-17, -0.3],
+    [-0.0, -0.0],
+], ids=["cancelling", "tenths", "negative-zeros"])
+def test_from_loads_total_is_the_left_to_right_sum(loads):
+    total = 0.0
+    for v in loads:
+        total += v
+    got = LoadState.from_loads(np.array(loads)).total_weight
+    assert type(got) is float
+    assert got.hex() == total.hex()
+
+
 @pytest.mark.parametrize("loads,as_array", [
     ([2.5, 1.0, 2.5, 0.0, 1.0, 2.5, 0.0], False),
     ([0.0, -0.0, 0.0, -0.0, 1e-300, -1e-300], False),

@@ -2,7 +2,8 @@
 from __future__ import annotations
 
 import math
-import multiprocessing.pool
+import sys
+import threading
 
 import pytest
 
@@ -11,7 +12,8 @@ from binlab.experiments import (ExperimentConfig, aggregate, certify, final_gaps
                                 gap_scaling_report, lower_bound_trials,
                                 record_headers, run_seed, scaled_count, sweep)
 from binlab import processes
-from binlab.processes import parse_process
+from binlab.graphs import cycle_graph
+from binlab.processes import ProbeConfig, parse_process, run
 from binlab.tableio import Table, dumps_csv
 
 
@@ -193,21 +195,79 @@ def test_certify_refuses_what_drift_check_ignores(monkeypatch, change, text):
     ExperimentConfig(processes=("two-choice", "twinning:delta=0.5", "reset-memory"),
                      ns=(16, 32), m="20n", reps=3, seed=6, gamma="0.5",
                      thresholds=(1.0, 2.0), keep="trajectory"),
+    ExperimentConfig(processes=("two-choice", "twinning:delta=0.5", "reset-memory"),
+                     ns=(16, 32), m="20n", reps=3, seed=6, gamma="0.5",
+                     thresholds=(1.0, 2.0)),
     ExperimentConfig(processes=("graphical",), ns=(16, 32), m="10n", reps=3, seed=8,
                      graph="random-regular:d=4", gamma="auto"),
-], ids=["batched", "per-ball", "graphical-auto-gamma"])
-def test_sweep_bytes_do_not_depend_on_fan_out(monkeypatch, cfg):
-    pooled = []
-    imap = multiprocessing.pool.Pool.imap
-    monkeypatch.setattr(multiprocessing.pool.Pool, "imap",
-                        lambda self, *a: pooled.append(1) or imap(self, *a))
+], ids=["batched", "per-ball", "per-ball-final", "graphical-auto-gamma"])
+def test_sweep_bytes_do_not_depend_on_fan_out(monkeypatch, thread_starts, cfg):
     monkeypatch.setattr(experiments, "FANOUT_MIN_BALLS", 0)
     out = []
     for workers in (1, 2):
         monkeypatch.setattr(experiments, "_usable_cpus", lambda: workers)
         out.append(dumps_csv(sweep(cfg)))
-    assert pooled == [1]  # one worker ran in this process, two in a pool
+    # one CPU runs the sweep in this thread; two fan it out on two threads,
+    # unless its runs probe along the way (keep = trajectory)
+    assert len(thread_starts) == (0 if cfg.keep == "trajectory" else 2)
     assert out[0] == out[1]
+
+
+def test_fanned_out_runs_each_run_once_under_contention(monkeypatch):
+    # more workers than CPUs, switching threads every microsecond: a run
+    # taken twice or lost would show in the counts or the rows
+    runs = [experiments._Run(parse_process("two-choice"), 8, 8, 0, i,
+                             ProbeConfig(steps=(8,)), ()) for i in range(400)]
+    taken, lock = [0] * len(runs), threading.Lock()
+
+    def execute(job):
+        with lock:
+            taken[job.seed] += 1
+        return [job.seed]
+
+    monkeypatch.setattr(experiments, "_execute", execute)
+    monkeypatch.setattr(experiments, "FANOUT_MIN_BALLS", 0)
+    monkeypatch.setattr(experiments, "_usable_cpus", lambda: 8)
+    out = []
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        t = threading.Thread(target=lambda: out.append(experiments._run_all(runs)))
+        t.start()
+        t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not t.is_alive()
+    assert out == [[[i] for i in range(len(runs))]]
+    assert taken == [1] * len(runs)
+
+
+def test_fanned_out_sweep_raises_the_first_failing_runs_error(monkeypatch):
+    # runs 3 and 5 of 8 fail.  On two workers, run 3 fails only after run 5
+    # has: the other worker takes runs 4 and 5 meanwhile.  The error raised
+    # is still run 3's, the one a serial sweep raises, and once a run has
+    # failed no worker takes another, so runs 6 and 7 never start
+    spec = parse_process("two-choice")
+    runs = [experiments._Run(spec, 8, 8, 0, i, ProbeConfig(steps=(8,)), ())
+            for i in range(8)]
+    monkeypatch.setattr(experiments, "FANOUT_MIN_BALLS", 0)
+    for workers, started in ((1, [0, 1, 2, 3]), (2, [0, 1, 2, 3, 4, 5])):
+        log, five_failed = [], threading.Event()
+
+        def execute(job):
+            log.append(job.seed)
+            if job.seed == 3 and workers > 1:
+                assert five_failed.wait(timeout=30)
+            if job.seed in (3, 5):
+                five_failed.set()
+                raise ValueError(f"run {job.seed}")
+            return []
+
+        monkeypatch.setattr(experiments, "_execute", execute)
+        monkeypatch.setattr(experiments, "_usable_cpus", lambda: workers)
+        with pytest.raises(ValueError, match="^run 3$"):
+            experiments._run_all(runs)
+        assert sorted(log) == started
 
 
 def test_aggregate_medians_and_idempotence():
@@ -314,6 +374,25 @@ def test_final_gaps_deterministic():
     b = final_gaps(spec, 32, 320, reps=5, seed=4)
     assert a == b and len(a) == 5
     assert all(g >= 0 for g in a)
+
+
+@pytest.mark.parametrize("spec,n,m", [
+    (parse_process("twinning:delta=0.5"), 64, 64 * 25 + 1),    # two-ball steps
+    (parse_process("graphical", graph=cycle_graph(32)), 32, 32 * 40 + 7),
+], ids=["twinning", "graphical"])
+@pytest.mark.parametrize("workers", [1, 2])
+def test_final_gaps_probe_at_m_only(monkeypatch, thread_starts, spec, n, m, workers):
+    # probed at m alone, each run ends as run() probed every n balls ends:
+    # the engine's stop at m does not depend on earlier stops
+    snapshot, probes = processes._snapshot, []
+    monkeypatch.setattr(processes, "_snapshot",
+                        lambda *a: probes.append(a[1]) or snapshot(*a))
+    monkeypatch.setattr(experiments, "FANOUT_MIN_BALLS", 0)
+    monkeypatch.setattr(experiments, "_usable_cpus", lambda: workers)
+    gaps = final_gaps(spec, n, m, reps=6, seed=11)
+    assert len(probes) == 6 and min(probes) >= m
+    assert len(thread_starts) == (workers if workers > 1 else 0)
+    assert gaps == [run(spec, n, m, run_seed(11, rep))[-1].gap for rep in range(6)]
 
 
 def test_lower_bound_trials_gate_and_range():

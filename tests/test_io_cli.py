@@ -403,9 +403,10 @@ def test_cli_simulate_rejects_non_finite_inputs(tmp_path, monkeypatch, capsys,
     assert not (tmp_path / "runs.csv").exists()
 
 
-def test_cli_simulate_potential_overflow_exits_1(tmp_path, monkeypatch, capsys):
+def test_cli_simulate_potential_overflow_exits_1(tmp_path, monkeypatch, capsys,
+                                                thread_starts):
     # one-choice at n = 8 reaches gamma*gap > 709 by m = 100n at gamma = 30;
-    # through a worker pool the error and its message are the same
+    # fanned out on two threads the error and its message are the same
     cfg = tmp_path / "over.cfg"
     cfg.write_text("processes = one-choice,two-choice\nns = 8,16\nm = 100n\n"
                    "reps = 20\nseed = 3\ngamma = 30\n")
@@ -416,6 +417,7 @@ def test_cli_simulate_potential_overflow_exits_1(tmp_path, monkeypatch, capsys):
     monkeypatch.setattr(experiments, "FANOUT_MIN_BALLS", 0)
     monkeypatch.setattr(experiments, "_usable_cpus", lambda: 2)
     assert main(["simulate", str(cfg)]) == 1
+    assert len(thread_starts) == 2
     assert capsys.readouterr().err == err
     assert not (tmp_path / "runs.csv").exists()
 
@@ -680,9 +682,9 @@ def test_cli_plot_names_a_missing_column(tmp_path, capsys, flag):
 
 
 # -- import hygiene ----------------------------------------------------------
-# The runtime is numpy only: no command imports scipy.  multiprocessing is
-# imported only when a sweep fans out, so commands that never do so do not
-# pay for it.  Each case runs in a fresh interpreter and reports the
+# The runtime is numpy only: no command imports scipy.  A sweep fans out on
+# threads, so no command, a fanned-out sweep included, imports
+# multiprocessing.  Each case runs in a fresh interpreter and reports the
 # modules of the named packages left in sys.modules.
 
 _SRC = Path(__file__).resolve().parents[1] / "src"
@@ -755,16 +757,19 @@ def test_conductance_bounds_cli_loads_no_scipy(tmp_path):
     assert _loaded(tmp_path, _cli_body("conductance", str(path))) == _NOTHING
 
 
-def test_fanned_out_sweep_loads_multiprocessing(tmp_path):
-    # positive control: a sweep at the fan-out threshold starts a worker pool;
-    # its workers fork from main()'s frozen heap and write the serial bytes
+def test_fanned_out_sweep_loads_no_multiprocessing(tmp_path):
+    # a sweep over the fan-out threshold starts one thread per usable CPU
+    # and writes the serial bytes
     cfg = tmp_path / "plain.cfg"
     cfg.write_text("processes = two-choice\nns = 16\nm = 10n\nreps = 2\n")
-    body = ("import binlab.experiments as e\n"
+    body = ("import threading\nstarts = []\nstart = threading.Thread.start\n"
+            "threading.Thread.start = lambda self: starts.append(1) or start(self)\n"
+            "import binlab.experiments as e\n"
             "e.FANOUT_MIN_BALLS = 0\n"
             "e._usable_cpus = lambda: 2\n"
-            + _cli_body("simulate", str(cfg), "--out", "fanned.csv"))
-    assert "multiprocessing.pool" in _loaded(tmp_path, body)["multiprocessing"]
+            + _cli_body("simulate", str(cfg), "--out", "fanned.csv")
+            + "\nassert starts == [1, 1], starts")
+    assert _loaded(tmp_path, body) == _NOTHING
     serial = _cli_body("simulate", str(cfg), "--out", "serial.csv")
     assert _loaded(tmp_path, serial) == _NOTHING
     assert (tmp_path / "fanned.csv").read_bytes() == (tmp_path / "serial.csv").read_bytes()

@@ -11,7 +11,8 @@ interface on both engines, and on ``_BatchedEngine`` where a case can be
 batched.  One run per kind on the real 16 384-draw chunks crosses a chunk
 boundary on each stream it reads, save reset-memory's rare tie coins.  The
 threshold kinds' top set is stressed at both ends of t, on draws that
-spread the loads wide, and at n = 1024.  A batched sweep is compared, byte
+spread the loads wide, and at n = 1024.  Two engines of each family
+advanced at once on two threads end as serial runs do.  A batched sweep is compared, byte
 for byte, with the same sweep on the numpy rounds.  The exact row sums are
 compared with ``math.fsum`` bit for bit, with and without the kernel.
 """
@@ -24,6 +25,7 @@ import os
 import re
 import subprocess
 import sys
+import threading
 
 import numpy as np
 import pytest
@@ -340,6 +342,43 @@ def test_threshold_kinds_match_step_at_scale(compiled, text):
     eng.advance(20 * n)
     ref.advance(20 * n)
     assert _same(eng, ref)
+
+
+REENTRANT = [("two-choice", "unit"), ("one-plus-beta:beta=0.5", "unit"),
+             ("quantile:delta=0.5", "unit"), ("quantile:delta=0.5", "exp1"),
+             ("twinning:delta=0.5", "unit"), ("penalty:delta=0.25", "unit"),
+             ("reset-memory", "unit"), ("graphical", "unit")]
+
+
+@pytest.mark.parametrize("text,wtext", REENTRANT, ids=[f"{t}-{w}" for t, w in REENTRANT])
+def test_engines_advance_on_two_threads_at_once(compiled, text, wtext):
+    # the kernel keeps no global state and releases the GIL inside
+    # binlab_advance, so two engines advanced at once, on two threads, end
+    # where serial runs of theirs end
+    n, m, parts = 256, 400 * 256, 8
+    spec = _spec(text, wtext, n=n)
+    serial = []
+    for seed in (1, 2):
+        serial.append(make_engine(spec, n, make_generator(seed, n)))
+        serial[-1].advance(m)
+    engines = [make_engine(spec, n, make_generator(seed, n)) for seed in (1, 2)]
+    gate, errors = threading.Barrier(2), []
+
+    def go(eng):
+        try:
+            gate.wait()
+            for target in range(m // parts, m + 1, m // parts):
+                eng.advance(target)
+        except BaseException as exc:
+            errors.append(exc)
+
+    threads = [threading.Thread(target=go, args=(eng,)) for eng in engines]
+    for t in threads:
+        t.start()
+    for t in threads:
+        t.join(timeout=60)
+    assert not any(t.is_alive() for t in threads) and errors == []
+    assert all(_same(eng, ref) for eng, ref in zip(engines, serial))
 
 
 @pytest.mark.parametrize("d,tie", [(300, "higher-index"), (300, "random"),

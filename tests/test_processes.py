@@ -774,7 +774,7 @@ def test_run_batched_matches_per_round_reference(batched_path, text):
 
 
 def test_run_batched_segment_longer_than_one_draw(batched_path):
-    # 5000 rounds in one probe segment, 2^17 // 64 = 2048 rounds per draw
+    # 5000 rounds in one probe segment, 2^15 // 64 = 512 rounds per draw
     spec, n, b = u(), 64, 5
     probe = ProbeConfig(steps=(5000 * b,))
     got = run_batched(spec, n, 5000 * b, b, seed=4, probe=probe)
