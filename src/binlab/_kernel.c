@@ -1,5 +1,6 @@
 /* Compiled decision loops of the per-ball engines in binlab.processes, the
- * ranking of its batched rounds, and the exact row sums of binlab.potentials.
+ * batched rounds (numpy's multinomial draw of each round's rank counts, and
+ * the round's ranking), and the exact row sums of binlab.potentials.
  *
  * binlab_advance() runs one engine until at least `target` balls are
  * allocated.  Random draws arrive in chunks that the Python side supplies
@@ -371,10 +372,22 @@ int64_t binlab_engine_size(void)
     return (int64_t)sizeof(engine_t);
 }
 
-/* Batched rounds: binlab_batched() applies `rounds` rows of rank counts to
- * the n loads, one row per round.  Row r adds counts[r*n + k] balls to the
- * bin of rank k in that round's starting loads, where rank 0 is the
- * heaviest bin and ties go by ascending id, as in processes._batched_round.
+/* Batched rounds: binlab_batched_rounds() runs `rounds` rounds of b unit
+ * balls on the n loads.  Each round draws one multinomial row of rank
+ * counts and adds count k to the bin of rank k in that round's starting
+ * loads, where rank 0 is the heaviest bin and ties go by ascending id, as
+ * in processes._batched_round.
+ *
+ * The row is numpy's Generator.multinomial(b, pv), bit for bit and draw for
+ * draw on the same bit generator: numpy's random_multinomial and the
+ * dispatch of its random_binomial, with the inversion sampler inline and
+ * random_binomial_btpe from numpy's own libnpyrandom.a.  The values numpy
+ * recomputes per category on every call depend only on pv and come in
+ * precomputed `tables` (kernel.multinomial_tables): four rows of n,
+ *   PC  pv[j] / remaining, remaining = 1 - pv[0] - ... - pv[j-1] in order;
+ *   PP  PC if PC <= 0.5, else 1 - PC: the side random_binomial draws;
+ *   QQ  1 - PP;
+ *   LQ  log1p(-PP), so that the inversion's P(X = 0) is exp(dn * LQ).
  *
  * The loads must be whole numbers, as unit balls keep them.  While a
  * round's spread (heaviest minus lightest) is below COUNT_SORT_SPREAD, the
@@ -384,6 +397,84 @@ int64_t binlab_engine_size(void)
  * Wider spreads use a comparison sort of (load, id) pairs.
  */
 #define COUNT_SORT_SPREAD 65536.0
+#define MIN(x, y) (((x) < (y)) ? (x) : (y))
+
+/* Mirrors of bitgen_t (numpy/random/bitgen.h) and binomial_t
+ * (numpy/random/distributions.h), whose header needs Python.h. */
+typedef struct {
+    void *state;
+    uint64_t (*next_uint64)(void *st);
+    uint32_t (*next_uint32)(void *st);
+    double (*next_double)(void *st);
+    uint64_t (*next_raw)(void *st);
+} bitgen_t;
+
+typedef struct {
+    int has_binomial;
+    double psave;
+    int64_t nsave;
+    double r, q, fm;
+    int64_t m;
+    double p1, xm, xl, xr, c, laml, lamr, p2, p3, p4;
+} binomial_t;
+
+int64_t random_binomial_btpe(bitgen_t *bitgen_state, int64_t n, double p,
+                             binomial_t *binomial);
+
+enum { PC = 0, PP = 1, QQ = 2, LQ = 3 };  /* rows of the draw tables */
+
+/* numpy's random_binomial_inversion(n, p) with q = 1 - p and lq =
+ * log1p(-p) given.  It restarts once X passes min(n, np + 10 sqrt(npq +
+ * 1)); for npq >= 0 that is never below min(n, np + 10), so the sqrt waits
+ * until X passes that. */
+static int64_t inversion(bitgen_t *g, int64_t n, double p, double q, double lq)
+{
+    double qn = exp((double)n * lq), np = (double)n * p, px = qn;
+    double U = g->next_double(g->state);
+    int64_t X = 0, bound = np * q >= 0 ? (int64_t)MIN((double)n, np + 10.0) : INT64_MIN;
+    int exact = 0;
+    while (U > px) {
+        X++;
+        if (X > bound && !exact) {
+            bound = (int64_t)MIN((double)n, np + 10.0 * sqrt(np * q + 1));
+            exact = 1;
+        }
+        if (X > bound) {
+            X = 0;
+            px = qn;
+            U = g->next_double(g->state);
+        } else {
+            U -= px;
+            px = ((double)(n - X + 1) * p * px) / ((double)X * q);
+        }
+    }
+    return X;
+}
+
+/* One row of rank counts, as numpy's random_multinomial(b, pv) draws it. */
+static void draw_counts(bitgen_t *g, const double *t, int64_t n, int64_t b,
+                        int64_t *c, binomial_t *bin)
+{
+    const double *pc = t + PC * n, *pp = t + PP * n, *qq = t + QQ * n, *lq = t + LQ * n;
+    int64_t dn = b;
+    for (int64_t j = 0; j < n; j++)
+        c[j] = 0;
+    for (int64_t j = 0; j < n - 1; j++) {
+        int64_t x = 0;
+        if (pc[j] != 0.0) {  /* random_binomial: no draw for p = 0 */
+            x = (double)dn * pp[j] <= 30.0 ? inversion(g, dn, pp[j], qq[j], lq[j])
+                                           : random_binomial_btpe(g, dn, pp[j], bin);
+            if (!(pc[j] <= 0.5))
+                x = dn - x;
+        }
+        c[j] = x;
+        dn -= x;
+        if (dn <= 0)
+            break;
+    }
+    if (dn > 0)
+        c[n - 1] = dn;
+}
 
 typedef struct {
     double load;
@@ -399,7 +490,14 @@ static int by_rank(const void *pa, const void *pb)
     return (a->id > b->id) - (a->id < b->id);
 }
 
-static int batched_round(double *L, int64_t n, const int64_t *c)
+/* Buffers of one binlab_batched_rounds call, grown on demand. */
+typedef struct {
+    int64_t *start;   /* counting sort: first rank of each distance below the top */
+    int64_t cap;
+    ranked_t *pairs;  /* comparison sort: n (load, id) pairs */
+} buffers_t;
+
+static int batched_round(double *L, int64_t n, const int64_t *c, buffers_t *s)
 {
     double top = L[0], low = L[0];
     for (int64_t i = 1; i < n; i++) {
@@ -407,24 +505,31 @@ static int batched_round(double *L, int64_t n, const int64_t *c)
         low = L[i] < low ? L[i] : low;
     }
     if (top - low < COUNT_SORT_SPREAD) {
-        int64_t *start = calloc((size_t)(top - low) + 1, sizeof *start);
-        if (!start)
-            return NO_MEMORY;
+        int64_t width = (int64_t)(top - low) + 1;
+        if (width > s->cap) {
+            int64_t *grown = realloc(s->start, (size_t)width * sizeof *grown);
+            if (!grown)
+                return NO_MEMORY;
+            s->start = grown;
+            s->cap = width;
+        }
+        int64_t *start = s->start;
+        for (int64_t k = 0; k < width; k++)
+            start[k] = 0;
         for (int64_t i = 0; i < n; i++)
             start[(int64_t)(top - L[i])]++;
-        for (int64_t k = 0, pos = 0; k <= (int64_t)(top - low); k++) {
+        for (int64_t k = 0, pos = 0; k < width; k++) {
             int64_t h = start[k];
             start[k] = pos;
             pos += h;
         }
         for (int64_t i = 0; i < n; i++)
             L[i] += (double)c[start[(int64_t)(top - L[i])]++];
-        free(start);
         return OK;
     }
-    ranked_t *p = malloc((size_t)n * sizeof *p);
-    if (!p)
+    if (!s->pairs && !(s->pairs = malloc((size_t)n * sizeof *s->pairs)))
         return NO_MEMORY;
+    ranked_t *p = s->pairs;
     for (int64_t i = 0; i < n; i++) {
         p[i].load = L[i];
         p[i].id = i;
@@ -432,18 +537,24 @@ static int batched_round(double *L, int64_t n, const int64_t *c)
     qsort(p, (size_t)n, sizeof *p, by_rank);
     for (int64_t k = 0; k < n; k++)
         L[p[k].id] += (double)c[k];
-    free(p);
     return OK;
 }
 
-int binlab_batched(double *loads, int64_t n, const int64_t *counts, int64_t rounds)
+int binlab_batched_rounds(bitgen_t *bitgen, const double *tables, int64_t b,
+                          int64_t rounds, double *loads, int64_t n)
 {
-    for (int64_t r = 0; r < rounds; r++) {
-        int rc = batched_round(loads, n, counts + r * n);
-        if (rc)
-            return rc;
+    buffers_t s = {0};
+    binomial_t bin = {0};  /* random_binomial_btpe's set-up, keyed by (n, p) */
+    int64_t *counts = malloc((size_t)n * sizeof *counts);
+    int rc = counts ? OK : NO_MEMORY;
+    for (int64_t r = 0; r < rounds && rc == OK; r++) {
+        draw_counts(bitgen, tables, n, b, counts, &bin);
+        rc = batched_round(loads, n, counts, &s);
     }
-    return OK;
+    free(counts);
+    free(s.start);
+    free(s.pairs);
+    return rc;
 }
 
 /* Exactly rounded row sums: binlab_fsum_rows() writes to out[r] the sum of

@@ -2,22 +2,25 @@
 ``processes._BatchedEngine`` and the exact row sums of ``potentials``.
 
 ``_kernel.c`` holds the per-ball decision loops of all engine families
-(``binlab_advance``), the ranking of batched rounds (``binlab_batched``:
-a counting sort of each round's loads, heaviest first, then the round's
-rank counts added in the same pass) and ``math.fsum`` over the rows of a
-matrix (``binlab_fsum_rows``, behind ``fsum_rows``).  It is compiled with
-the local C compiler on the first ``load()`` call (never at import), cached
-as a shared library under ``$XDG_CACHE_HOME/binlab`` (default
-``~/.cache/binlab``) named by the sha256 of the source and the flags, and
-loaded with ctypes.
+(``binlab_advance``), whole batched rounds (``binlab_batched_rounds``:
+each round's rank counts drawn as numpy's ``Generator.multinomial`` draws
+them, bit for bit, then a counting sort of the round's loads, heaviest
+first, with the counts added in the same pass) and ``math.fsum`` over the
+rows of a matrix (``binlab_fsum_rows``, behind ``fsum_rows``).  It is
+compiled with the local C compiler on the first ``load()`` call (never at
+import) and linked with numpy's own ``numpy/random/lib/libnpyrandom.a``,
+whose ``random_binomial_btpe`` the batched draw calls.  The library is
+cached under ``$XDG_CACHE_HOME/binlab`` (default ``~/.cache/binlab``),
+named by the sha256 of the source, the flags, and the path and sha256 of
+that archive, so a numpy upgrade builds a new one; it is loaded with ctypes.
 ``-ffp-contract=off`` and the absence of ``-ffast-math``/``-march=native``
 keep every float sum rounding exactly as Python's does, so kernel runs are
 byte-identical to the exact path ``processes.step`` and to the numpy
-reference round ``processes._batched_round``.  When no compiler is found or
-the build fails, ``load()`` warns once and returns None, and the callers
-fall back to those references: ``make_engine`` to a ``step`` loop
-(``processes._StepEngine``), ``_BatchedEngine`` to the numpy round,
-``fsum_rows`` to ``math.fsum``.
+reference round (``Generator.multinomial`` and ``processes._batched_round``).
+When no compiler is found, numpy's archive is missing or the build fails,
+``load()`` warns once and returns None, and the callers fall back to those
+references: ``make_engine`` to a ``step`` loop (``processes._StepEngine``),
+``_BatchedEngine`` to the numpy round, ``fsum_rows`` to ``math.fsum``.
 """
 from __future__ import annotations
 
@@ -74,13 +77,31 @@ def _cache_dir() -> str:
     return os.path.join(base, "binlab")
 
 
+def _archive() -> str:
+    """numpy's static library of its random distributions."""
+    return os.path.join(os.path.dirname(np.random.__file__), "lib", "libnpyrandom.a")
+
+
+def _digest(archive: str) -> str:
+    """Names the library: the source, the flags, and numpy's archive, by
+    path and by content."""
+    h = hashlib.sha256()
+    for part in (SOURCE, archive):
+        with open(part, "rb") as fh:
+            h.update(hashlib.sha256(fh.read()).digest())
+    h.update("\0".join((*FLAGS, archive)).encode())
+    return h.hexdigest()
+
+
 def _build() -> str:
     """Path of the compiled library, compiling it if it is not cached."""
     cc = _compiler()
     if cc is None:
         raise OSError("no C compiler (cc or gcc) on PATH")
-    with open(SOURCE, "rb") as fh:
-        digest = hashlib.sha256(fh.read() + " ".join(FLAGS).encode()).hexdigest()
+    archive = _archive()
+    if not os.path.isfile(archive):
+        raise OSError(f"numpy's random library {archive} is missing")
+    digest = _digest(archive)
     cache = _cache_dir()
     path = os.path.join(cache, f"kernel-{digest}.so")
     if os.path.exists(path):
@@ -91,7 +112,7 @@ def _build() -> str:
     fd, tmp = tempfile.mkstemp(suffix=".so", dir=cache)
     os.close(fd)
     try:
-        proc = subprocess.run([cc, *FLAGS, "-o", tmp, SOURCE],
+        proc = subprocess.run([cc, *FLAGS, "-o", tmp, SOURCE, archive, "-lm"],
                               capture_output=True, text=True)
         if proc.returncode != 0:
             raise OSError(f"{cc} exited with {proc.returncode}: {proc.stderr.strip()}")
@@ -105,8 +126,8 @@ def _build() -> str:
 @functools.lru_cache(maxsize=None)
 def load():
     """The kernel library, built on first use, with ``binlab_advance``,
-    ``binlab_batched`` and ``binlab_fsum_rows`` typed; None (with a warning)
-    when it cannot be built or loaded."""
+    ``binlab_batched_rounds`` and ``binlab_fsum_rows`` typed; None (with a
+    warning) when it cannot be built or loaded."""
     try:
         lib = ctypes.CDLL(_build())
     except OSError as exc:
@@ -115,9 +136,9 @@ def load():
         return None
     lib.binlab_advance.argtypes = [ctypes.POINTER(_Engine), ctypes.c_int64]
     lib.binlab_advance.restype = ctypes.c_int
-    lib.binlab_batched.argtypes = [ctypes.c_void_p, ctypes.c_int64,
-                                   ctypes.c_void_p, ctypes.c_int64]
-    lib.binlab_batched.restype = ctypes.c_int
+    lib.binlab_batched_rounds.argtypes = [ctypes.c_void_p, ctypes.c_void_p, ctypes.c_int64,
+                                          ctypes.c_int64, ctypes.c_void_p, ctypes.c_int64]
+    lib.binlab_batched_rounds.restype = ctypes.c_int
     lib.binlab_engine_size.restype = ctypes.c_int64
     lib.binlab_fsum_rows.argtypes = [ctypes.c_void_p, ctypes.c_int64, ctypes.c_int64,
                                      ctypes.c_void_p]
@@ -148,20 +169,53 @@ def fsum_rows(a: np.ndarray) -> np.ndarray:
     return out
 
 
-def apply_rounds(lib, loads: np.ndarray, counts: np.ndarray) -> None:
-    """Apply each row of ``counts`` to ``loads`` as one batched round: row r
-    adds ``counts[r, k]`` balls to the bin of rank k in that round's
-    starting loads (heaviest first, ties by ascending id).  ``loads`` must
-    hold whole numbers; it is updated in place."""
+def multinomial_tables(pv: np.ndarray) -> np.ndarray:
+    """What numpy's ``random_multinomial`` recomputes per category on every
+    ``Generator.multinomial(b, pv)`` call that depends on ``pv`` alone, as
+    the rows of one read-only (4, n) array, which ``batched_rounds`` takes:
+
+    - ``pc[j] = pv[j] / remaining``, where ``remaining`` is 1.0 less
+      ``pv[0]``, ..., ``pv[j-1]``, subtracted in that order;
+    - ``pp[j]``: ``pc`` if ``pc <= 0.5``, else ``1 - pc``, the side that
+      ``random_binomial`` draws (a nan pc takes the second);
+    - ``qq[j] = 1 - pp``;
+    - ``lq[j] = log1p(-pp)`` by libm through ``math.log1p``: numpy's
+      inversion sampler takes P(X = 0) as ``exp(n * log1p(-p))``.
+    """
+    pv = np.asarray(pv, dtype=np.float64)
+    remaining = np.subtract.accumulate(np.concatenate(([1.0], pv[:-1])))
+    with np.errstate(divide="ignore", invalid="ignore"):
+        pc = pv / remaining
+    pp = np.where(pc <= 0.5, pc, 1.0 - pc)
+    lq = [math.log1p(-p) for p in pp.tolist()]
+    tables = np.array([pc, pp, 1.0 - pp, lq])
+    tables.flags.writeable = False
+    return tables
+
+
+def batched_rounds(lib, rng: np.random.Generator, tables: np.ndarray, b: int,
+                   rounds: int, loads: np.ndarray) -> None:
+    """Run ``rounds`` batched rounds of b unit balls on ``loads``, in place.
+    Each round's rank counts are ``rng.multinomial(b, pv)`` for the ``pv``
+    of ``tables = multinomial_tables(pv)``, drawn from ``rng``'s bit
+    generator under its lock, exactly as numpy draws them; count k goes to
+    the bin of rank k in the round's starting loads (heaviest first, ties
+    by ascending id).  ``loads`` must hold whole numbers.  ctypes releases
+    the GIL for the call."""
     if not (loads.dtype == np.float64 and loads.ndim == 1
             and loads.flags.c_contiguous and loads.flags.writeable and len(loads)):
         raise ValueError("loads must be a non-empty, writeable, contiguous float64 vector")
-    if not (counts.dtype == np.int64 and counts.ndim == 2
-            and counts.flags.c_contiguous and counts.shape[1] == len(loads)):
-        raise ValueError("counts must be a contiguous int64 array of one row per round")
-    if lib.binlab_batched(loads.ctypes.data, len(loads), counts.ctypes.data,
-                          len(counts)) == _NO_MEMORY:
-        raise MemoryError("no memory to rank a batched round")
+    if not (tables.dtype == np.float64 and tables.shape == (4, len(loads))
+            and tables.flags.c_contiguous):
+        raise ValueError("tables must be multinomial_tables of a vector as long as loads")
+    if not (1 <= b < 1 << 63 and 0 <= rounds < 1 << 63):  # ctypes would wrap them
+        raise ValueError(f"b = {b} or rounds = {rounds} is outside int64's range")
+    bits = rng.bit_generator
+    with bits.lock:
+        rc = lib.binlab_batched_rounds(bits.ctypes.bit_generator, tables.ctypes.data, b,
+                                       rounds, loads.ctypes.data, len(loads))
+    if rc == _NO_MEMORY:
+        raise MemoryError("no memory for a batched round")
 
 
 def check_ball_target(target: int) -> None:

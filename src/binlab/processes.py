@@ -38,7 +38,10 @@ a scripted one gives the same loads and ball counts on the kernel as on
 Batched rounds (several balls per step) are a third engine,
 ``_BatchedEngine``: b unit balls per round from the rank vector against
 the round-start ranking, ties by ascending id (``tie_rule="random"`` is
-refused), applied by the kernel or the numpy reference ``_batched_round``.
+refused).  The kernel draws each round's rank counts as numpy's
+``Generator.multinomial`` does, bit for bit, and ranks and applies them in
+the same call; the numpy ``multinomial`` with ``_batched_round`` is the
+reference it is pinned to.
 ``run`` and ``run_batched`` drive every engine through one probe loop and
 one interface: ``advance(target)`` (until at least ``target`` balls),
 ``balls``, ``loads`` (the live float64 load array) and ``spec``.
@@ -78,9 +81,11 @@ KINDS = ("one-choice", "two-choice", "d-choice", "one-plus-beta", "quantile",
          "twinning", "penalty", "reset-memory", "graphical")
 
 _CHUNK = 1 << 14
-# batched rank counts per multinomial call: 256 KiB of int64.  Each run on a
-# fanned-out sweep's threads holds its own block; at 2^17 (1 MiB) a fanned-out
-# batched sweep peaked at 40.3 MiB RSS against 37.9 MiB here, at equal speed.
+# batched rank counts per multinomial call without the kernel: 256 KiB of
+# int64.  Each run on a fanned-out sweep's threads holds its own block; at
+# 2^17 (1 MiB) a fanned-out batched sweep peaked at 40.3 MiB RSS against
+# 37.9 MiB here, at equal speed.  The kernel path holds no such block: it
+# draws each round's n counts into one buffer per advance.
 _DRAW_COUNTS = 1 << 15
 ENUM_LIMIT = 64
 
@@ -607,12 +612,31 @@ def rank_vector(spec: ProcessSpec, n: int) -> np.ndarray:
     return pv
 
 
+@functools.lru_cache(maxsize=64)
+def rank_tables(spec: ProcessSpec, n: int) -> np.ndarray:
+    """``kernel.multinomial_tables`` of ``rank_vector(spec, n)``: numpy's
+    per-category multinomial values, computed once per (spec, n) for the
+    kernel's batched rounds."""
+    return kernel.multinomial_tables(rank_vector(spec, n))
+
+
+def _check_rank_vector(pv: np.ndarray) -> None:
+    """numpy's ``multinomial`` rule for ``pvals``: every entry in [0, 1] (so
+    no nan) and the first n - 1 summing to at most 1 + 1e-12.  numpy sums
+    them with Kahan's compensation, this pairwise: the two differ by far
+    less than the slack.  The kernel's draw skips numpy's check."""
+    if not np.all((pv >= 0) & (pv <= 1)):
+        raise ValueError("rank vector has an entry below 0, above 1 or nan")
+    if pv[:-1].sum() > 1 + 1e-12:
+        raise ValueError("rank vector's first n - 1 entries sum past 1")
+
+
 def _batched_round(loads: np.ndarray, counts: np.ndarray) -> None:
     """Reference batched round: add ``counts[r]`` unit balls to the bin of
     rank r in the round-start ranking, heaviest first, ties by ascending id.
     Unit balls keep ``loads`` whole numbers, so while their spread fits in
     16 bits the ranking is a stable (radix, O(n)) sort of each bin's
-    distance below the heaviest.  ``kernel.apply_rounds`` does the same in
+    distance below the heaviest.  ``kernel.batched_rounds`` does the same in
     C and must agree with this exactly."""
     top = loads.max()
     if top - loads.min() < 1 << 16:
@@ -736,38 +760,44 @@ class _BatchedEngine:
     balls, one multinomial row of rank counts from ``rank_vector``, to the
     bins ranked at the round's start (heaviest first, ties by ascending
     id); ``advance`` runs whole rounds, so it stops less than b balls past
-    its target.  The rows come from ``rng.multinomial(b, pv, size=k)``
-    calls of at most ``_DRAW_COUNTS`` counts (one row when n is larger),
-    which numpy draws exactly as k single calls.  The compiled kernel
-    ranks and applies them (``kernel.apply_rounds``); without it,
-    ``_batched_round`` applies one at a time."""
+    its target.  The rank vector is checked once, by numpy's rule, before
+    any draw.  The compiled kernel runs an advance's rounds in one call
+    (``kernel.batched_rounds``): it draws each row as
+    ``rng.multinomial(b, pv)`` would, from the ``rank_tables`` of the cell,
+    and ranks and applies it.  Without the kernel, the rows come from
+    ``rng.multinomial(b, pv, size=k)`` calls of at most ``_DRAW_COUNTS``
+    counts (one row when n is larger), which numpy draws exactly as k
+    single calls, and ``_batched_round`` applies them one at a time."""
 
     def __init__(self, spec: ProcessSpec, n: int, b: int, rng: np.random.Generator):
         if spec.weights.kind != "unit":
             raise ValueError("batched rounds support unit weights only")
         if spec.tie_rule == "random":
             raise ValueError("batched rounds break ties by ascending bin id, not at random")
-        if b < 1:
-            raise ValueError(f"batch size must be >= 1, got {b}")
+        if not 1 <= b < 1 << 63:  # the kernel counts a round's balls in an int64
+            raise ValueError(f"batch size must be in [1, 2^63), got {b}")
         self.spec = spec
         self._b = b
         self.loads = np.zeros(n)
         self.balls = 0
         self._pv = rank_vector(spec, n)
+        _check_rank_vector(self._pv)
         self._lib = kernel.load()
-        self._per_draw = max(1, _DRAW_COUNTS // n)
+        self._tables = None if self._lib is None else rank_tables(spec, n)
         self._rng = rng
 
     def advance(self, target: int) -> None:
         rounds = max(0, -(-(target - self.balls) // self._b))
+        if self._lib is not None:
+            kernel.batched_rounds(self._lib, self._rng, self._tables, self._b, rounds,
+                                  self.loads)
+            self.balls += self._b * rounds
+            return
+        per_draw = max(1, _DRAW_COUNTS // len(self.loads))
         while rounds:
-            counts = self._rng.multinomial(self._b, self._pv,
-                                           size=min(rounds, self._per_draw))
-            if self._lib is None:
-                for row in counts:
-                    _batched_round(self.loads, row)
-            else:
-                kernel.apply_rounds(self._lib, self.loads, counts)
+            counts = self._rng.multinomial(self._b, self._pv, size=min(rounds, per_draw))
+            for row in counts:
+                _batched_round(self.loads, row)
             rounds -= len(counts)
             self.balls += self._b * len(counts)
 

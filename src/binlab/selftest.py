@@ -269,17 +269,18 @@ def check_batched_kernel_agrees():
     lib = kernel.load()
     if lib is None:  # run_batched applies rounds with the reference itself
         return
-    pv = processes.rank_vector(processes.ProcessSpec(kind="two-choice"), 6)
-    counts = make_generator(19, 0).multinomial(30, pv[::-1], size=5)
+    pv = processes.rank_vector(processes.ProcessSpec(kind="two-choice"), 6)[::-1]
     # ties, then a spread that the rounds push past the counting-sort bound
     for start in ([2.0, 2.0, 0.0, 2.0, 1.0, 0.0], [0.0, 65530.0] * 3):
+        rng, ref = make_generator(19, 0), make_generator(19, 0)
         want = np.array(start)
-        for row in counts:
-            processes._batched_round(want, row)
+        for _ in range(5):
+            processes._batched_round(want, ref.multinomial(30, pv))
         got = np.array(start)
-        kernel.apply_rounds(lib, got, counts)
-        _assert(got.tolist() == want.tolist(),
-                f"compiled batched rounds disagree with the reference from {start}")
+        kernel.batched_rounds(lib, rng, kernel.multinomial_tables(pv), 30, 5, got)
+        _assert(got.tolist() == want.tolist() and rng.random() == ref.random(),
+                f"compiled batched rounds disagree with numpy's multinomial and "
+                f"the reference round from {start}")
 
 
 # -- graphs --------------------------------------------------------------------

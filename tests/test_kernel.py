@@ -12,8 +12,10 @@ batched.  One run per kind on the real 16 384-draw chunks crosses a chunk
 boundary on each stream it reads, save reset-memory's rare tie coins.  The
 threshold kinds' top set is stressed at both ends of t, on draws that
 spread the loads wide, and at n = 1024.  Two engines of each family
-advanced at once on two threads end as serial runs do.  A batched sweep is compared, byte
-for byte, with the same sweep on the numpy rounds.  The exact row sums are
+advanced at once on two threads end as serial runs do, and so do three
+batched engines on three threads.  A batched sweep is compared, byte for
+byte, with the same sweep on the numpy rounds.  The library's name covers
+numpy's archive, without which the kernel falls back.  The exact row sums are
 compared with ``math.fsum`` bit for bit, with and without the kernel.
 """
 from __future__ import annotations
@@ -350,19 +352,15 @@ REENTRANT = [("two-choice", "unit"), ("one-plus-beta:beta=0.5", "unit"),
              ("reset-memory", "unit"), ("graphical", "unit")]
 
 
-@pytest.mark.parametrize("text,wtext", REENTRANT, ids=[f"{t}-{w}" for t, w in REENTRANT])
-def test_engines_advance_on_two_threads_at_once(compiled, text, wtext):
-    # the kernel keeps no global state and releases the GIL inside
-    # binlab_advance, so two engines advanced at once, on two threads, end
-    # where serial runs of theirs end
-    n, m, parts = 256, 400 * 256, 8
-    spec = _spec(text, wtext, n=n)
+def _advance_on_threads(build, seeds, m, parts=8):
+    """Engines built by ``build(seed)``, advanced to m in ``parts`` steps on
+    one thread each, all at once, against serial runs of theirs."""
     serial = []
-    for seed in (1, 2):
-        serial.append(make_engine(spec, n, make_generator(seed, n)))
+    for seed in seeds:
+        serial.append(build(seed))
         serial[-1].advance(m)
-    engines = [make_engine(spec, n, make_generator(seed, n)) for seed in (1, 2)]
-    gate, errors = threading.Barrier(2), []
+    engines = [build(seed) for seed in seeds]
+    gate, errors = threading.Barrier(len(seeds)), []
 
     def go(eng):
         try:
@@ -379,6 +377,31 @@ def test_engines_advance_on_two_threads_at_once(compiled, text, wtext):
         t.join(timeout=60)
     assert not any(t.is_alive() for t in threads) and errors == []
     assert all(_same(eng, ref) for eng, ref in zip(engines, serial))
+
+
+@pytest.mark.parametrize("text,wtext", REENTRANT, ids=[f"{t}-{w}" for t, w in REENTRANT])
+def test_engines_advance_on_two_threads_at_once(compiled, text, wtext):
+    # the kernel keeps no global state and releases the GIL inside
+    # binlab_advance, so two engines advanced at once, on two threads, end
+    # where serial runs of theirs end
+    n = 256
+    spec = _spec(text, wtext, n=n)
+    _advance_on_threads(lambda seed: make_engine(spec, n, make_generator(seed, n)),
+                        (1, 2), 400 * n)
+
+
+def test_batched_engines_advance_on_threads_at_once(compiled):
+    # binlab_batched_rounds draws under each generator's lock with the GIL
+    # released, and every engine of a cell reads one cached table: three
+    # engines on three threads, switching often, end as serial runs do
+    n, interval = 256, sys.getswitchinterval()
+    spec = _spec("two-choice", n=n)
+    sys.setswitchinterval(1e-5)
+    try:
+        _advance_on_threads(lambda seed: _BatchedEngine(spec, n, 4 * n, make_generator(seed, n)),
+                            (1, 2, 3), 400 * n, parts=50)
+    finally:
+        sys.setswitchinterval(interval)
 
 
 @pytest.mark.parametrize("d,tie", [(300, "higher-index"), (300, "random"),
@@ -484,9 +507,9 @@ def test_batched_simulate_without_kernel_is_byte_equal(compiled, tmp_path, monke
                    "m = 30b\nreps = 3\nseed = 7\nbatches = 1n,3n\n"
                    "gamma = 0.5\nthresholds = 1,2\nkeep = trajectory\n")
     applied = []
-    apply_rounds = kernel.apply_rounds
-    monkeypatch.setattr(kernel, "apply_rounds",
-                        lambda *a: applied.append(1) or apply_rounds(*a))
+    batched_rounds = kernel.batched_rounds
+    monkeypatch.setattr(kernel, "batched_rounds",
+                        lambda *a: applied.append(1) or batched_rounds(*a))
     out, calls = [], []
     for name in ("kernel.csv", "numpy.csv"):
         assert main(["simulate", str(cfg), "--out", str(tmp_path / name)]) == 0
@@ -495,6 +518,27 @@ def test_batched_simulate_without_kernel_is_byte_equal(compiled, tmp_path, monke
         monkeypatch.setattr(kernel, "load", lambda: None)
     assert calls[0] > 0 and calls[1] == calls[0]  # only the first pass ran the kernel
     assert out[0] == out[1]
+
+
+def test_build_digest_covers_numpys_archive(tmp_path):
+    one, two = tmp_path / "a.a", tmp_path / "b.a"
+    one.write_bytes(b"archive")
+    two.write_bytes(b"archive")
+    digest = kernel._digest(str(one))
+    assert kernel._digest(str(one)) == digest
+    assert kernel._digest(str(two)) != digest  # another path
+    one.write_bytes(b"archive, upgraded")
+    assert kernel._digest(str(one)) != digest  # other bytes
+
+
+def test_missing_numpy_archive_falls_back(compiled, monkeypatch, tmp_path):
+    monkeypatch.setattr(kernel, "_archive", lambda: str(tmp_path / "libnpyrandom.a"))
+    kernel.load.cache_clear()
+    try:
+        with pytest.warns(RuntimeWarning, match="libnpyrandom.a is missing"):
+            assert kernel.load() is None
+    finally:
+        kernel.load.cache_clear()
 
 
 def test_kernel_built_on_first_engine_not_at_import(tmp_path):

@@ -16,7 +16,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from binlab import kernel
+from binlab import kernel, processes
 from binlab.core import LoadState, new_state, tie_blocks
 from binlab.experiments import ExperimentConfig, aggregate, sweep
 from binlab.graphs import complete_graph, cycle_graph, hypercube_graph
@@ -680,10 +680,15 @@ RANKING_LOADS = [
 ]
 
 
+def _top_heavy(n):
+    """A rank vector heavier on the top ranks, so rounds widen the spread."""
+    pv = np.arange(n, 0, -1, dtype=float)
+    return pv / pv.sum()
+
+
 def _rank_counts(n, rows):
     """Counts of 50 balls per round, heavier on the top ranks."""
-    pv = np.arange(n, 0, -1, dtype=float)
-    return make_generator(3, 0).multinomial(50, pv / pv.sum(), size=rows)
+    return make_generator(3, 0).multinomial(50, _top_heavy(n), size=rows)
 
 
 @pytest.mark.parametrize("loads", RANKING_LOADS)
@@ -703,26 +708,95 @@ def test_kernel_batched_rounds_match_reference(loads):
     lib = kernel.load()
     if lib is None:
         pytest.skip("no C compiler: run_batched applies rounds with numpy")
-    counts = _rank_counts(len(loads), 4)
-    want = np.array(loads)
-    for row in counts:
-        _batched_round(want, row)
-    got = np.array(loads)
-    kernel.apply_rounds(lib, got, counts)
+    pv = _top_heavy(len(loads))
+    ref, want = make_generator(3, 0), np.array(loads)
+    for _ in range(4):
+        _batched_round(want, ref.multinomial(50, pv))
+    rng, got = make_generator(3, 0), np.array(loads)
+    kernel.batched_rounds(lib, rng, kernel.multinomial_tables(pv), 50, 4, got)
     assert got.tolist() == want.tolist()
+    assert rng.random() == ref.random()
 
 
 def test_kernel_batched_rounds_validate_arrays():
     lib = kernel.load()
     if lib is None:
         pytest.skip("no C compiler")
-    counts = np.zeros((2, 4), dtype=np.int64)
-    for loads, rows in ((np.zeros(4, dtype=np.float32), counts),
-                        (np.zeros(5), counts),
-                        (np.zeros(4), counts.astype(np.int32)),
-                        (np.zeros(4), np.asfortranarray(np.zeros((4, 4), np.int64)))):
+    tables = kernel.multinomial_tables(_top_heavy(4))
+    for loads, tabs in ((np.zeros(4, dtype=np.float32), tables),
+                        (np.zeros(5), tables),
+                        (np.zeros(8)[::2], tables),
+                        (np.zeros(4), tables[:, :3]),
+                        (np.zeros(4), tables.astype(np.float32)),
+                        (np.zeros(4), np.asfortranarray(tables))):
         with pytest.raises(ValueError):
-            kernel.apply_rounds(lib, loads, rows)
+            kernel.batched_rounds(lib, make_generator(1), tabs, 5, 2, loads)
+    for b, rounds in ((0, 2), (1 << 64, 2), (5, -1), (5, 1 << 63)):
+        with pytest.raises(ValueError, match="int64"):
+            kernel.batched_rounds(lib, make_generator(1), tables, b, rounds, np.zeros(4))
+
+
+# every kind with a rank vector; quantile needs delta * n whole, so n >= 2
+DRAW_CASES = [(text, n, b)
+              for text in ("one-choice", "two-choice", "d-choice:d=8",
+                           "one-plus-beta:beta=0.5", "quantile:delta=0.5")
+              for n in (1, 2, 16, 1024) if n > 1 or not text.startswith("quantile")
+              for b in (n, n + 7, 40 * n)]
+
+
+@pytest.mark.parametrize("text,n,b", DRAW_CASES)
+def test_kernel_batched_draws_match_numpy_multinomial(text, n, b):
+    lib = kernel.load()
+    if lib is None:
+        pytest.skip("no C compiler: run_batched draws with numpy")
+    spec = parse_process(text)
+    pv = rank_vector(spec, n)
+    rng, ref = make_generator(21, 0), make_generator(21, 0)
+    eng, want, balls = _BatchedEngine(spec, n, b, rng), np.zeros(n), 0
+    for target in (b, 3 * b + 1, 6 * b):  # one round, then three, then two
+        eng.advance(target)
+        while balls < target:
+            _batched_round(want, ref.multinomial(b, pv))
+            balls += b
+        assert eng.loads.tolist() == want.tolist()
+        assert eng.balls == balls
+        assert rng.random() == ref.random()  # the same stream position
+
+
+def test_draw_cases_reach_numpys_btpe_branch():
+    # numpy draws a category by BTPE where its remaining balls dn times pp
+    # pass 30, and by inversion elsewhere: d-choice d=8 at b = 40n has both
+    spec, n = parse_process("d-choice:d=8"), 1024
+    assert ("d-choice:d=8", n, 40 * n) in DRAW_CASES
+    pc, pp = kernel.multinomial_tables(rank_vector(spec, n))[:2]
+    row = make_generator(21, 0).multinomial(40 * n, rank_vector(spec, n))
+    dn = 40 * n - np.concatenate(([0], np.cumsum(row)[:-1]))
+    drawn = ((dn > 0) & (pc != 0))[:-1]
+    assert np.any(dn[:-1][drawn] * pp[:-1][drawn] > 30)
+    assert np.any(dn[:-1][drawn] * pp[:-1][drawn] <= 30)
+
+
+def _bad_rank_vector(fault):
+    pv = rank_vector(u(), 8).copy()
+    if fault == "nan":
+        pv[3] = np.nan
+    elif fault == "negative":
+        pv[3], pv[4] = -0.25, pv[4] + pv[3] + 0.25
+    else:  # entries in [0, 1] whose first n - 1 sum past 1
+        pv *= 1.5
+    return pv
+
+
+@pytest.mark.parametrize("fault", ["nan", "negative", "sum"])
+def test_batched_rank_vector_checked_before_any_draw(batched_path, monkeypatch, fault):
+    pv = _bad_rank_vector(fault)
+    with pytest.raises(ValueError):
+        make_generator(6, 0).multinomial(8, pv)  # numpy refuses it too
+    monkeypatch.setattr(processes, "rank_vector", lambda spec, n: pv)
+    rng = make_generator(6, 0)
+    with pytest.raises(ValueError, match="rank vector"):
+        _BatchedEngine(u(), 8, 8, rng).advance(64)
+    assert rng.random() == make_generator(6, 0).random()
 
 
 def test_multinomial_rows_equal_single_calls():
@@ -782,8 +856,9 @@ def test_run_batched_segment_longer_than_one_draw(batched_path):
 
 
 def test_batched_round_validates():
-    with pytest.raises(ValueError):
-        run_batched(u(), 4, 16, b=0, seed=5)
+    for b in (0, 1 << 63):  # ctypes would wrap 2^63 to a negative int64
+        with pytest.raises(ValueError, match="batch size"):
+            run_batched(u(), 4, 16, b=b, seed=5)
 
 
 def test_batched_uniform_counts_chi_square():
