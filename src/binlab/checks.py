@@ -13,23 +13,28 @@ class MgfDivergenceError(ValueError):
     """Exponential moment requested outside the distribution's finite region."""
 
 
-def inputs_prefix(*parts, prefix=None):
+def input_bytes(*parts) -> bytes:
+    """The bytes an inputs hash takes in for ``parts``: each array's raw
+    bytes, or any other part's repr, then b"|".  Callers that hash the
+    same parts for many rows build them once."""
+    return b"".join((part.tobytes() if hasattr(part, "tobytes") else repr(part).encode())
+                    + b"|" for part in parts)
+
+
+def inputs_prefix(*parts, prefix=None, encoded: bytes = b""):
     """The sha256 state after hashing ``parts`` (after ``prefix``'s parts,
-    if given), so rows whose inputs begin alike hash the common parts once."""
+    if given), then ``encoded``, bytes from ``input_bytes``; rows whose
+    inputs begin alike hash the common parts once."""
     h = hashlib.sha256() if prefix is None else prefix.copy()
-    for part in parts:
-        if hasattr(part, "tobytes"):
-            h.update(part.tobytes())
-        else:
-            h.update(repr(part).encode())
-        h.update(b"|")
+    h.update(input_bytes(*parts))
+    h.update(encoded)
     return h
 
 
-def inputs_hash(*parts, prefix=None) -> str:
+def inputs_hash(*parts, prefix=None, encoded: bytes = b"") -> str:
     """Stable short hash of heterogeneous check inputs, for report rows;
     with ``prefix`` from ``inputs_prefix(*head)``, the hash of head + parts."""
-    return inputs_prefix(*parts, prefix=prefix).hexdigest()[:12]
+    return inputs_prefix(*parts, prefix=prefix, encoded=encoded).hexdigest()[:12]
 
 
 @dataclass(frozen=True)

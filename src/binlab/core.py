@@ -15,6 +15,12 @@ from __future__ import annotations
 import numpy as np
 
 
+def left_to_right_sum(values: np.ndarray) -> float:
+    """The sum of ``values`` from 0.0 left to right, as Python's sum() adds
+    floats before 3.12: ``LoadState.total_weight`` of those loads."""
+    return float(np.add.accumulate(np.concatenate(([0.0], values)))[-1])
+
+
 class LoadState:
     """Per-bin loads plus the heaviest-to-lightest bin order.
 
@@ -46,8 +52,7 @@ class LoadState:
         """Build a state with prescribed initial loads (copied)."""
         st = cls(len(loads))
         st._loads[:] = loads
-        # from 0.0 left to right, as Python's sum() adds floats before 3.12
-        st.total_weight = float(np.add.accumulate(np.concatenate(([0.0], st._loads)))[-1])
+        st.total_weight = left_to_right_sum(st._loads)
         return st
 
     def apply_allocation(self, bin_id: int, weight: float) -> None:
@@ -112,14 +117,14 @@ def new_state(n: int) -> LoadState:
     return LoadState(n)
 
 
-def tie_ends(state: LoadState) -> np.ndarray:
-    """Rank cut points 0 = e_0 < e_1 < ... < e_k = n of the equal-load
-    runs, as int64."""
-    s = state.loads[state.sorted_index]
-    return np.concatenate(([0], np.flatnonzero(s[1:] != s[:-1]) + 1, [state.n]))
+def cut_points(ranked: np.ndarray) -> np.ndarray:
+    """Cut points 0 = e_0 < e_1 < ... < e_k = n of the equal runs of
+    ``ranked``, n loads in rank order, as int64."""
+    return np.concatenate(([0], np.flatnonzero(ranked[1:] != ranked[:-1]) + 1,
+                           [len(ranked)]))
 
 
 def tie_blocks(state: LoadState) -> list[tuple[int, int]]:
     """Half-open rank ranges [a, b) of equal-load runs, in rank order."""
-    ends = tie_ends(state).tolist()
+    ends = cut_points(state.loads[state.sorted_index]).tolist()
     return list(zip(ends, ends[1:]))

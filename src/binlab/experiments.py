@@ -18,12 +18,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import kernel
-from .core import LoadState
+from .core import left_to_right_sum
 from .graphs import RegularGraph, build_graph, conductance_lower_bound
 from .potentials import DriftEvaluator, gamma_for_weighted, require_c1, require_exact_gamma
 from .processes import (ProbeConfig, ProbeRow, ProcessSpec, UnsupportedProcessError,
-                        canonical_conditions, comparison_vector, make_engine,
-                        parse_process, rank_vector, round_law, run, run_batched)
+                        canonical_conditions, comparison_vector, cut_round_law,
+                        make_engine, parse_process, rank_vector, run, run_batched,
+                        tie_cuts)
 from .rng import make_generator
 from .tableio import Table
 from .weights import parse_weights, s_for_gamma
@@ -203,9 +204,13 @@ def sweep(cfg: ExperimentConfig) -> Table:
 
 
 # probes per drift-check block: each of its matrices holds at most this many
-# doubles (32 KiB).  On the certify benchmark's configs (n = 64 to 1024),
-# blocks of 2^12 to 2^16 doubles ran equally fast; at 2^12 the peak RSS is
-# that of one probe at a time, while 2^14 added 0.5 MiB.
+# doubles (32 KiB).  Warm in-process drift-check runs on the certify
+# benchmark's two configs (n = 64 to 1024) took a median 28.1, 28.4 and
+# 28.1 ms at 2^12, 26.6, 26.7 and 27.4 ms at 2^14, and 28.2, 27.5 and 29.2
+# ms at 2^16 (three alternating rounds of 40 runs, 2-CPU x86-64 host), with
+# a peak RSS of 38.2 MiB at 2^12 and 39.1 MiB at both larger sizes.  2^12
+# keeps the peak of one probe at a time, for a gain of about 1 ms of ~300
+# per benchmark pass given up.
 _BLOCK_DOUBLES = 1 << 12
 
 
@@ -216,8 +221,12 @@ def certify(cfg: ExperimentConfig) -> tuple[list, list]:
     Graphical processes and the keys it does not read are refused, and
     every cell is validated, before any engine is built.  A cell's probes
     are evaluated in blocks: the engine advances through a block's probes,
-    their states' rows and round laws are stacked into matrices, and one
-    ``DriftEvaluator`` call gives the block's certificates and checks."""
+    their states' rows are stacked into a matrix, and one ``DriftEvaluator``
+    call gives the block's certificates and checks.  A probe sorts the
+    loads once; the round law depends on the state only through the tie
+    cut points (fixed under higher-index ties), so it is rebuilt only when
+    they change, and a block whose probes share one law passes it as one
+    row."""
     _refuse_ignored(cfg, "drift-check", dict.fromkeys(
         ("batches", "probe_steps", "thresholds", "keep", "reps", "graph"), ""))
     if any(_graphical(p) for p in cfg.processes):
@@ -239,19 +248,25 @@ def certify(cfg: ExperimentConfig) -> tuple[list, list]:
         eng = make_engine(spec, n, make_generator(cfg.seed, pi, ni))
         probes = range(0, m + 1, n)
         rows = max(1, _BLOCK_DOUBLES // n)
+        law, law_ends = None, None
         for first in range(0, len(probes), rows):
             block = probes[first:first + rows]
-            ys = np.empty((len(block), n))
+            ys, laws = np.empty((len(block), n)), []
             for i, probe_at in enumerate(block):
                 eng.advance(probe_at)
-                state = LoadState.from_loads(eng.loads)
-                ys[i] = state.sorted_normalized()
-                one = round_law(spec, state)  # the same atoms on every state of a kind
-                if i == 0:
-                    law = {atom: np.empty_like(ys) for atom in one}
-                for atom, probs in one.items():
-                    law[atom][i] = probs
-            block_certs, block_checks = ev.evaluate(ys, law)
+                # the loads in rank order (engines never hold -0.0, so the
+                # values do not depend on how equal loads are ordered)
+                ranked = np.sort(eng.loads)[::-1]
+                np.subtract(ranked, left_to_right_sum(eng.loads) / n, out=ys[i])
+                ends = tie_cuts(spec, ranked)
+                if law is None or not np.array_equal(ends, law_ends):
+                    law, law_ends = cut_round_law(spec, n, ends), ends
+                laws.append(law)
+            if all(one is law for one in laws):
+                block_law = {atom: probs[None] for atom, probs in law.items()}
+            else:
+                block_law = {atom: np.array([one[atom] for one in laws]) for atom in law}
+            block_certs, block_checks = ev.evaluate(ys, block_law)
             certs += block_certs
             checks += block_checks
     return certs, checks

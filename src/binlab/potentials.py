@@ -36,7 +36,12 @@ same expectation, kept as its cross-check.
 Blocks.  ``DriftEvaluator`` computes the certificate and both exact checks
 for a block of states at once, as matrix operations, with the exactly
 rounded sums of ``kernel.fsum_rows``; ``certify_drift`` and
-``drift_step_bound_exact`` are its one-row calls.
+``drift_step_bound_exact`` are its one-row calls.  A block's round law
+may be a single row that all its states share (drift-check's probes under
+higher-index ties): the expected change per rank is then computed once and
+broadcast.  The hash inputs of the vector, the check head, the certificate
+tail and each law row are built once as ``checks.input_bytes``, so each
+row's inputs hash takes in the same bytes as ``inputs_hash`` of its parts.
 """
 from __future__ import annotations
 
@@ -47,7 +52,8 @@ from typing import Callable, Sequence
 import numpy as np
 
 from . import kernel
-from .checks import CertResult, CheckResult, PreconditionError, inputs_hash, inputs_prefix
+from .checks import (CertResult, CheckResult, PreconditionError, input_bytes, inputs_hash,
+                     inputs_prefix)
 from .core import LoadState
 from .rng import make_generator
 from .vectors import ConditionParams, ProbabilityVector, check_c1, quantile_index
@@ -232,15 +238,15 @@ class _Block:
     """A block of states: the (B, n) matrix ``ys`` of their rank-ordered
     normalized loads, each side's ``scaled_exp`` terms of gamma * ys row by
     row (``pot``, with the per-row ``shift``), and each row's hash prefix
-    (the row, then the vector)."""
+    (the row, then ``vector``, the vector's ``input_bytes``)."""
 
-    def __init__(self, ys: np.ndarray, gamma: float, probs: np.ndarray):
+    def __init__(self, ys: np.ndarray, gamma: float, vector: bytes):
         ex = gamma * ys
         self.ys = ys
         self.pot, self.shift = {}, {}
         for side, x in (("phi", ex), ("psi", -ex)):
             self.pot[side], self.shift[side] = scaled_exp(x)
-        self.prefix = [inputs_prefix(y, probs) for y in ys]
+        self.prefix = [inputs_prefix(y, encoded=vector) for y in ys]
 
 
 class DriftEvaluator:
@@ -252,13 +258,16 @@ class DriftEvaluator:
     bounds need.  A block of B states is the (B, n) matrix ``ys`` of their
     ``sorted_normalized`` rows, and its ``law`` maps each atom (K, c) to the
     (B, n) matrix of their ``processes.round_law`` rows, every row's atoms
-    in the same order.  What depends on the cell only (the bias, the
-    log-MGFs, ``coef``, ``mag``, the size coefficients and the per-atom
-    expm1 factors) is computed once.  The potentials, the expected changes
-    and the products that ``kernel.fsum_rows`` sums are matrix operations.
-    Callers validate the cell: C1 for the certificate, gamma <= 1/2 for the
-    step bounds.  The one-state functions are this code on a block of one
-    row, so each row's result is theirs, bit for bit.
+    in the same order, or to a (1, n) matrix when all B states have the
+    same law.  What depends on the cell only (the bias, the log-MGFs,
+    ``coef``, ``mag``, the size coefficients, the per-atom expm1 factors
+    and the hash inputs of the vector, the check head and the certificate
+    tail) is computed once, and the expected change and the hash input of
+    each law row once per block.  The potentials and the products that
+    ``kernel.fsum_rows`` sums are matrix operations.  Callers validate the
+    cell: C1 for the certificate, gamma <= 1/2 for the step bounds.  The
+    one-state functions are this code on a block of one row, so each row's
+    result is theirs, bit for bit.
     """
 
     def __init__(self, p: ProbabilityVector, gamma: float,
@@ -267,46 +276,49 @@ class DriftEvaluator:
         self.p, self.gamma = p, gamma
         self.params, self.weights, self.k, self.r = params, weights, k, r
         self._bias = p.array - 1.0 / p.n
+        self._vector = input_bytes(p.array)
         if params is not None:  # the additive term, before its scale
             self._additive = drift_constant(params.delta) * gamma * params.epsilon
+            self._cert_tail = input_bytes(params.delta, params.epsilon, gamma)
         self._sides: dict[tuple, tuple] = {}
 
     def certify(self, ys: np.ndarray) -> list[CertResult]:
         """The drift certificate of each row of ``ys``."""
-        return self._certify(_Block(ys, self.gamma, self.p.array))
+        return self._certify(_Block(ys, self.gamma, self._vector))
 
     def step_bounds(self, ys: np.ndarray, law: dict[tuple[int, int], np.ndarray],
                     side: str) -> list[CheckResult]:
         """The exact step-bound check of one side for each row of ``ys``."""
-        return self._step_bounds(_Block(ys, self.gamma, self.p.array), law, side)
+        return self._step_bounds(_Block(ys, self.gamma, self._vector), law, side)
 
     def evaluate(self, ys: np.ndarray, law: dict[tuple[int, int], np.ndarray]
                  ) -> tuple[list[CertResult], list[CheckResult]]:
         """Each row's certificate, and its phi and psi checks in that order."""
-        blk = _Block(ys, self.gamma, self.p.array)
+        blk = _Block(ys, self.gamma, self._vector)
         phi, psi = (self._step_bounds(blk, law, side) for side in ("phi", "psi"))
         return self._certify(blk), [c for pair in zip(phi, psi) for c in pair]
 
     def _certify(self, blk: _Block) -> list[CertResult]:
         delta, eps = self.params.delta, self.params.epsilon
         gamma, n, bias = self.gamma, self.p.n, self._bias
+        totals = (blk.pot["phi"].sum(axis=1) + blk.pot["psi"].sum(axis=1)).tolist()
         certs = []
-        for i, (s_phi, s_psi) in enumerate(zip(blk.shift["phi"].tolist(),
-                                               blk.shift["psi"].tolist())):
+        for i, (s_phi, s_psi, total) in enumerate(zip(blk.shift["phi"].tolist(),
+                                                      blk.shift["psi"].tolist(), totals)):
             # both sides share the larger shift, the one of their concatenation
             shift = max(s_phi, s_psi)
             phi_i, psi_i = blk.pot["phi"][i], blk.pot["psi"][i]
             if s_phi != s_psi:
                 ex = gamma * blk.ys[i]
                 phi_i, psi_i = np.exp(ex - shift), np.exp(-ex - shift)
+                total = float(np.sum(phi_i) + np.sum(psi_i))
             value = gamma * (float(np.dot(phi_i, bias)) - float(np.dot(psi_i, bias)))
-            total = float(np.sum(phi_i) + np.sum(psi_i))
             scaled = self._additive * math.exp(-shift)
             bound4 = -total * gamma * eps * delta / (4 * n) + scaled
             bound8 = -total * gamma * eps * delta / (8 * n) + scaled
             tol = 1e-9 * max(abs(value), abs(bound4))
             certs.append(CertResult(
-                inputs=inputs_hash(delta, eps, gamma, prefix=blk.prefix[i]),
+                inputs=inputs_hash(prefix=blk.prefix[i], encoded=self._cert_tail),
                 value=value,
                 bound=bound4,
                 bound_theorem=bound8,
@@ -317,8 +329,9 @@ class DriftEvaluator:
         return certs
 
     def _side_terms(self, side: str, atoms: tuple) -> tuple:
-        """(per-atom expm1 factors, coef, size_coef) of one side: size_coef
-        times pot is the summand of ``drift_step_bound_exact``'s size."""
+        """(per-atom expm1 factors, coef, size_coef, the hash input of the
+        check head) of one side: size_coef times pot is the summand of
+        ``drift_step_bound_exact``'s size."""
         n, gamma, k, r = self.p.n, self.gamma, self.k, self.r
         sign = 1.0 if side == "phi" else -1.0
         la = log_mgf(self.weights, sign * gamma * (1.0 - 1.0 / n))
@@ -331,7 +344,8 @@ class DriftEvaluator:
         probs = self.p.array
         coef = sign * (probs - 1.0 / n) * r * gamma + k * r * gamma * gamma / n
         size_coef = mag + r * gamma * (probs + 1.0 / n) + k * r * gamma * gamma / n
-        return factors, coef, size_coef
+        head = input_bytes(gamma, k, r, side, self.weights.label(), sorted(atoms))
+        return factors, coef, size_coef, head
 
     def _step_bounds(self, blk: _Block, law: dict[tuple[int, int], np.ndarray],
                      side: str) -> list[CheckResult]:
@@ -340,22 +354,25 @@ class DriftEvaluator:
         atoms = tuple(law)
         if (side, atoms) not in self._sides:
             self._sides[side, atoms] = self._side_terms(side, atoms)
-        factors, coef, size_coef = self._sides[side, atoms]
+        factors, coef, size_coef, head = self._sides[side, atoms]
         pot = blk.pot[side]
-        change, prod = np.zeros(pot.shape), np.empty(pot.shape)
+        # one expected change per law row; a single row serves every state
+        change = np.zeros(law[atoms[0]].shape)
         for atom, factor in zip(atoms, factors):
-            change += np.multiply(law[atom], factor, out=prod)
-        value = kernel.fsum_rows(np.multiply(pot, change, out=prod)).tolist()
-        bound = kernel.fsum_rows(np.multiply(pot, coef, out=prod)).tolist()
-        size = kernel.fsum_rows(np.multiply(pot, size_coef, out=prod)).tolist()
+            change += law[atom] * factor
+        prod = np.empty(pot.shape)
+        value, bound, size = (kernel.fsum_rows(np.multiply(pot, by, out=prod)).tolist()
+                              for by in (change, coef, size_coef))
         ordered = sorted(atoms)
-        head = (self.gamma, self.k, self.r, side, self.weights.label(), ordered)
+        tails = [head + input_bytes(*(law[a][j] for a in ordered)) for j in range(len(change))]
+        if len(tails) == 1:
+            tails *= len(pot)
         return [CheckResult(
             name=f"drift_step_bound({side})",
             value=v,
             bound=b,
             passed=v <= b + _EXACT_TOL * z,
-            inputs=inputs_hash(*head, *(law[a][i] for a in ordered), prefix=blk.prefix[i]),
+            inputs=inputs_hash(prefix=blk.prefix[i], encoded=tails[i]),
         ) for i, (v, b, z) in enumerate(zip(value, bound, size))]
 
 

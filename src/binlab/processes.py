@@ -70,7 +70,7 @@ from typing import Sequence
 import numpy as np
 
 from . import kernel
-from .core import LoadState, tie_ends
+from .core import LoadState, cut_points
 from .graphs import RegularGraph
 from .potentials import scaled_exp, unscaled
 from .rng import make_generator
@@ -383,16 +383,15 @@ def empirical_allocation_vector(spec: ProcessSpec, state: LoadState,
 
 # -- the law of one round -----------------------------------------------------
 
-def _block_law(state: LoadState, tie_rule: str, cum, denom: int) -> np.ndarray:
-    """Per rank r, (cum(r+1) - cum(r)) / denom; under random ties each tie
-    block [a, b) gets its average (cum(b) - cum(a)) / (denom * (b - a)).
-    ``cum`` maps an integer array to an integer array, elementwise and
-    increasing.  The cut points are int64 while cum(n) and denom * n stay
-    below 2^53, so every int-to-float conversion is exact, and Python ints
-    past that; either way each entry is one correctly rounded division of
-    two integers, as Python's int / int."""
-    n = state.n
-    ends = tie_ends(state) if tie_rule == "random" else np.arange(n + 1)
+def _block_law(ends: np.ndarray, cum, denom: int) -> np.ndarray:
+    """Per rank r, (cum(r+1) - cum(r)) / denom averaged over the block
+    [a, b) of the cut points ``ends`` that holds r: (cum(b) - cum(a)) /
+    (denom * (b - a)).  ``cum`` maps an integer array to an integer array,
+    elementwise and increasing.  The cut points are int64 while cum(n) and
+    denom * n stay below 2^53, so every int-to-float conversion is exact,
+    and Python ints past that; either way each entry is one correctly
+    rounded division of two integers, as Python's int / int."""
+    n = int(ends[-1])
     widths = np.diff(ends)
     if cum(n) >= 2 ** 53 or denom * n >= 2 ** 53:
         ends = ends.astype(object)
@@ -400,11 +399,12 @@ def _block_law(state: LoadState, tie_rule: str, cum, denom: int) -> np.ndarray:
     return np.repeat(vals.astype(float, copy=False), widths)
 
 
-def _choice_law(state: LoadState, d: int, tie_rule: str) -> np.ndarray:
+def _choice_law(ends: np.ndarray, d: int) -> np.ndarray:
     """P(the lesser loaded of d uniform samples has rank r).  On LoadState
     ranks "lesser loaded, ties to the higher id" is "higher rank", so this
     is ((r+1)^d - r^d)/n^d; a random tie is uniform over its block."""
-    return _block_law(state, tie_rule, lambda k: k ** d, state.n ** d)
+    n = int(ends[-1])
+    return _block_law(ends, lambda k: k ** d, n ** d)
 
 
 def _edge_law(spec: ProcessSpec, state: LoadState) -> np.ndarray:
@@ -432,9 +432,32 @@ def round_law(spec: ProcessSpec, state: LoadState) -> dict[tuple[int, int], np.n
     scripted draws, and its ball counts sum_{K,c} c * P_r(K, c) are
     ``expected_ball_counts``.  Weights are i.i.d. and independent of the
     bins in every kind, so the law and the weight law give the exact
-    expectation of anything the round does to a potential.
+    expectation of anything the round does to a potential.  Every kind but
+    graphical sees the state only through its ``tie_cuts``.
     """
     n = state.n
+    if spec.kind != "graphical":
+        return cut_round_law(spec, n, tie_cuts(spec, state.loads[state.sorted_index]))
+    if spec.graph.n != n:
+        raise ValueError("graph size does not match state")
+    q = _edge_law(spec, state)
+    return {(1, 1): q, (1, 0): 1.0 - q}
+
+
+def tie_cuts(spec: ProcessSpec, ranked: np.ndarray) -> np.ndarray:
+    """The rank cut points of the ties a round of ``spec`` sees on the loads
+    ``ranked`` (in rank order): their equal-load runs under random ties,
+    0, 1, ..., n (each rank alone) under higher-index ties."""
+    if spec.tie_rule == "random":
+        return cut_points(ranked)
+    return np.arange(len(ranked) + 1)
+
+
+def cut_round_law(spec: ProcessSpec, n: int, ends: np.ndarray
+                  ) -> dict[tuple[int, int], np.ndarray]:
+    """``round_law`` of a non-graphical kind on n bins, from the int64 rank
+    cut points ``ends`` (0 = e_0 < ... < e_k = n) that ``tie_cuts`` gives;
+    states with the same cut points have the same law."""
     kind = spec.kind
     t = quantile_index(spec.delta, n) if spec.delta is not None else 0
     light = (np.arange(n) >= t).astype(float)  # rank past the quantile
@@ -449,22 +472,20 @@ def round_law(spec: ProcessSpec, state: LoadState) -> dict[tuple[int, int], np.n
     if kind == "reset-memory":
         # ball 1 to a uniform i1, ball 2 to the lesser of i1 and a fresh
         # sample; u_r = P(rank r beats one uniform sample)
-        u = _block_law(state, spec.tie_rule, lambda k: k * (k + 1) // 2, n)
-        q = _choice_law(state, 2, spec.tie_rule)
+        u = _block_law(ends, lambda k: k * (k + 1) // 2, n)
+        q = _choice_law(ends, 2)
         both = u / n
         one = (1.0 - u) / n + q - both
         return {(2, 2): both, (2, 1): one, (2, 0): 1.0 - both - one}
     if kind in ("one-choice", "two-choice", "d-choice"):
         d = {"one-choice": 1, "two-choice": 2}.get(kind, spec.d)
-        q = _choice_law(state, d, spec.tie_rule)
+        q = _choice_law(ends, d)
     elif kind == "one-plus-beta":
-        q = (1 - spec.beta) / n + spec.beta * _choice_law(state, 2, spec.tie_rule)
+        q = (1 - spec.beta) / n + spec.beta * _choice_law(ends, 2)
     elif kind == "quantile":
         q = (n * light + t) / (n * n)
-    else:  # graphical
-        if spec.graph.n != n:
-            raise ValueError("graph size does not match state")
-        q = _edge_law(spec, state)
+    else:
+        raise ValueError(f"{kind} has no cut-point round law")
     return {(1, 1): q, (1, 0): 1.0 - q}
 
 

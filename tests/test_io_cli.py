@@ -449,17 +449,33 @@ def test_cli_drift_check_passes(tmp_path, monkeypatch, capsys):
     assert len(checks) == 1 + 6  # phi and psi per probe
 
 
+def _random_ties(processes: str, weights: str) -> str:
+    return (f"processes = {processes}\nns = 16,64,256\nm = 10n\ntie_rule = random\n"
+            f"weights = {weights}\nseed = 11\ngamma = auto\n")
+
+
 # sha256 of (drift-certs.csv, drift-checks.csv).  Law entries, potentials
 # and hashes feed the bytes, so an ulp moved anywhere on the exact path
-# changes them; d = 9 takes n^d past 2^53.
+# changes them; d = 9 takes n^d past 2^53.  A and B break ties at random,
+# so a cell's round law changes along the walk; under the higher-index
+# ties of the shipped config and of the certify benchmark's three-kinds
+# copy of it, every probe of a cell has the same law.
 _DRIFT_PINS = {
-    "A": ("two-choice,d-choice:d=3,d-choice:d=9,one-plus-beta:beta=0.5,"
-          "quantile:delta=0.25,reset-memory", "exp1",
+    "A": (_random_ties("two-choice,d-choice:d=3,d-choice:d=9,one-plus-beta:beta=0.5,"
+                       "quantile:delta=0.25,reset-memory", "exp1"),
           "1704118c9b9e41d5952a189e5bba8989b997bb97fb71fffc60ba3a8cabdb1e33",
           "486f5018215a3106de3d2e06502d51e406d1567cfaa0a37b2283dda525ba2a06"),
-    "B": ("twinning:delta=0.5,penalty:delta=0.25,d-choice:d=9", "unit",
+    "B": (_random_ties("twinning:delta=0.5,penalty:delta=0.25,d-choice:d=9", "unit"),
           "3e52a0e5de66bf7d1c1cd5e943cd049f496051051266847c71d8224513bdb90a",
           "346fb8c7e8dc23c21784f8d7e74c4726039ab9e7edd58fddf2e725865e5278c5"),
+    "shipped": ((Path(__file__).resolve().parents[1] / "configs" / "drift_two_choice.cfg")
+                .read_text(),
+                "c0836f65ad9c33012a6eb7366df015a59f5f1a076cc87285e2654dae3bc69959",
+                "952101e7b75d1e05f5d0861100e5ad3d236da6f3c1e2281ffe4b6d4ef4d53b88"),
+    "three-kinds": ("processes = two-choice,quantile:delta=0.5,reset-memory\n"
+                    "ns = 256,1024\nm = 20n\nseed = 7\ngamma = auto\n",
+                    "97158c74aaa23ffa0316e3cd186eedc075181ee4e4d179fa3f8af0bfd260a2e3",
+                    "9b8b15b4cc9b5edd1fcc3080c6f3c4d8936a1bd4dab4ea3e17b84222518c4401"),
 }
 
 
@@ -484,17 +500,17 @@ def _built_engines(monkeypatch) -> list[str]:
     pytest.param(name, engine, id=name if engine == "kernel" else f"{name}-{engine}")
     for name in sorted(_DRIFT_PINS) for engine in ("kernel", "fallback")])
 def test_cli_drift_check_bytes_pinned(tmp_path, monkeypatch, capsys, name, engine):
-    processes, weights, certs_sha, checks_sha = _DRIFT_PINS[name]
+    text, certs_sha, checks_sha = _DRIFT_PINS[name]
     cfg = tmp_path / "drift.cfg"
-    cfg.write_text(f"processes = {processes}\nns = 16,64,256\nm = 10n\n"
-                   f"tie_rule = random\nweights = {weights}\nseed = 11\ngamma = auto\n")
+    cfg.write_text(text)
     monkeypatch.setenv("BINLAB_OUT", str(tmp_path))
     built = _built_engines(monkeypatch)
     if engine == "fallback":
         monkeypatch.setattr(kernel, "load", lambda: None)
     assert main(["drift-check", str(cfg)]) == 0
     capsys.readouterr()
-    assert len(built) == 3 * len(processes.split(","))  # one walk per (process, n)
+    parsed = parse_config_text(text)
+    assert len(built) == len(parsed.processes) * len(parsed.ns)  # one walk per (process, n)
     if engine == "fallback":
         assert set(built) == {"_StepEngine"}
     digest = {f: hashlib.sha256((tmp_path / f).read_bytes()).hexdigest()

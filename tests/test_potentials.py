@@ -10,6 +10,7 @@ and c(1/2) = 4 * max(1, 1, sqrt(8/3), sqrt(8/3)/2) = 4*sqrt(8/3).
 from __future__ import annotations
 
 import decimal
+import hashlib
 import itertools
 import math
 import os
@@ -24,7 +25,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from binlab import kernel
-from binlab.checks import PreconditionError
+from binlab.checks import PreconditionError, input_bytes, inputs_hash, inputs_prefix
 from binlab.core import LoadState, new_state
 from binlab.potentials import (DriftEvaluator, certify_drift, drift_constant,
                                drift_step_bound_check, drift_step_bound_exact,
@@ -456,6 +457,71 @@ def test_block_evaluator_rows_equal_one_row_calls(monkeypatch, engine, text, wte
             want = _exact_reference(st, p, one, spec.weights, gamma, k, 1.0, side)
             assert (res.value, res.bound) == want[:2]
             assert res.passed == (want[0] <= want[1] + 64 * U * want[2])
+
+
+_BLOCK_CASES = [("two-choice", "exp1", "random"), ("reset-memory", "geom:p=0.5", "higher-index"),
+                ("quantile:delta=0.5", "poisson:l=2", "random"),
+                ("twinning:delta=0.5", "unit", "higher-index")]
+
+
+@pytest.mark.parametrize("engine", ["kernel", "fallback"])
+@pytest.mark.parametrize("text,wtext,tie", _BLOCK_CASES)
+def test_block_evaluator_one_law_row_equals_stacked_rows(monkeypatch, engine, text, wtext,
+                                                         tie):
+    # drift-check hands a block whose states share their law over as one row
+    if engine == "fallback":
+        monkeypatch.setattr(kernel, "load", lambda: None)
+    n, gamma, k = 24, 0.5, 3.0
+    spec = parse_process(text, weights=parse_weights(wtext), tie_rule=tie)
+    cond, p = canonical_conditions(spec, n), comparison_vector(spec, n)
+    states = _block_states(spec, n, len(text))
+    ys = np.array([st.sorted_normalized() for st in states])
+    ev = DriftEvaluator(p, gamma, params=cond, weights=spec.weights, k=k)
+    for st in states[::3]:
+        one = round_law(spec, st)
+        stacked = {atom: np.tile(probs, (len(states), 1)) for atom, probs in one.items()}
+        got = ev.evaluate(ys, {atom: probs[None] for atom, probs in one.items()})
+        assert got == ev.evaluate(ys, stacked)
+        assert got[1][::2] == [drift_step_bound_exact(s, p, one, spec.weights, gamma, k, 1.0)
+                               for s in states]
+
+
+@pytest.mark.parametrize("text,wtext,tie", _BLOCK_CASES)
+def test_block_evaluator_hashes_the_documented_inputs(text, wtext, tie):
+    # each row's hash input is prebuilt from parts shared by the block; the
+    # hash is still that of (row, vector, delta, eps, gamma) for a
+    # certificate and of (row, vector, gamma, k, r, side, weight label,
+    # sorted atoms, each sorted atom's law row) for a check
+    n, gamma, k, r = 24, 0.5, 3.0, 1.0
+    spec = parse_process(text, weights=parse_weights(wtext), tie_rule=tie)
+    cond, p = canonical_conditions(spec, n), comparison_vector(spec, n)
+    states = _block_states(spec, n, len(text))
+    laws = [round_law(spec, st) for st in states]
+    ys = np.array([st.sorted_normalized() for st in states])
+    law = {atom: np.array([one[atom] for one in laws]) for atom in laws[0]}
+    ev = DriftEvaluator(p, gamma, params=cond, weights=spec.weights, k=k, r=r)
+    certs, checks = ev.evaluate(ys, law)
+    atoms = sorted(law)
+    for i, (y, one) in enumerate(zip(ys, laws)):
+        assert certs[i].inputs == inputs_hash(y, p.array, cond.delta, cond.epsilon, gamma)
+        for j, side in enumerate(("phi", "psi")):
+            want = inputs_hash(y, p.array, gamma, k, r, side, spec.weights.label(), atoms,
+                               *(one[a] for a in atoms))
+            assert checks[2 * i + j].inputs == want
+
+
+def test_input_bytes_are_what_inputs_prefix_hashes():
+    parts = (np.arange(5.0), 0.1, 3, "phi", [(2, 1), (1, 0)], np.array([1.5, -0.0]))
+    stream = hashlib.sha256()
+    for part in parts:  # each part's bytes, then a separator
+        stream.update(part.tobytes() if isinstance(part, np.ndarray) else repr(part).encode())
+        stream.update(b"|")
+    assert hashlib.sha256(input_bytes(*parts)).digest() == stream.digest()
+    assert inputs_prefix(*parts).digest() == stream.digest()
+    head = inputs_prefix(*parts[:2])
+    assert inputs_prefix(prefix=head, encoded=input_bytes(*parts[2:])).digest() \
+        == inputs_prefix(*parts[2:], prefix=head).digest() == stream.digest()
+    assert inputs_hash(*parts) == stream.hexdigest()[:12]
 
 
 def test_exact_step_bound_validates():

@@ -25,14 +25,14 @@ from binlab.processes import (ENUM_LIMIT, ProbeConfig, ProcessSpec,
                               _Draws, _ScriptSource, _batched_round, _n_edges,
                               _probe_points,
                               _snapshot, allocation_vector, canonical_conditions,
-                              comparison_vector, d_choice_vector_exact,
+                              comparison_vector, cut_round_law, d_choice_vector_exact,
                               empirical_allocation_fractions,
                               empirical_allocation_vector,
                               expected_ball_counts, expected_balls_per_step,
                               make_engine, one_plus_beta_vector_exact,
                               parse_process, quantile_vector_exact,
                               rank_vector, round_law, run, run_batched,
-                              sample_round, step)
+                              sample_round, step, tie_cuts)
 from binlab.rng import make_generator
 from binlab.vectors import check_conditions, quantile_index
 from binlab.weights import parse_weights
@@ -493,6 +493,37 @@ def test_round_law_ball_counts_match_enumeration(text, graph, tie):
             counts = sum(c * p for (_, c), p in round_law(spec, state).items())
             want = [float(x) for x in expected_ball_counts(spec, state)]
             assert np.allclose(counts, want, rtol=0, atol=1e-15), (n, state.loads)
+
+
+_NON_GRAPHICAL = ("one-choice", "two-choice", "d-choice:d=3", "d-choice:d=9",
+                  "one-plus-beta:beta=0.5", "quantile:delta=0.25", "reset-memory",
+                  "twinning:delta=0.5", "penalty:delta=0.25")
+
+
+@pytest.mark.parametrize("tie", ["higher-index", "random"])
+@pytest.mark.parametrize("text,wtext", [  # twinning and penalty take unit weights only
+    (text, wtext) for text in _NON_GRAPHICAL for wtext in ("unit", "exp1")
+    if wtext == "unit" or not text.startswith(("twinning", "penalty"))])
+def test_round_law_is_the_cut_point_law_of_the_sorted_loads(text, wtext, tie):
+    """drift-check's law: one sort of the loads, their ``tie_cuts``, then
+    ``cut_round_law``; bit for bit ``round_law`` on random, tied and
+    one-heavy states."""
+    spec = parse_process(text, weights=parse_weights(wtext), tie_rule=tie)
+    n = 40
+    rng = make_generator(13, len(text), n)
+    fraction = rng.exponential(size=n) if wtext != "unit" else np.zeros(n)
+    for loads in (rng.integers(0, 4, size=n) + fraction, rng.permutation(n) + fraction,
+                  np.array([300.0] + [0.0] * (n - 1)), np.zeros(n)):
+        state = LoadState.from_loads(loads)
+        ranked = np.sort(loads)[::-1]
+        ref = sorted(loads.tolist(), reverse=True)
+        assert ranked.tolist() == ref
+        ends = tie_cuts(spec, ranked)
+        starts = [r for r in range(n) if tie == "higher-index" or r == 0 or ref[r] != ref[r - 1]]
+        assert ends.tolist() == starts + [n]
+        want, got = round_law(spec, state), cut_round_law(spec, n, ends)
+        assert list(got) == list(want)
+        assert all(got[atom].tobytes() == want[atom].tobytes() for atom in want)
 
 
 def _block_fractions(state, tie, cum, denom) -> list[Fraction]:
