@@ -20,11 +20,11 @@ graphical       uniform random edge of a regular graph, ball to the lesser
 
 Two per-ball paths exist and are tested against each other:
 
-exact       ``sample_round``/``step`` over a ``LoadState``: the oracle, with
-            rational enumeration of one step's allocation law
-            (``expected_ball_counts``) beside it, and ``round_law``, the
-            O(n) float law of one round that ``binlab drift-check`` uses,
-            pinned to the sampler and to that enumeration by the tests.
+exact       ``sample_round``/``step`` over a ``LoadState``: the sampler,
+            and ``round_law``, the O(n) float law of one round that
+            ``binlab drift-check`` uses and the one law oracle, pinned by
+            the tests to the closed-form vectors and to a brute force over
+            every scripted draw of ``sample_round``.
             Without a C compiler, ``make_engine`` returns ``_StepEngine``,
             a ``step`` loop with the engine interface.
 kernel      what ``make_engine`` returns: the per-ball decision loops of
@@ -49,9 +49,8 @@ one interface: ``advance(target)`` (until at least ``target`` balls),
 The lesser-loaded rule is ``_lightest``: the least-loaded candidates in
 first-seen order, without repeats.  A tie goes to the highest bin id, or
 under ``tie_rule="random"`` to ``best[int(u * k)]`` for one uniform draw u.
-Enumeration (``_recipient_dist``) and the exact sampler (``_pick_min``) use
-it; the kernel inlines it and is pinned to the exact path by the
-differential tests.
+The exact sampler (``_pick_min``) uses it; the kernel inlines it and is
+pinned to the exact path by the differential tests.
 
 The exact path reads its draws through ``_Draws``, in chunks from a source
 with the kernel's protocol (``bins``/``floats``/``weights``/``edges``): the
@@ -61,7 +60,6 @@ share with the kernel.
 from __future__ import annotations
 
 import functools
-import itertools
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -87,7 +85,6 @@ _CHUNK = 1 << 14
 # 37.9 MiB here, at equal speed.  The kernel path holds no such block: it
 # draws each round's n counts into one buffer per advance.
 _DRAW_COUNTS = 1 << 15
-ENUM_LIMIT = 64
 
 
 class UnsupportedProcessError(ValueError):
@@ -267,120 +264,6 @@ def expected_balls_per_step(spec: ProcessSpec, n: int) -> Fraction:
     return Fraction(1)
 
 
-# -- exact enumeration over a concrete state ----------------------------------
-
-def _lightest(loads, cands: Sequence[int]) -> list[int]:
-    """The least-loaded candidates in first-seen order, without repeats."""
-    best = [cands[0]]
-    bl = loads[cands[0]]
-    for c in cands[1:]:
-        lc = loads[c]
-        if lc < bl:
-            best, bl = [c], lc
-        elif lc == bl and c not in best:
-            best.append(c)
-    return best
-
-
-def _recipient_dist(loads, cands: Sequence[int], tie_rule: str):
-    """Distribution of the lesser-loaded candidate under the tie rule, as
-    (bin, Fraction) pairs."""
-    best = _lightest(loads, cands)
-    if tie_rule == "higher-index":
-        return [(max(best), Fraction(1))]
-    share = Fraction(1, len(best))
-    return [(b, share) for b in best]
-
-
-def _lesser_counts(state: LoadState, pairs, share: Fraction,
-                   tie_rule: str) -> list[Fraction]:
-    """Expected balls per rank when one ball goes to the lesser-loaded bin
-    of a pair drawn from ``pairs``, each with probability ``share``."""
-    out = [Fraction(0)] * state.n
-    rank = state.rank_of.tolist()
-    for cands in pairs:
-        for b, pr in _recipient_dist(state.loads, cands, tie_rule):
-            out[rank[b]] += share * pr
-    return out
-
-
-def expected_ball_counts(spec: ProcessSpec, state: LoadState,
-                         ball: int | None = None) -> list[Fraction]:
-    """Exact expected number of balls per rank in one step on this state,
-    by enumerating the sample space with rational arithmetic.
-
-    Sums to ``expected_balls_per_step``.  For reset-memory, ``ball``
-    selects the first or second ball of the round instead of their sum.
-    The kinds that enumerate n^2 sample pairs need n <= ``ENUM_LIMIT``.
-    """
-    n = state.n
-    kind = spec.kind
-    if ball is not None and kind != "reset-memory":
-        raise ValueError("ball selector applies to reset-memory only")
-    uniform = [Fraction(1, n)] * n
-
-    if kind == "graphical":
-        g = spec.graph
-        if g.n != n:
-            raise ValueError("graph size does not match state")
-        return _lesser_counts(state, g.edges, Fraction(1, len(g.edges)),
-                              spec.tie_rule)
-    if kind == "one-choice" or (kind == "d-choice" and spec.d == 1):
-        return uniform
-    if kind == "twinning":
-        t = quantile_index(spec.delta, n)
-        return [Fraction(1 if r < t else 2, n) for r in range(n)]
-
-    if n > ENUM_LIMIT:
-        raise ValueError(f"enumeration limited to n <= {ENUM_LIMIT}, got {n}")
-    if kind == "d-choice" and spec.d > 2:
-        raise ValueError("enumeration supports at most n^2 outcomes (d <= 2)")
-
-    if kind in ("quantile", "penalty"):
-        # below the quantile the ball (penalty: both balls) goes to a
-        # fresh uniform sample
-        t = quantile_index(spec.delta, n)
-        w = Fraction(1 if kind == "quantile" else 2, n * n)
-        out = [Fraction(0)] * n
-        rank = state.rank_of.tolist()
-        for i in range(n):
-            if rank[i] >= t:
-                out[rank[i]] += Fraction(1, n)
-            else:
-                for j in range(n):
-                    out[rank[j]] += w
-        return out
-
-    pairs = _lesser_counts(state, itertools.product(range(n), repeat=2),
-                           Fraction(1, n * n), spec.tie_rule)
-    if kind == "one-plus-beta":
-        beta = Fraction(spec.beta)
-        return [(1 - beta) * u + beta * p for u, p in zip(uniform, pairs)]
-    if kind == "reset-memory":
-        if ball == 1:
-            return uniform
-        if ball == 2:
-            return pairs
-        return [u + p for u, p in zip(uniform, pairs)]
-    return pairs
-
-
-def empirical_allocation_fractions(spec: ProcessSpec, state: LoadState,
-                                   ball: int | None = None) -> list[Fraction]:
-    """Exact per-rank allocation law: expected ball counts normalized by
-    the expected total, as rationals."""
-    counts = expected_ball_counts(spec, state, ball=ball)
-    total = sum(counts)
-    return [c / total for c in counts]
-
-
-def empirical_allocation_vector(spec: ProcessSpec, state: LoadState,
-                                ball: int | None = None) -> ProbabilityVector:
-    """Float view of ``empirical_allocation_fractions``."""
-    return ProbabilityVector(probs=tuple(
-        float(f) for f in empirical_allocation_fractions(spec, state, ball=ball)))
-
-
 # -- the law of one round -----------------------------------------------------
 
 def _block_law(ends: np.ndarray, cum, denom: int) -> np.ndarray:
@@ -429,11 +312,12 @@ def round_law(spec: ProcessSpec, state: LoadState) -> dict[tuple[int, int], np.n
     Maps (K, c) to the rank-indexed array of P(the round allocates K balls
     and c of them land in rank r); for each rank the atoms sum to 1.  It is
     the law of ``sample_round``, pinned by the tests to a brute force over
-    scripted draws, and its ball counts sum_{K,c} c * P_r(K, c) are
-    ``expected_ball_counts``.  Weights are i.i.d. and independent of the
-    bins in every kind, so the law and the weight law give the exact
-    expectation of anything the round does to a potential.  Every kind but
-    graphical sees the state only through its ``tie_cuts``.
+    scripted draws and to the closed-form vectors; its expected ball count
+    sum_r sum_{K,c} c * P_r(K, c) is ``expected_balls_per_step``.  Weights
+    are i.i.d. and independent of the bins in every kind, so the law and
+    the weight law give the exact expectation of anything the round does
+    to a potential.  Every kind but graphical sees the state only through
+    its ``tie_cuts``.
     """
     n = state.n
     if spec.kind != "graphical":
@@ -447,8 +331,9 @@ def round_law(spec: ProcessSpec, state: LoadState) -> dict[tuple[int, int], np.n
 def tie_cuts(spec: ProcessSpec, ranked: np.ndarray) -> np.ndarray:
     """The rank cut points of the ties a round of ``spec`` sees on the loads
     ``ranked`` (in rank order): their equal-load runs under random ties,
-    0, 1, ..., n (each rank alone) under higher-index ties."""
-    if spec.tie_rule == "random":
+    0, 1, ..., n (each rank alone) under higher-index ties and for the
+    quantile kinds, whose rounds compare ranks, never loads."""
+    if spec.tie_rule == "random" and spec.kind not in ("quantile", "twinning", "penalty"):
         return cut_points(ranked)
     return np.arange(len(ranked) + 1)
 
@@ -542,6 +427,19 @@ class _Draws:
 
     def edge(self) -> int:
         return self._take("edges")[0]
+
+
+def _lightest(loads, cands: Sequence[int]) -> list[int]:
+    """The least-loaded candidates in first-seen order, without repeats."""
+    best = [cands[0]]
+    bl = loads[cands[0]]
+    for c in cands[1:]:
+        lc = loads[c]
+        if lc < bl:
+            best, bl = [c], lc
+        elif lc == bl and c not in best:
+            best.append(c)
+    return best
 
 
 def _pick_min(loads, cands, tie_rule, draws: _Draws) -> int:

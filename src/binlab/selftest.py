@@ -201,16 +201,14 @@ def check_empirical_matches_formulas():
     n = 8
     loads = sorted(set(rng.integers(0, 100, size=32).tolist()))[:n]
     st = core.LoadState.from_loads(list(reversed(loads)))  # distinct loads
-    two = processes.empirical_allocation_fractions(
-        processes.ProcessSpec(kind="two-choice"), st)
-    _assert(two == processes.d_choice_vector_exact(n, 2), "two-choice enumeration")
-    opb = processes.empirical_allocation_fractions(
-        processes.ProcessSpec(kind="one-plus-beta", beta=0.5), st)
-    _assert(opb == processes.one_plus_beta_vector_exact(n, Fraction(1, 2)),
-            "(1+beta) enumeration")
-    qv = processes.empirical_allocation_fractions(
-        processes.ProcessSpec(kind="quantile", delta=0.5), st)
-    _assert(qv == processes.quantile_vector_exact(n, 4), "quantile enumeration")
+    for spec, exact in (
+            (processes.ProcessSpec(kind="two-choice"), processes.d_choice_vector_exact(n, 2)),
+            (processes.ProcessSpec(kind="one-plus-beta", beta=0.5),
+             processes.one_plus_beta_vector_exact(n, Fraction(1, 2))),
+            (processes.ProcessSpec(kind="quantile", delta=0.5),
+             processes.quantile_vector_exact(n, 4))):
+        got = processes.round_law(spec, st)[(1, 1)].tolist()
+        _assert(got == [float(x) for x in exact], f"{spec.label()} round law")
 
 
 def check_engine_agreement():
@@ -253,9 +251,12 @@ def check_balls_per_step():
     st = core.new_state(8)
     for text in ("twinning:delta=0.5", "penalty:delta=0.5", "reset-memory"):
         spec = processes.parse_process(text)
-        counts = processes.expected_ball_counts(spec, st)
-        _assert(sum(counts) == processes.expected_balls_per_step(spec, 8),
-                f"enumerated ball total for {text}")
+        law = processes.round_law(spec, st)
+        want = float(processes.expected_balls_per_step(spec, 8))
+        landed = math.fsum(c * x for (_, c), p in law.items() for x in p.tolist())
+        _assert(landed == want, f"round-law ball total for {text}")
+        per_rank = sum(k * p for (k, _), p in law.items())
+        _assert(per_rank.tolist() == [want] * 8, f"round-law K per rank for {text}")
 
 
 def check_batched_conserves():
@@ -318,16 +319,16 @@ def check_expansion_conditions():
         phi = graphs.conductance_exact(g)
         for _ in range(20):
             st = core.LoadState.from_loads(rng.integers(0, 40, size=g.n).tolist())
-            p = processes.empirical_allocation_vector(
-                processes.ProcessSpec(kind="graphical", graph=g), st)
-            pr = np.cumsum(p.array)
+            p = processes.round_law(processes.ProcessSpec(kind="graphical", graph=g),
+                                    st)[(1, 1)]
+            pr = np.cumsum(p)
             n = g.n
             for k in range(1, n // 2 + 1):
                 _assert(pr[k - 1] <= (1 - phi) * k / n + 1e-12, "prefix expansion")
             for k in range(n // 2 + 1, n + 1):
                 suf = 1.0 - (pr[k - 2] if k >= 2 else 0.0)
                 _assert(suf >= (1 + phi) * (n - k + 1) / n - 1e-12, "suffix expansion")
-            _assert(max(p.probs) <= 2 / n + 1e-12, "max entry cap")
+            _assert(p.max() <= 2 / n + 1e-12, "max entry cap")
 
 
 # -- experiments / io ------------------------------------------------------------

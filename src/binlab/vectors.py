@@ -190,14 +190,6 @@ def worst_case_vector(delta: float, epsilon: float, n: int) -> ProbabilityVector
     return ProbabilityVector(probs=(lo,) * t + (hi,) * (n - t))
 
 
-def worst_case_vector_exact(delta: Fraction, epsilon: Fraction, n: int) -> list[Fraction]:
-    """Exact-rational twin of worst_case_vector for oracle tests."""
-    t = quantile_index(delta, n)
-    lo = (1 - epsilon) / Fraction(n)
-    hi = (1 + epsilon * delta / (1 - delta)) / Fraction(n)
-    return [lo] * t + [hi] * (n - t)
-
-
 def max_entry_cap(delta, epsilon):
     """Smallest C such that the worst-case vector satisfies C2(C)."""
     return 1 + delta * epsilon / (1 - delta)

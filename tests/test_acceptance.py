@@ -26,15 +26,15 @@ from binlab.experiments import (ExperimentConfig, final_gaps,
 from binlab.graphs import build_graph, conductance_exact
 from binlab.potentials import certify_drift, gamma_expectation_bound, gamma_for_weighted
 from binlab.processes import (ProbeConfig, ProcessSpec, canonical_conditions,
-                              d_choice_vector_exact,
-                              empirical_allocation_vector, expected_ball_counts,
-                              one_plus_beta_vector_exact, parse_process,
-                              quantile_vector_exact, run, run_batched)
+                              d_choice_vector_exact, one_plus_beta_vector_exact,
+                              parse_process, quantile_vector_exact, round_law, run,
+                              run_batched)
 from binlab.selftest import run_selftest
 from binlab.tableio import dumps_csv
 from binlab.vectors import (ConditionParams, ProbabilityVector, quantile_index,
                             worst_case_vector)
 from binlab.weights import parse_weights, s_for_gamma
+from scripted_rounds import round_law_brute_force
 
 
 def _finish(num: int, slug: str, started: float, budget: float, ok: bool,
@@ -185,8 +185,9 @@ def test_exact_vectors_match_closed_forms():
             assert list(got) == want
             checked += 1
 
-    # Independent dynamic route: exhaustive one-ball enumeration from a flat
-    # state reproduces the same rationals (flat ties make rank == bin id).
+    # Independent dynamic route: every scripted draw of one round through the
+    # sampler, from a flat state, reproduces the same rationals (flat ties
+    # make rank == bin id).
     for n in range(2, 9):
         for text, exact in (
                 ("two-choice", d_choice_vector_exact(n, 2)),
@@ -194,8 +195,8 @@ def test_exact_vectors_match_closed_forms():
                  one_plus_beta_vector_exact(n, Fraction(1, 2))),
                 (f"quantile:delta={1 / n}",
                  quantile_vector_exact(n, 1))):
-            counts = expected_ball_counts(parse_process(text), LoadState(n))
-            assert counts == list(exact), (text, n)
+            law = round_law_brute_force(parse_process(text), LoadState(n))
+            assert law[(1, 1)] == list(exact), (text, n)
             checked += 1
 
     _finish(2, "exact-vectors", t0, 10.0, True,
@@ -228,7 +229,7 @@ def test_graphical_vectors_respect_conductance_margins():
         spec = ProcessSpec(kind="graphical", graph=g)
         for _ in range(100):
             state = LoadState.from_loads(rng.permutation(n).astype(float))
-            p = empirical_allocation_vector(spec, state).probs
+            p = round_law(spec, state)[(1, 1)]
             prefix = np.cumsum(p)
             # The halves are 1 <= k <= n/2 and n/2 + 1 <= k <= n; for odd n
             # the midpoint rank k = (n+1)/2 belongs to neither (its
@@ -241,7 +242,7 @@ def test_graphical_vectors_respect_conductance_margins():
                 suffix = 1.0 - prefix[k - 2]
                 if suffix < (1 + phi) * (n - k + 1) / n - tol:
                     violations += 1
-            if max(p) > 2.0 / n + tol:
+            if p.max() > 2.0 / n + tol:
                 violations += 1
             checked += 1
     _finish(3, "graphical-margins", t0, 60.0, violations == 0,

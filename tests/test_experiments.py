@@ -189,6 +189,24 @@ def test_certify_refuses_what_drift_check_ignores(monkeypatch, change, text):
     assert cells == []
 
 
+def test_certify_builds_one_law_per_cell_of_the_quantile_kinds(monkeypatch):
+    """The quantile kinds' rounds compare ranks, never loads, so under random
+    ties each of their cells builds its round law once, at its first probe,
+    though the probes' loads tie in different ways."""
+    built = []
+    cut_round_law = experiments.cut_round_law
+    monkeypatch.setattr(experiments, "cut_round_law",
+                        lambda spec, n, ends: built.append((spec.kind, n))
+                        or cut_round_law(spec, n, ends))
+    cfg = ExperimentConfig(processes=("twinning:delta=0.5", "penalty:delta=0.25",
+                                      "quantile:delta=0.5"),
+                           ns=(16, 64), m="10n", seed=3, tie_rule="random")
+    certs, _ = certify(cfg)
+    assert len(certs) == 3 * (11 + 11)  # every probe is certified
+    assert built == [(kind, n) for kind in ("twinning", "penalty", "quantile")
+                     for n in (16, 64)]
+
+
 @pytest.mark.parametrize("cfg", [
     ExperimentConfig(processes=("two-choice", "one-plus-beta:beta=0.5"), ns=(16, 32),
                      m="20b", batches=("1n", "4n"), reps=3, seed=4),

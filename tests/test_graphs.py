@@ -28,7 +28,7 @@ from binlab.graphs import (DENSE_LIMIT, EXACT_LIMIT, GraphSamplingError, Regular
                            hypercube_graph,
                            random_regular_graph, read_graph_file,
                            torus_grid_graph, write_graph_file)
-from binlab.processes import ProcessSpec, empirical_allocation_vector
+from binlab.processes import ProcessSpec, round_law
 
 
 def brute_conductance(g: RegularGraph) -> Fraction:
@@ -277,26 +277,26 @@ def test_graphical_vector_complete_graph_closed_form():
     n = 6
     g = complete_graph(n)
     state = LoadState.from_loads([50 - 7 * k for k in range(n)])
-    p = empirical_allocation_vector(ProcessSpec(kind="graphical", graph=g), state)
+    p = round_law(ProcessSpec(kind="graphical", graph=g), state)[(1, 1)]
     m = n * (n - 1) // 2
-    for i, v in enumerate(p.probs):
+    for i, v in enumerate(p):
         assert v == pytest.approx(i / m, abs=1e-12)
-    assert sum(p.probs) == pytest.approx(1.0)
+    assert sum(p) == pytest.approx(1.0)
 
 
 def test_graphical_vector_tie_goes_to_higher_id():
     g = cycle_graph(3)
     state = LoadState.from_loads([1, 1, 0])
     # edges (0,1), (1,2), (2,0): bin 2 wins two edges; the (0,1) tie -> id 1
-    p = empirical_allocation_vector(ProcessSpec(kind="graphical", graph=g), state)
+    p = round_law(ProcessSpec(kind="graphical", graph=g), state)[(1, 1)]
     # ranks: 0 -> bin0, 1 -> bin1, 2 -> bin2
-    assert p.probs == pytest.approx((0.0, 1 / 3, 2 / 3), abs=1e-12)
+    assert p.tolist() == pytest.approx((0.0, 1 / 3, 2 / 3), abs=1e-12)
 
 
 def test_graphical_vector_needs_matching_sizes():
     spec = ProcessSpec(kind="graphical", graph=complete_graph(4))
     with pytest.raises(ValueError):
-        empirical_allocation_vector(spec, LoadState.from_loads([1, 2]))
+        round_law(spec, LoadState.from_loads([1, 2]))
 
 
 def test_graph_file_round_trip(tmp_path):

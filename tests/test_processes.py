@@ -1,14 +1,13 @@
 """Allocation processes: exact vectors, forced-draw semantics, fast engines.
 
-The enumeration helpers work in rational arithmetic, so every identity
-between a closed-form allocation vector and the per-rank expected counts
-is asserted with zero tolerance.  Engine behaviour is pinned down by
-replaying one shared draw stream through both the slow exact path and the
-chunked engines.
+``round_law`` is checked against the closed-form allocation vectors with
+zero tolerance, and against a brute force over every scripted draw of
+``sample_round`` in rational arithmetic.  Engine behaviour is pinned down
+by replaying one shared draw stream through both the slow exact path and
+the chunked engines.
 """
 from __future__ import annotations
 
-import itertools
 import math
 import statistics
 from fractions import Fraction
@@ -20,15 +19,13 @@ from binlab import kernel, processes
 from binlab.core import LoadState, new_state, tie_blocks
 from binlab.experiments import ExperimentConfig, aggregate, sweep
 from binlab.graphs import complete_graph, cycle_graph, hypercube_graph
-from binlab.processes import (ENUM_LIMIT, ProbeConfig, ProcessSpec,
+from binlab.processes import (ProbeConfig, ProcessSpec,
                               UnsupportedProcessError, _BatchedEngine, _ChunkSource,
-                              _Draws, _ScriptSource, _batched_round, _n_edges,
+                              _Draws, _ScriptSource, _batched_round,
                               _probe_points,
                               _snapshot, allocation_vector, canonical_conditions,
                               comparison_vector, cut_round_law, d_choice_vector_exact,
-                              empirical_allocation_fractions,
-                              empirical_allocation_vector,
-                              expected_ball_counts, expected_balls_per_step,
+                              expected_balls_per_step,
                               make_engine, one_plus_beta_vector_exact,
                               parse_process, quantile_vector_exact,
                               rank_vector, round_law, run, run_batched,
@@ -36,6 +33,7 @@ from binlab.processes import (ENUM_LIMIT, ProbeConfig, ProcessSpec,
 from binlab.rng import make_generator
 from binlab.vectors import check_conditions, quantile_index
 from binlab.weights import parse_weights
+from scripted_rounds import round_law_brute_force, scripted
 
 F = Fraction
 
@@ -117,31 +115,46 @@ def test_load_dependent_kinds_have_no_static_vector():
             allocation_vector(parse_process(text), 8)
 
 
-# -- exact enumeration identities ----------------------------------------------
+# -- the round law against the closed forms -------------------------------------
 
 def distinct_state(n: int) -> LoadState:
     return LoadState.from_loads([3 * (n - k) for k in range(n)])
 
 
+def one_ball_law(spec, state) -> list[float]:
+    """P(the round's one ball lands on rank r), from ``round_law``."""
+    return round_law(spec, state)[(1, 1)].tolist()
+
+
+def ball_counts(spec, state) -> list[Fraction]:
+    """sum_{K,c} c * P_r(K, c) from ``round_law``, as exact rationals."""
+    counts = sum(c * p for (_, c), p in round_law(spec, state).items())
+    return [F(x) for x in counts.tolist()]
+
+
+def floats(exact) -> list[float]:
+    return [float(x) for x in exact]
+
+
 @pytest.mark.parametrize("n", [2, 3, 5, 8, 16])
 def test_two_choice_enumeration_identity(n):
     spec = parse_process("two-choice")
-    got = empirical_allocation_fractions(spec, distinct_state(n))
-    assert got == d_choice_vector_exact(n, 2)  # zero tolerance
+    got = one_ball_law(spec, distinct_state(n))
+    assert got == floats(d_choice_vector_exact(n, 2))  # zero tolerance
 
 
 @pytest.mark.parametrize("n,beta", [(4, 0.5), (8, 0.25), (6, 1.0), (5, 0.0)])
 def test_one_plus_beta_enumeration_identity(n, beta):
     spec = parse_process(f"one-plus-beta:beta={beta}")
-    got = empirical_allocation_fractions(spec, distinct_state(n))
-    assert got == one_plus_beta_vector_exact(n, F(beta))
+    got = one_ball_law(spec, distinct_state(n))
+    assert got == floats(one_plus_beta_vector_exact(n, F(beta)))
 
 
 @pytest.mark.parametrize("n,delta", [(4, 0.5), (8, 0.25), (16, 0.75)])
 def test_quantile_enumeration_identity(n, delta):
     spec = parse_process(f"quantile:delta={delta}")
-    got = empirical_allocation_fractions(spec, distinct_state(n))
-    assert got == quantile_vector_exact(n, quantile_index(delta, n))
+    got = one_ball_law(spec, distinct_state(n))
+    assert got == floats(quantile_vector_exact(n, quantile_index(delta, n)))
 
 
 def test_two_choice_identity_survives_ties_with_higher_index_rule():
@@ -149,23 +162,23 @@ def test_two_choice_identity_survives_ties_with_higher_index_rule():
     # ball to the higher rank, exactly as strict inequality would
     spec = parse_process("two-choice")
     state = LoadState.from_loads([5, 5, 1, 1])
-    assert empirical_allocation_fractions(spec, state) == d_choice_vector_exact(4, 2)
+    assert one_ball_law(spec, state) == floats(d_choice_vector_exact(4, 2))
 
 
 def test_two_choice_random_ties_average_within_blocks():
     spec = ProcessSpec(kind="two-choice", tie_rule="random")
     state = LoadState.from_loads([5, 5, 1, 1])
-    got = empirical_allocation_fractions(spec, state)
+    got = one_ball_law(spec, state)
     base = d_choice_vector_exact(4, 2)
     expect = [(base[0] + base[1]) / 2] * 2 + [(base[2] + base[3]) / 2] * 2
-    assert got == expect
+    assert got == floats(expect)
 
 
 def test_twinning_counts_exact():
     n, delta = 8, 0.25
     spec = parse_process(f"twinning:delta={delta}")
     t = quantile_index(delta, n)
-    counts = expected_ball_counts(spec, distinct_state(n))
+    counts = ball_counts(spec, distinct_state(n))
     assert counts == [F(1, n)] * t + [F(2, n)] * (n - t)
     assert sum(counts) == expected_balls_per_step(spec, n) == 2 - F(t, n)
 
@@ -174,7 +187,7 @@ def test_penalty_counts_exact():
     n, delta = 8, 0.5
     spec = parse_process(f"penalty:delta={delta}")
     t = quantile_index(delta, n)
-    counts = expected_ball_counts(spec, distinct_state(n))
+    counts = ball_counts(spec, distinct_state(n))
     # heavy first sample (prob t/n) redirects two balls uniformly
     expect = [F(t, n) * F(2, n)] * n
     for r in range(t, n):
@@ -183,59 +196,28 @@ def test_penalty_counts_exact():
     assert sum(counts) == expected_balls_per_step(spec, n) == 1 + F(t, n)
 
 
-def test_reset_memory_ball_split():
-    n = 6
-    spec = parse_process("reset-memory")
-    state = distinct_state(n)
-    first = expected_ball_counts(spec, state, ball=1)
-    second = expected_ball_counts(spec, state, ball=2)
-    both = expected_ball_counts(spec, state)
-    assert first == [F(1, n)] * n
-    assert sum(second) == 1
-    assert both == [a + b for a, b in zip(first, second)]
-    assert second == d_choice_vector_exact(n, 2)  # fresh pair on distinct loads
-    with pytest.raises(ValueError):
-        expected_ball_counts(parse_process("two-choice"), state, ball=1)
-
-
 def test_graphical_enumeration_matches_edge_count():
     g = complete_graph(5)
     spec = ProcessSpec(kind="graphical", graph=g)
-    got = empirical_allocation_fractions(spec, distinct_state(5))
-    assert got == [F(i, 10) for i in range(5)]
+    got = one_ball_law(spec, distinct_state(5))
+    assert got == floats(F(i, 10) for i in range(5))
 
 
-def test_linear_enumerations_skip_the_limit():
-    n = 2 * ENUM_LIMIT
+def test_graphical_law_on_the_128_cycle():
+    n = 128
     g = cycle_graph(n)
     loads = make_generator(8, 0).permutation(n).tolist()  # distinct loads
     state = LoadState.from_loads(loads)
-    got = expected_ball_counts(ProcessSpec(kind="graphical", graph=g), state)
+    got = one_ball_law(ProcessSpec(kind="graphical", graph=g), state)
     # |E| = n; a bin receives the ball from each edge to a heavier neighbour
     want = [F(0)] * n
     for b in range(n):
         heavier = sum(loads[v] > loads[b] for v in ((b - 1) % n, (b + 1) % n))
         want[state.rank_of[b]] = F(heavier, n)
-    assert got == want
+    assert got == floats(want)
     for text in ("one-choice", "twinning:delta=0.5"):
         spec = parse_process(text)
-        total = sum(expected_ball_counts(spec, state))
-        assert total == expected_balls_per_step(spec, n)
-
-
-def test_enumeration_limits():
-    with pytest.raises(ValueError):
-        expected_ball_counts(parse_process("two-choice"),
-                             new_state(ENUM_LIMIT + 1))
-    with pytest.raises(ValueError):
-        expected_ball_counts(parse_process("d-choice:d=3"), distinct_state(4))
-
-
-def test_empirical_vector_float_view():
-    spec = parse_process("two-choice")
-    v = empirical_allocation_vector(spec, distinct_state(6))
-    fr = empirical_allocation_fractions(spec, distinct_state(6))
-    assert v.probs == tuple(float(x) for x in fr)
+        assert sum(ball_counts(spec, state)) == expected_balls_per_step(spec, n)
 
 
 # -- canonical condition parameters ---------------------------------------------
@@ -287,12 +269,6 @@ def test_comparison_vector_meets_its_own_conditions(text):
 
 def u() -> "ProcessSpec":
     return parse_process("two-choice")
-
-
-def scripted(n, wdist=None, n_edges=0, **streams) -> _Draws:
-    """Exact-path draws read from a script, as the kernel reads one."""
-    return _Draws(n, wdist or parse_weights("unit"), n_edges=n_edges,
-                  source=_ScriptSource(**streams))
 
 
 def test_two_choice_forced_picks_lighter():
@@ -387,112 +363,47 @@ def test_forced_draws_exhaustion():
         sample_round(u(), state, draws=draws)
 
 
-# -- the sampler against the oracle ------------------------------------------------
-
-ORACLE_CASES = [
-    ("one-choice", None), ("two-choice", None), ("d-choice:d=2", None),
-    ("one-plus-beta:beta=0.5", None), ("quantile:delta=0.5", None),
-    ("twinning:delta=0.5", None), ("penalty:delta=0.5", None),
-    ("reset-memory", None), ("graphical", cycle_graph(4)),
-    ("graphical", complete_graph(4)),
-]
-TIED_STATES = [(2, 1, 1, 0), (1, 1, 0, 0), (0, 2, 2, 1), (0, 0, 0, 0)]  # n = 4
-
-
-@pytest.mark.parametrize("tie", ["higher-index", "random"])
-@pytest.mark.parametrize("text,graph", ORACLE_CASES,
-                         ids=[f"{t}-{g.d if g else ''}" for t, g in ORACLE_CASES])
-def test_sampler_matches_enumeration_on_every_script(text, graph, tie):
-    """Every scripted draw sequence through ``sample_round``, weighted by
-    its probability, gives exactly the per-rank counts of the enumeration.
-    Bins and edges take every value; a float sits at the midpoint of
-    [0, 1/2) or [1/2, 1), which decides both the beta = 1/2 mixing and a
-    tie between at most two candidates."""
-    spec = parse_process(text, graph=graph, tie_rule=tie)
-    for loads in TIED_STATES:
-        state = LoadState.from_loads(loads)
-        n = state.n
-        edge_scripts = [(e,) for e in range(len(graph.edges))] if graph else [()]
-        bin_scripts = list(itertools.product(range(n), repeat=2))
-        float_scripts = list(itertools.product((0.25, 0.75), repeat=2))
-        share = F(1, len(edge_scripts) * len(bin_scripts) * len(float_scripts))
-        got = [F(0)] * n
-        for edges, bins, floats in itertools.product(edge_scripts, bin_scripts,
-                                                     float_scripts):
-            draws = scripted(n, n_edges=_n_edges(spec), bins=bins, floats=floats,
-                             edges=edges)
-            for b, _ in sample_round(spec, state, draws=draws):
-                got[state.rank_of[b]] += share
-        assert got == expected_ball_counts(spec, state), loads
-
-
 # -- the round law against the sampler ------------------------------------------
 
-# the delta kinds take delta = 2/n, so the quantile is integral at n = 4 and 5
+# the delta kinds take delta = 2/n (1/2 at n = 2), so the quantile is
+# integral on every state
 LAW_CASES = [
-    ("one-choice", None), ("two-choice", None), ("d-choice:d=3", None),
-    ("one-plus-beta:beta=0.5", None), ("quantile:delta={q}", None),
-    ("twinning:delta={q}", None), ("penalty:delta={q}", None),
-    ("reset-memory", None), ("graphical", cycle_graph(4)),
-    ("graphical", complete_graph(4)),
+    ("one-choice", None), ("two-choice", None), ("d-choice:d=2", None),
+    ("d-choice:d=3", None), ("one-plus-beta:beta=0.5", None),
+    ("quantile:delta={q}", None), ("twinning:delta={q}", None),
+    ("penalty:delta={q}", None), ("reset-memory", None),
+    ("graphical", cycle_graph(4)), ("graphical", complete_graph(4)),
+    ("graphical", cycle_graph(7)), ("graphical", hypercube_graph(8)),
 ]
-LAW_STATES = TIED_STATES + [(1, 0, 1, 0, 1), (2, 2, 2, 0, 1), (0, 0, 0, 0, 0)]
-# midpoints of sixths: int(u * k) is uniform for k = 1, 2, 3 tied candidates,
-# and u < 1/2 for half of them
-LAW_FLOATS = [(2 * j + 1) / 12 for j in range(6)]
+LAW_STATES = [(2, 1, 1, 0), (1, 1, 0, 0), (0, 2, 2, 1), (0, 0, 0, 0),
+              (1, 0, 1, 0, 1), (2, 2, 2, 0, 1), (0, 0, 0, 0, 0),
+              (1, 1), (2, 0, 2), (1, 2, 0, 2, 1, 1), (0, 2, 1, 2, 0, 0, 1),
+              (2, 1, 1, 0, 2, 1, 0, 2)]
 
 
-def round_law_brute_force(spec, state) -> dict:
-    """P_r(K, c) over every bins x floats (x edges) script of one round."""
-    n = state.n
-    edge_scripts = [(e,) for e in range(len(spec.graph.edges))] if spec.graph else [()]
-    bin_scripts = list(itertools.product(range(n), repeat=spec.d or 2))
-    float_scripts = list(itertools.product(LAW_FLOATS, repeat=2))
-    share = F(1, len(edge_scripts) * len(bin_scripts) * len(float_scripts))
-    law: dict = {}
-    for edges, bins, floats in itertools.product(edge_scripts, bin_scripts,
-                                                 float_scripts):
-        draws = scripted(n, n_edges=_n_edges(spec), bins=bins, floats=floats,
-                         edges=edges)
-        hit = [state.rank_of[b] for b, _ in sample_round(spec, state, draws=draws)]
-        for r in range(n):
-            row = law.setdefault((len(hit), hit.count(r)), [F(0)] * n)
-            row[r] += share
-    return law
+def _case_id(text, graph) -> str:
+    """The case's text and its graph's degree, and the graph's size unless
+    it is 4."""
+    if graph is None:
+        return f"{text}-"
+    return f"{text}-{graph.d}" + ("" if graph.n == 4 else f"n{graph.n}")
 
 
 @pytest.mark.parametrize("tie", ["higher-index", "random"])
 @pytest.mark.parametrize("text,graph", LAW_CASES,
-                         ids=[f"{t}-{g.d if g else ''}" for t, g in LAW_CASES])
+                         ids=[_case_id(t, g) for t, g in LAW_CASES])
 def test_round_law_matches_every_script(text, graph, tie):
     for loads in LAW_STATES:
         if graph is not None and graph.n != len(loads):
             continue
         state = LoadState.from_loads(loads)
-        spec = parse_process(text.format(q=2 / state.n), graph=graph, tie_rule=tie)
+        q = min(2, state.n - 1) / state.n
+        spec = parse_process(text.format(q=q), graph=graph, tie_rule=tie)
         want = round_law_brute_force(spec, state)
         got = round_law(spec, state)
         for atom in set(want) | set(got):
             exact = [float(x) for x in want.get(atom, [F(0)] * state.n)]
             assert np.allclose(got.get(atom, 0.0), exact, rtol=0, atol=1e-12), (loads, atom)
-
-
-@pytest.mark.parametrize("tie", ["higher-index", "random"])
-@pytest.mark.parametrize("text,graph", ORACLE_CASES[:-2] + [
-    ("graphical", hypercube_graph(8)), ("graphical", cycle_graph(7))],
-    ids=lambda v: v if isinstance(v, str) else (f"d{v.d}n{v.n}" if v else ""))
-def test_round_law_ball_counts_match_enumeration(text, graph, tie):
-    """sum_{K,c} c * P_r(K, c) is ``expected_ball_counts`` on tied states."""
-    rng = make_generator(5, len(text), 1 if tie == "random" else 0)
-    for n in (range(2, 9) if graph is None else (graph.n,)):
-        spec = parse_process(text, graph=graph, tie_rule=tie)
-        for _ in range(5):
-            state = LoadState.from_loads(rng.integers(0, 3, size=n).tolist())
-            if spec.delta is not None and not (spec.delta * n).is_integer():
-                continue
-            counts = sum(c * p for (_, c), p in round_law(spec, state).items())
-            want = [float(x) for x in expected_ball_counts(spec, state)]
-            assert np.allclose(counts, want, rtol=0, atol=1e-15), (n, state.loads)
 
 
 _NON_GRAPHICAL = ("one-choice", "two-choice", "d-choice:d=3", "d-choice:d=9",
@@ -519,7 +430,9 @@ def test_round_law_is_the_cut_point_law_of_the_sorted_loads(text, wtext, tie):
         ref = sorted(loads.tolist(), reverse=True)
         assert ranked.tolist() == ref
         ends = tie_cuts(spec, ranked)
-        starts = [r for r in range(n) if tie == "higher-index" or r == 0 or ref[r] != ref[r - 1]]
+        # the quantile kinds compare ranks, never loads: their rounds see no ties
+        each = tie == "higher-index" or spec.kind in ("quantile", "twinning", "penalty")
+        starts = [r for r in range(n) if each or r == 0 or ref[r] != ref[r - 1]]
         assert ends.tolist() == starts + [n]
         want, got = round_law(spec, state), cut_round_law(spec, n, ends)
         assert list(got) == list(want)

@@ -16,10 +16,17 @@ from binlab.core import LoadState
 from binlab.vectors import (ConditionParams, ProbabilityVector, average_ties,
                             check_c1, check_c2, check_conditions, check_d0,
                             check_d1, majorizes,
-                            max_entry_cap, quantile_index, worst_case_vector,
-                            worst_case_vector_exact)
+                            max_entry_cap, quantile_index, worst_case_vector)
 
 F = Fraction
+
+
+def worst_case_vector_exact(delta: Fraction, epsilon: Fraction, n: int) -> list[Fraction]:
+    """``worst_case_vector`` in rationals, for the tol=0 checks."""
+    t = quantile_index(delta, n)
+    lo = (1 - epsilon) / Fraction(n)
+    hi = (1 + epsilon * delta / (1 - delta)) / Fraction(n)
+    return [lo] * t + [hi] * (n - t)
 
 
 def test_probability_vector_validation():
