@@ -3,13 +3,17 @@
  * the round's ranking), and the exact row sums of binlab.potentials.
  *
  * binlab_advance() runs one engine until at least `target` balls are
- * allocated.  Random draws arrive in chunks that the Python side supplies
- * through the refill callback.  The loops read them in the order of the
- * draw protocol that processes._Draws defines for the exact path `step`,
- * including its rule that a decision needing k bins discards the rest of
- * a chunk holding fewer than k (a fresh chunk that short is an error).  So
- * both paths consume one stream identically.
- * The Python side checks that every bin or edge index is in range.
+ * allocated.  Random draws arrive in chunks.  A seeded engine draws them
+ * itself, on the run's own bit generator, with the numpy functions that
+ * processes._ChunkSource reaches through Generator (fill(), below), so no
+ * Python runs inside the call.  An engine on an injected source (the tests'
+ * and selftest's scripts) gets them from the Python side through the
+ * refill callback, which checks that every bin or edge index is in range.
+ * The loops read them in the order of the draw protocol that
+ * processes._Draws defines for the exact path `step`, including its rule
+ * that a decision needing k bins discards the rest of a chunk holding fewer
+ * than k (a fresh chunk that short is an error).  So both paths consume one
+ * stream identically.
  *
  * Loads are doubles.  Unit counts stay exact below 2^53, and weighted sums
  * round exactly as Python floats do, provided the file is compiled without
@@ -20,27 +24,50 @@
  * may run at once (binlab.experiments fans sweeps out that way).
  */
 #include <math.h>
+#include <stdbool.h>
 #include <stdint.h>
 #include <stdlib.h>
+
+/* Mirror of bitgen_t (numpy/random/bitgen.h), whose header needs Python.h. */
+typedef struct {
+    void *state;
+    uint64_t (*next_uint64)(void *st);
+    uint32_t (*next_uint32)(void *st);
+    double (*next_double)(void *st);
+    uint64_t (*next_raw)(void *st);
+} bitgen_t;
+
+/* numpy's samplers (numpy/random/distributions.h), from libnpyrandom.a; its
+ * npy_intp is intptr_t. */
+void random_bounded_uint64_fill(bitgen_t *bitgen_state, uint64_t off, uint64_t rng,
+                                intptr_t cnt, bool use_masked, uint64_t *out);
+void random_standard_uniform_fill(bitgen_t *bitgen_state, intptr_t cnt, double *out);
+void random_standard_exponential_fill(bitgen_t *bitgen_state, intptr_t cnt, double *out);
+int64_t random_geometric(bitgen_t *bitgen_state, double p);
+int64_t random_poisson(bitgen_t *bitgen_state, double lam);
 
 typedef int (*refill_fn)(int stream);
 
 enum { BINS = 0, FLOATS = 1, WEIGHTS = 2 };  /* draw streams; BINS carries edges for GRAPH */
 enum { OK = 0, REFILL_FAILED = 1, SHORT_CHUNK = 2, NO_MEMORY = 3 };
 enum { CHOICE = 0, QUANTILE = 1, TWINNING = 2, PENALTY = 3, RESET = 4, GRAPH = 5 };
+enum { UNIT = 0, EXP1 = 1, GEOM = 2, POISSON = 3 };  /* weight laws, as weights.KINDS */
 
 typedef struct {
-    const void *buf;  /* int64 for BINS, double for FLOATS and WEIGHTS */
+    void *buf;  /* int64 for BINS, double for FLOATS and WEIGHTS */
     int64_t len;
     int64_t pos;
 } stream_t;
 
 typedef struct {
-    stream_t s[3];
-    refill_fn refill;        /* sets s[stream].buf and .len; nonzero on error */
+    stream_t s[3];           /* with bitgen: the engine's own buffers, refilled whole */
+    refill_fn refill;        /* without bitgen: sets s[stream].buf and .len; nonzero on error */
+    bitgen_t *bitgen;        /* the run's bit generator, or NULL */
+    int64_t bound;           /* with bitgen: BINS draws lie in [0, bound) */
+    double param;            /* with bitgen: the weight law's p (GEOM) or l (POISSON) */
     double *loads;
     int64_t n, balls;
-    int64_t family, random_ties, unit;
+    int64_t family, random_ties, law;  /* law: the weight law */
     int64_t d;               /* CHOICE: samples per ball */
     double beta;             /* CHOICE: one-plus-beta mixing probability, or -1 */
     int64_t t;               /* threshold kinds: size of the top-t set */
@@ -51,10 +78,37 @@ typedef struct {
     const int64_t *eu, *ev;  /* GRAPH: edge endpoints */
 } engine_t;
 
+/* A whole chunk of stream w from the run's bit generator, drawn as
+ * processes._ChunkSource draws it through numpy 2.4.6's Generator:
+ * integers(0, bound, size) is random_bounded_uint64_fill(0, bound - 1,
+ * unmasked), random(size) the uniform fill, standard_exponential(size) the
+ * exponential fill, and geometric(p, size) and poisson(l, size) one call per
+ * draw, which weights.WeightDistribution.sample scales to mean one. */
+static void fill(engine_t *e, int w)
+{
+    bitgen_t *g = e->bitgen;
+    int64_t len = e->s[w].len;
+    double *x = e->s[w].buf, p = e->param;
+    if (w == BINS)
+        random_bounded_uint64_fill(g, 0, (uint64_t)(e->bound - 1), len, false, e->s[w].buf);
+    else if (w == FLOATS)
+        random_standard_uniform_fill(g, len, x);
+    else if (e->law == EXP1)
+        random_standard_exponential_fill(g, len, x);
+    else if (e->law == GEOM)
+        for (int64_t i = 0; i < len; i++)
+            x[i] = (double)random_geometric(g, p) * p;
+    else
+        for (int64_t i = 0; i < len; i++)
+            x[i] = (double)random_poisson(g, p) / p;
+}
+
 /* Fetch a new chunk of stream w; it must hold at least `need` draws. */
 static int pull(engine_t *e, int w, int64_t need)
 {
-    if (e->refill(w))
+    if (e->bitgen)
+        fill(e, w);
+    else if (e->refill(w))
         return REFILL_FAILED;
     e->s[w].pos = 0;
     return e->s[w].len < need ? SHORT_CHUNK : OK;
@@ -80,7 +134,7 @@ static int pull(engine_t *e, int w, int64_t need)
     do { NEED(FLOATS, 1); f = *DBLS(FLOATS); e->s[FLOATS].pos++; } while (0)
 #define NEXT_WEIGHT(x)                                                    \
     do {                                                                  \
-        if (e->unit) { x = 1.0; break; }                                  \
+        if (e->law == UNIT) { x = 1.0; break; }                           \
         NEED(WEIGHTS, 1);                                                 \
         x = *DBLS(WEIGHTS);                                               \
         e->s[WEIGHTS].pos++;                                              \
@@ -353,7 +407,7 @@ int binlab_advance(engine_t *e, int64_t target)
     case CHOICE:
         return advance_choice(e, target);
     case QUANTILE:
-        if (!e->unit)
+        if (e->law != UNIT)
             return advance_weighted_quantile(e, target);
         /* fall through */
     case TWINNING:
@@ -399,16 +453,7 @@ int64_t binlab_engine_size(void)
 #define COUNT_SORT_SPREAD 65536.0
 #define MIN(x, y) (((x) < (y)) ? (x) : (y))
 
-/* Mirrors of bitgen_t (numpy/random/bitgen.h) and binomial_t
- * (numpy/random/distributions.h), whose header needs Python.h. */
-typedef struct {
-    void *state;
-    uint64_t (*next_uint64)(void *st);
-    uint32_t (*next_uint32)(void *st);
-    double (*next_double)(void *st);
-    uint64_t (*next_raw)(void *st);
-} bitgen_t;
-
+/* Mirror of binomial_t (numpy/random/distributions.h). */
 typedef struct {
     int has_binomial;
     double psave;

@@ -294,10 +294,10 @@ def _execute(job: _Run) -> list[ProbeRow]:
 # A sweep fans out only when its runs request at least this many balls in
 # total.  Below it sit the conductance workload's graphical sweeps with
 # gamma = auto (0.37 M and 0.57 M balls): their eigvalsh leaves OpenBLAS's
-# threads spinning, and two workers beside that spin took them 205 ms
-# against 202 ms serial (medians of 20 fresh processes, 2-CPU x86-64 host).
-# Above it, the sweep-engines sweeps (2.6 M and 4.1 M balls) went from 70
-# to 47 ms and from 124 to 81 ms on two threads.
+# threads spinning, and two workers beside that spin took them 32 and
+# 112 ms against 29 and 108 ms serial.  Above it, the sweep-engines sweeps
+# (2.6 M and 4.1 M balls) went from 43 to 30 ms and from 74 to 47 ms on two
+# threads.  (In-process medians of 15 to 60 sweeps, 2-CPU x86-64 host.)
 FANOUT_MIN_BALLS = 1 << 21
 
 
@@ -314,12 +314,12 @@ def _run_all(runs: list[_Run]) -> list[list[ProbeRow]]:
 
     Each run is seeded by its own coordinates, so where it runs cannot
     change its rows.  A large sweep of one-row runs on the kernel spreads
-    over one thread per usable CPU: the kernel and numpy's Philox fills
-    release the GIL.  Runs that probe along the way stay serial, since each
-    probe takes the GIL back (a sweep probed every n balls ran 2x slower on
-    two threads).  The workers take runs in order and none after a failure,
-    so every run before the failing one has started, and the error raised
-    is the one a serial sweep raises.
+    over one thread per usable CPU: a seeded kernel engine draws its own
+    chunks and runs a whole advance without the GIL.  Runs that probe along
+    the way stay serial, since each probe takes the GIL back (a sweep probed
+    every n balls ran 2.3x slower on two threads).  The workers take runs in
+    order and none after a failure, so every run before the failing one has
+    started, and the error raised is the one a serial sweep raises.
     """
     workers = min(_usable_cpus(), len(runs))
     if (workers < 2 or sum(job.m for job in runs) < FANOUT_MIN_BALLS

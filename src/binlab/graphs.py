@@ -25,6 +25,7 @@ Graphical sweeps with ``gamma = auto`` take their epsilon from
 """
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -75,6 +76,14 @@ class RegularGraph:
             masks[u] |= 1 << v
             masks[v] |= 1 << u
         return masks
+
+    @functools.cached_property
+    def endpoints(self) -> np.ndarray:
+        """The edges as one read-only (2, |E|) int64 array, row 0 their first
+        endpoints and row 1 their second, built on first use."""
+        ends = np.array(self.edges, dtype=np.int64).reshape(-1, 2).T.copy()
+        ends.flags.writeable = False
+        return ends
 
 
 def _connected(n: int, edges) -> bool:
@@ -278,10 +287,10 @@ def _laplacian_lambda2(g: RegularGraph) -> tuple[np.ndarray, float, float]:
             f"conductance bounds need a dense solve on n = {n} vertices, which holds "
             f"{16 * n * n / 2**20:.0f} MiB (two n x n float64 matrices); "
             f"the limit is n <= {DENSE_LIMIT}")
-    e = np.asarray(g.edges)
+    u, v = g.endpoints
     m = np.zeros((n, n))
-    m[e[:, 0], e[:, 1]] = -1.0
-    m[e[:, 1], e[:, 0]] = -1.0
+    m[u, v] = -1.0
+    m[v, u] = -1.0
     np.fill_diagonal(m, float(d))
     lam = float(np.linalg.eigvalsh(m)[1])
     return m, lam, n * np.finfo(float).eps * 2 * d
@@ -318,9 +327,9 @@ def _best_prefix_cut(g: RegularGraph, v: np.ndarray) -> float:
     n = g.n
     pos = np.empty(n, dtype=np.int64)
     pos[np.argsort(v, kind="stable")] = np.arange(n)
-    ends = np.sort(pos[np.asarray(g.edges)], axis=1)
-    enter = np.bincount(ends[:, 0] + 1, minlength=n + 1)
-    leave = np.bincount(ends[:, 1] + 1, minlength=n + 1)
+    first, last = np.sort(pos[g.endpoints], axis=0)
+    enter = np.bincount(first + 1, minlength=n + 1)
+    leave = np.bincount(last + 1, minlength=n + 1)
     cut = np.cumsum(enter - leave)[1:n]
     k = np.arange(1, n)
     return float(np.min(cut / (g.d * np.minimum(k, n - k))))

@@ -2,14 +2,17 @@
 ``processes._BatchedEngine`` and the exact row sums of ``potentials``.
 
 ``_kernel.c`` holds the per-ball decision loops of all engine families
-(``binlab_advance``), whole batched rounds (``binlab_batched_rounds``:
-each round's rank counts drawn as numpy's ``Generator.multinomial`` draws
-them, bit for bit, then a counting sort of the round's loads, heaviest
-first, with the counts added in the same pass) and ``math.fsum`` over the
-rows of a matrix (``binlab_fsum_rows``, behind ``fsum_rows``).  It is
-compiled with the local C compiler on the first ``load()`` call (never at
-import) and linked with numpy's own ``numpy/random/lib/libnpyrandom.a``,
-whose ``random_binomial_btpe`` the batched draw calls.  The library is
+(``binlab_advance``, which draws a seeded engine's chunks itself, bit for
+bit as ``processes._ChunkSource`` draws them through ``Generator``), whole
+batched rounds (``binlab_batched_rounds``: each round's rank counts drawn
+as numpy's ``Generator.multinomial`` draws them, bit for bit, then a
+counting sort of the round's loads, heaviest first, with the counts added
+in the same pass) and ``math.fsum`` over the rows of a matrix
+(``binlab_fsum_rows``, behind ``fsum_rows``).  It is compiled with the
+local C compiler on the first ``load()`` call (never at import) and linked
+with numpy's own ``numpy/random/lib/libnpyrandom.a``, whose
+``random_binomial_btpe`` the batched draw calls and whose fill functions
+and geometric and Poisson samplers the per-ball draws call.  The library is
 cached under ``$XDG_CACHE_HOME/binlab`` (default ``~/.cache/binlab``),
 named by the sha256 of the source, the flags, and the path and sha256 of
 that archive, so a numpy upgrade builds a new one; it is loaded with ctypes.
@@ -24,6 +27,7 @@ references: ``make_engine`` to a ``step`` loop (``processes._StepEngine``),
 """
 from __future__ import annotations
 
+import contextlib
 import ctypes
 import functools
 import hashlib
@@ -36,6 +40,7 @@ import warnings
 import numpy as np
 
 from .vectors import quantile_index
+from .weights import KINDS
 
 SOURCE = os.path.join(os.path.dirname(os.path.abspath(__file__)), "_kernel.c")
 FLAGS = ("-O2", "-shared", "-fPIC", "-ffp-contract=off")
@@ -46,6 +51,10 @@ _FAMILY = {"one-choice": 0, "two-choice": 0, "d-choice": 0, "one-plus-beta": 0,
 _REFILL_FAILED, _SHORT_CHUNK, _NO_MEMORY = 1, 2, 3
 
 _Refill = ctypes.CFUNCTYPE(ctypes.c_int, ctypes.c_int)
+# the most balls one binlab_advance call runs (a few tenths of a second): a
+# seeded engine runs no Python inside the call, so Python handles a signal
+# such as Ctrl-C only between calls
+_SLICE = 1 << 24
 
 
 class _Stream(ctypes.Structure):
@@ -56,10 +65,11 @@ class _Stream(ctypes.Structure):
 class _Engine(ctypes.Structure):
     """Mirror of ``engine_t`` in _kernel.c."""
 
-    _fields_ = [("s", _Stream * 3), ("refill", _Refill),
+    _fields_ = [("s", _Stream * 3), ("refill", _Refill), ("bitgen", ctypes.c_void_p),
+                ("bound", ctypes.c_int64), ("param", ctypes.c_double),
                 ("loads", ctypes.c_void_p), ("n", ctypes.c_int64),
                 ("balls", ctypes.c_int64), ("family", ctypes.c_int64),
-                ("random_ties", ctypes.c_int64), ("unit", ctypes.c_int64),
+                ("random_ties", ctypes.c_int64), ("law", ctypes.c_int64),
                 ("d", ctypes.c_int64), ("beta", ctypes.c_double),
                 ("t", ctypes.c_int64), ("wl", ctypes.c_double),
                 ("wc", ctypes.c_int64), ("heap", ctypes.c_void_p),
@@ -233,14 +243,22 @@ class KernelEngine:
     in place), the interface ``processes._StepEngine`` and
     ``processes._BatchedEngine`` share.
 
-    Draws come from ``source`` exactly as ``processes._Draws`` takes them
-    for ``step``: ``bins()`` (``edges()`` for graphical), ``floats()`` and
-    ``weights()``, one chunk per call, with a chunk too short for a
+    A seeded engine (``rng``, no ``source``) draws its chunks in the kernel,
+    into buffers it owns, on ``rng``'s bit generator under the generator's
+    lock: ``chunk`` draws a chunk (bins ``max(chunk, d)``), by the numpy
+    functions behind ``Generator``, so they are the chunks of
+    ``processes._ChunkSource`` bit for bit.  No Python runs inside such an
+    ``advance``, so engines on several threads advance at once.
+
+    An engine on an injected ``source`` (the tests' and selftest's) takes
+    its draws as ``processes._Draws`` takes them for ``step``: ``bins()``
+    (``edges()`` for graphical), ``floats()`` and ``weights()``, one chunk
+    per call through a ctypes callback, with a chunk too short for a
     decision's k bins discarded.  An exception raised by the source
     propagates out of ``advance``.
     """
 
-    def __init__(self, lib, spec, n: int, source):
+    def __init__(self, lib, spec, n: int, source=None, rng=None, chunk: int = 0):
         self.spec = spec
         self.loads = np.zeros(n)
         self._advance = lib.binlab_advance
@@ -248,7 +266,7 @@ class KernelEngine:
         st.loads, st.n = self.loads.ctypes.data, n
         st.family = _FAMILY[spec.kind]
         st.random_ties = spec.tie_rule == "random"
-        st.unit = spec.weights.kind == "unit"
+        st.law = KINDS.index(spec.weights.kind)
         st.d = {"one-choice": 1, "d-choice": spec.d}.get(spec.kind, 2)
         st.beta = spec.beta if spec.kind == "one-plus-beta" else -1.0
         self._arrays = [self.loads]  # everything the kernel points into
@@ -256,27 +274,45 @@ class KernelEngine:
             # top-t members 0..t-1 at equal load: the highest id is weakest
             st.t = t = quantile_index(spec.delta, n)
             st.wc = t - 1  # at wl = 0
-            if not st.unit:  # weighted quantile keeps its members in a heap
+            if spec.weights.kind != "unit":  # weighted quantile keeps its members in a heap
                 heap = np.arange(t - 1, -1, -1, dtype=np.int64)
                 slot = np.full(n, -1, dtype=np.int64)
                 slot[heap] = np.arange(t)
                 st.heap, st.slot = heap.ctypes.data, slot.ctypes.data
                 self._arrays += [heap, slot]
-        bound = n  # of the indices on the BINS stream
+        st.bound = n  # of the indices on the BINS stream
         if spec.kind == "graphical":
-            ends = np.array(spec.graph.edges, dtype=np.int64).reshape(-1, 2)
-            eu, ev = np.ascontiguousarray(ends[:, 0]), np.ascontiguousarray(ends[:, 1])
-            st.eu, st.ev, bound = eu.ctypes.data, ev.ctypes.data, len(ends)
-            self._arrays += [eu, ev]
+            ends = spec.graph.endpoints
+            st.eu, st.ev, st.bound = ends[0].ctypes.data, ends[1].ctypes.data, ends.shape[1]
+            self._arrays.append(ends)
+        if source is None:
+            self._draw_in_kernel(rng.bit_generator, chunk)
+        else:
+            self._lock = contextlib.nullcontext()
+            self._refill_from(source)
 
-        fetch = (source.edges if spec.kind == "graphical" else source.bins,
+    def _draw_in_kernel(self, bits, chunk: int) -> None:
+        st = self._st
+        self._bits, self._lock = bits, bits.lock
+        st.bitgen = bits.ctypes.bit_generator.value
+        st.param = self.spec.weights.param or 0.0
+        for w, (size, dtype) in enumerate(((max(chunk, st.d), np.int64),
+                                           (chunk, np.float64), (chunk, np.float64))):
+            buf = np.empty(size, dtype)
+            self._arrays.append(buf)
+            # spent, so that the first read fills it
+            st.s[w].buf, st.s[w].len, st.s[w].pos = buf.ctypes.data, size, size
+
+    def _refill_from(self, source) -> None:
+        bound = self._st.bound
+        fetch = (source.edges if self.spec.kind == "graphical" else source.bins,
                  source.floats, source.weights)
         dtypes = (np.int64, np.float64, np.float64)
         chunks: list = [None] * 3
         errors = self._errors = []
         # the callback must not refer to st or self: a reference cycle would
         # keep every finished engine and its chunks alive until a collection
-        streams = _Engine.from_address(ctypes.addressof(st)).s
+        streams = _Engine.from_address(ctypes.addressof(self._st)).s
 
         def refill(stream: int) -> int:
             try:
@@ -292,7 +328,7 @@ class KernelEngine:
             streams[stream].len = len(chunk)
             return 0
 
-        self._refill = st.refill = _Refill(refill)
+        self._refill = self._st.refill = _Refill(refill)
 
     @property
     def balls(self) -> int:
@@ -300,8 +336,10 @@ class KernelEngine:
 
     def advance(self, target: int) -> None:
         check_ball_target(target)
-        rc = self._advance(ctypes.byref(self._st), target)
-        if rc == _REFILL_FAILED:
-            raise self._errors.pop()
-        if rc == _SHORT_CHUNK:
-            raise IndexError("draw chunk shorter than one decision needs")
+        while self._st.balls < target:
+            with self._lock:  # nothing else draws from a seeded engine's generator meanwhile
+                rc = self._advance(ctypes.byref(self._st), min(target, self._st.balls + _SLICE))
+            if rc == _REFILL_FAILED:
+                raise self._errors.pop()
+            if rc == _SHORT_CHUNK:
+                raise IndexError("draw chunk shorter than one decision needs")

@@ -55,7 +55,8 @@ pinned to the exact path by the differential tests.
 The exact path reads its draws through ``_Draws``, in chunks from a source
 with the kernel's protocol (``bins``/``floats``/``weights``/``edges``): the
 seeded ``_ChunkSource`` or a ``_ScriptSource`` that the tests and selftest
-share with the kernel.
+share with the kernel.  A seeded kernel engine draws ``_ChunkSource``'s
+chunks itself, without Python.
 """
 from __future__ import annotations
 
@@ -574,7 +575,12 @@ class _ChunkSource:
     bins, floats and weights chunks interleave on one generator, so a
     different size moves every later draw.  numpy's Philox keeps its
     buffered 32-bit half across calls (even across ``random()`` draws),
-    so consecutive ``integers`` calls alone would read as one."""
+    so consecutive ``integers`` calls alone would read as one.
+
+    ``_StepEngine`` reads it.  A seeded kernel engine draws the same chunks
+    in C with the numpy functions these ``Generator`` calls reach (see
+    ``_kernel.c``), and this class is the reference those draws are pinned
+    to, by the tests and by selftest."""
 
     def __init__(self, rng: np.random.Generator, n: int,
                  wdist: WeightDistribution, n_edges: int = 0,
@@ -651,12 +657,15 @@ class _StepEngine:
 def make_engine(spec: ProcessSpec, n: int, rng: np.random.Generator | None = None,
                 source=None):
     """Build the per-ball engine for one run: the compiled kernel, or
-    ``_StepEngine`` when the kernel cannot be built.  Tests may inject a
-    script source."""
+    ``_StepEngine`` when the kernel cannot be built.  Both read the
+    ``_ChunkSource`` of ``rng``, which the kernel draws itself, or a source
+    the tests and selftest inject, which the kernel calls back for chunks."""
     lib = kernel.load()
-    source = _source(spec, n, rng, source)
+    chunks = _source(spec, n, rng, source)
     if lib is None:
-        return _StepEngine(spec, n, source)
+        return _StepEngine(spec, n, chunks)
+    if source is None:
+        return kernel.KernelEngine(lib, spec, n, rng=rng, chunk=_CHUNK)
     return kernel.KernelEngine(lib, spec, n, source)
 
 

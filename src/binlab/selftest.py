@@ -245,6 +245,20 @@ def check_engine_agreement():
         eng.advance(balls)
         _assert(eng.loads.tolist() == st.loads.tolist(),
                 f"engine and exact path disagree for {text}")
+    if kernel.load() is None:  # make_engine runs the reference below itself
+        return
+    # a seeded kernel engine draws the chunks of _ChunkSource with numpy's
+    # fill functions: equal to numpy's Generator draws on the same seed
+    for wspec in ("unit", "exp1", "geom:p=0.5", "poisson:l=2"):
+        spec = processes.parse_process("one-plus-beta:beta=0.5", tie_rule="random",
+                                       weights=weights.parse_weights(wspec))
+        rng, ref = make_generator(23, 0), make_generator(23, 0)
+        eng = processes.make_engine(spec, n, rng)
+        want = processes._StepEngine(spec, n, processes._source(spec, n, ref, None))
+        eng.advance(rounds)
+        want.advance(rounds)
+        _assert(eng.loads.tolist() == want.loads.tolist() and rng.random() == ref.random(),
+                f"kernel draws of {wspec} weights disagree with numpy's Generator")
 
 
 def check_balls_per_step():

@@ -30,6 +30,9 @@ from .checks import CheckResult, MgfDivergenceError, inputs_hash
 _MGF_CAP = 1e3  # ceiling used when auto-selecting zeta for discrete kinds
 
 KINDS = ("unit", "exp1", "geom", "poisson")
+# the largest mean Generator.poisson accepts (numpy/random/_common.pyx); the
+# kernel draws with numpy's random_poisson, which does not check it
+POISSON_LAM_MAX = float(np.iinfo("l").max - np.sqrt(np.iinfo("l").max) * 10)
 
 
 @dataclass(frozen=True)
@@ -45,10 +48,11 @@ class WeightDistribution:
             raise ValueError(f"unknown weight kind {self.kind!r}")
         if self.kind == "geom":
             if self.param is None or not 0 < self.param < 1:
-                raise ValueError("geom requires p in (0,1)")
+                raise ValueError(f"geom weights need 0 < p < 1; got p={self.param}")
         elif self.kind == "poisson":
-            if self.param is None or self.param <= 0:
-                raise ValueError("poisson requires l > 0")
+            if self.param is None or not 0 < self.param <= POISSON_LAM_MAX:
+                raise ValueError(f"poisson weights need 0 < l <= {POISSON_LAM_MAX!r}, "
+                                 f"numpy's largest Poisson mean; got l={self.param}")
         elif self.param is not None:
             raise ValueError(f"{self.kind} takes no parameter")
         if self.zeta == 0.0:

@@ -345,6 +345,25 @@ def test_cli_batched_random_ties_fail_before_any_run(tmp_path, monkeypatch, caps
     assert calls == [] and not (tmp_path / "runs.csv").exists()
 
 
+@pytest.mark.parametrize("engine", ["kernel", "step"])
+def test_cli_simulate_refuses_weights_numpy_would_refuse(tmp_path, monkeypatch, capsys,
+                                                         engine):
+    # the kernel draws poisson weights with numpy's random_poisson, which
+    # does not check l as Generator.poisson does: the config is refused
+    # before any run, on either engine
+    calls = []
+    monkeypatch.setattr(experiments, "_execute", calls.append)
+    if engine == "step":
+        monkeypatch.setattr(kernel, "load", lambda: None)
+    monkeypatch.setenv("BINLAB_OUT", str(tmp_path))
+    cfg = tmp_path / "heavy.cfg"
+    cfg.write_text("processes = two-choice\nns = 8\nm = 10n\nweights = poisson:l=1e19\n")
+    assert main(["simulate", str(cfg)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: poisson weights need 0 < l <= ") and "got l=1e+19" in err
+    assert calls == [] and not (tmp_path / "runs.csv").exists()
+
+
 def test_cli_simulate_single_bin_auto_gamma_has_empty_conditions(tmp_path, monkeypatch,
                                                                   capsys):
     cfg = tmp_path / "one.cfg"

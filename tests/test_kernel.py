@@ -9,7 +9,11 @@ weight laws, tie rules and sizes runs on short seeded chunks, so refills
 and discards come every few balls; the same matrix checks the engine
 interface on both engines, and on ``_BatchedEngine`` where a case can be
 batched.  One run per kind on the real 16 384-draw chunks crosses a chunk
-boundary on each stream it reads, save reset-memory's rare tie coins.  The
+boundary on each stream it reads, save reset-memory's rare tie coins.
+Seeded engines, which draw their chunks in the kernel with numpy's fill
+functions, are compared with ``_StepEngine`` on the ``_ChunkSource`` of the
+same seed, loads and generator state, for every kind, weight law and tie
+rule, and make no Python call while they advance.  The
 threshold kinds' top set is stressed at both ends of t, on draws that
 spread the loads wide, and at n = 1024.  Two engines of each family
 advanced at once on two threads end as serial runs do, and so do three
@@ -25,9 +29,11 @@ import itertools
 import math
 import os
 import re
+import signal
 import subprocess
 import sys
 import threading
+import time
 
 import numpy as np
 import pytest
@@ -192,6 +198,101 @@ def test_kernel_matches_step_across_chunks(compiled, text, wtext, n, target, str
     assert {s for s, k in src.fetches.items() if k > 1} == streams
 
 
+# seeded engines draw their chunks in the kernel, with numpy's own fill
+# functions; _StepEngine on a _ChunkSource of the same seed draws them
+# through Generator.  Chunks of 61 draws put many boundaries within a few
+# hundred balls, and leave an odd count of the 32-bit halves that Philox
+# buffers for small bounds.
+LAWS = ("unit", "exp1", "geom:p=0.5", "poisson:l=2")
+NATIVE_CASES = [(k, w, tie) for k, w, tie in itertools.product(
+                    KINDS, LAWS, ("higher-index", "random"))
+                if w == "unit" or k.partition(":")[0] not in UNIT_ONLY]
+
+
+def _plain(state):
+    """A bit generator's state with its arrays as lists, for ``==``."""
+    if isinstance(state, dict):
+        return {key: _plain(value) for key, value in state.items()}
+    return state.tolist() if isinstance(state, np.ndarray) else state
+
+
+def _draws_match(spec, n, seed, targets):
+    """A seeded kernel engine and ``_StepEngine`` on the ``_ChunkSource`` of
+    the same seed: equal loads, and equal generator states, at each target."""
+    rng, ref_rng = make_generator(seed, n), make_generator(seed, n)
+    eng, ref = make_engine(spec, n, rng), _fallback(spec, n, ref_rng)
+    assert isinstance(eng, kernel.KernelEngine)
+    for target in targets:
+        eng.advance(target)
+        ref.advance(target)
+        assert _same(eng, ref), target
+        assert _plain(rng.bit_generator.state) == _plain(ref_rng.bit_generator.state)
+
+
+@pytest.mark.parametrize("text,wtext,tie", NATIVE_CASES,
+                         ids=["-".join(c) for c in NATIVE_CASES])
+def test_kernel_draws_match_chunk_source(compiled, monkeypatch, text, wtext, tie):
+    monkeypatch.setattr(processes, "_CHUNK", 61)
+    n = 12  # bins and the 12-cycle's edges: a bound that is not a power of two
+    # each advance reads more than three chunks of bins, and of weights
+    _draws_match(_spec(text, wtext, tie, n), n, 23, (200, 500, 1000))
+
+
+@pytest.mark.parametrize("text,n,targets,chunk", [
+    ("d-choice:d=100", 12, (3, 10, 40), 61),  # every ball takes a fresh chunk of d bins
+    (f"d-choice:d={_CHUNK + 5}", 12, (2, 5), _CHUNK),
+    ("one-choice", 1, (200, 500), 61),  # bound 1: numpy draws no bins at all
+    ("two-choice", 1, (200, 500), 61),
+    ("reset-memory", 1, (200, 500), 61),
+])
+def test_kernel_draws_match_chunk_source_at_the_edges(compiled, monkeypatch, text, n,
+                                                      targets, chunk):
+    monkeypatch.setattr(processes, "_CHUNK", chunk)
+    for wtext, tie in (("unit", "random"), ("poisson:l=2", "higher-index")):
+        _draws_match(_spec(text, wtext, tie, n), n, 29, targets)
+
+
+def test_seeded_engine_makes_no_python_call(compiled, monkeypatch):
+    calls = []
+    callback = kernel._Refill
+    monkeypatch.setattr(kernel, "_Refill",
+                        lambda fn: callback(lambda w: calls.append(w) or fn(w)))
+    n, target = 16, 3 * _CHUNK  # past every stream's first chunk
+    for text, wtext in (("one-plus-beta:beta=0.5", "exp1"), ("graphical", "geom:p=0.5"),
+                        ("quantile:delta=0.5", "poisson:l=2")):
+        spec = _spec(text, wtext, "random", n)
+        make_engine(spec, n, make_generator(3)).advance(target)
+        assert calls == [], text
+        # the same run on an injected source is called back for each chunk
+        make_engine(spec, n, source=_ChunkSource(make_generator(3), n, spec.weights,
+                                                 _n_edges(spec))).advance(target)
+        assert len(calls) > 3, text
+        calls.clear()
+
+
+def test_long_seeded_advance_stops_on_ctrl_c(compiled):
+    # a seeded engine runs no Python inside binlab_advance, so advance
+    # slices a long run into calls, and Ctrl-C lands between two of them
+    code = ("from binlab.processes import make_engine, parse_process\n"
+            "from binlab.rng import make_generator\n"
+            "eng = make_engine(parse_process('two-choice'), 64, make_generator(1))\n"
+            "eng.advance(1)\n"
+            "print('ready', flush=True)\n"
+            "try:\n"
+            "    eng.advance(1 << 40)\n"  # hours of balls
+            "except KeyboardInterrupt:\n"
+            "    print('interrupted at', eng.balls, flush=True)\n")
+    proc = subprocess.Popen([sys.executable, "-c", code], stdout=subprocess.PIPE, text=True)
+    try:
+        assert proc.stdout.readline() == "ready\n"
+        time.sleep(0.3)
+        proc.send_signal(signal.SIGINT)
+        out, _ = proc.communicate(timeout=20)
+    finally:
+        proc.kill()
+    assert out.startswith("interrupted at ") and int(out.split()[-1]) < 1 << 40
+
+
 RANDOM_TIE_CASES = [("two-choice", "unit"), ("d-choice:d=3", "unit"),
                     ("one-plus-beta:beta=0.5", "exp1"), ("reset-memory", "unit"),
                     ("reset-memory", "geom:p=0.5"), ("graphical", "unit"),
@@ -349,7 +450,8 @@ def test_threshold_kinds_match_step_at_scale(compiled, text):
 REENTRANT = [("two-choice", "unit"), ("one-plus-beta:beta=0.5", "unit"),
              ("quantile:delta=0.5", "unit"), ("quantile:delta=0.5", "exp1"),
              ("twinning:delta=0.5", "unit"), ("penalty:delta=0.25", "unit"),
-             ("reset-memory", "unit"), ("graphical", "unit")]
+             ("reset-memory", "unit"), ("reset-memory", "geom:p=0.5"),
+             ("graphical", "unit"), ("graphical", "poisson:l=2")]
 
 
 def _advance_on_threads(build, seeds, m, parts=8):

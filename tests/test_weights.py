@@ -8,7 +8,7 @@ import pytest
 
 from binlab.checks import MgfDivergenceError
 from binlab.rng import make_generator
-from binlab.weights import (WeightDistribution, log_mgf, mgf,
+from binlab.weights import (POISSON_LAM_MAX, WeightDistribution, log_mgf, mgf,
                             moment_inequality_check, parse_weights, s_constant,
                             s_for_gamma)
 
@@ -42,6 +42,24 @@ def test_distribution_validation():
     # zeta must leave the mgf finite at 2*zeta (exp1 diverges at 1)
     with pytest.raises(ValueError):
         WeightDistribution(kind="exp1", zeta=0.5)
+
+
+LAW_PARAMS = {"geom": [-1.0, 0.0, 5e-324, 1e-300, 0.5, 1.0, math.nan, math.inf],
+              "poisson": [-1.0, 0.0, 5e-324, 2.0, POISSON_LAM_MAX,
+                          math.nextafter(POISSON_LAM_MAX, math.inf), 1e19, math.nan,
+                          math.inf]}
+
+
+@pytest.mark.parametrize("kind,param", [(k, x) for k, xs in LAW_PARAMS.items() for x in xs])
+def test_parameters_numpy_refuses_are_refused(kind, param):
+    # the kernel draws with numpy's random_geometric and random_poisson,
+    # which check nothing: a law Generator would refuse must not parse
+    draw = make_generator(1).geometric if kind == "geom" else make_generator(1).poisson
+    try:
+        draw(param, 4)
+    except ValueError:
+        with pytest.raises(ValueError, match=f"{kind} weights need"):
+            WeightDistribution(kind=kind, param=param)
 
 
 def test_default_zetas():
