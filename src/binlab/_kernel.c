@@ -5,15 +5,15 @@
  * binlab_advance() runs one engine until at least `target` balls are
  * allocated.  Random draws arrive in chunks.  A seeded engine draws them
  * itself, on the run's own bit generator, with the numpy functions that
- * processes._ChunkSource reaches through Generator (fill(), below), so no
- * Python runs inside the call.  An engine on an injected source (the tests'
- * and selftest's scripts) gets them from the Python side through the
- * refill callback, which checks that every bin or edge index is in range.
- * The loops read them in the order of the draw protocol that
- * processes._Draws defines for the exact path `step`, including its rule
- * that a decision needing k bins discards the rest of a chunk holding fewer
- * than k (a fresh chunk that short is an error).  So both paths consume one
- * stream identically.
+ * processes._ChunkSource reaches through Generator (fill(), below).  A
+ * scripted engine (no bit generator: the tests' and selftest's scripts) is
+ * handed each stream whole, as one chunk that kernel.py has range-checked.
+ * No Python runs inside the call.  The loops read the draws in the order of
+ * the draw protocol that processes._Draws defines for the exact path
+ * `step`, including its rule that a decision needing k bins discards the
+ * rest of a chunk holding fewer than k (a fresh chunk that short is an
+ * error).  So both paths consume one stream identically, and a script
+ * fails on both at the same draw.
  *
  * Loads are doubles.  Unit counts stay exact below 2^53, and weighted sums
  * round exactly as Python floats do, provided the file is compiled without
@@ -46,10 +46,8 @@ void random_standard_exponential_fill(bitgen_t *bitgen_state, intptr_t cnt, doub
 int64_t random_geometric(bitgen_t *bitgen_state, double p);
 int64_t random_poisson(bitgen_t *bitgen_state, double lam);
 
-typedef int (*refill_fn)(int stream);
-
 enum { BINS = 0, FLOATS = 1, WEIGHTS = 2 };  /* draw streams; BINS carries edges for GRAPH */
-enum { OK = 0, REFILL_FAILED = 1, SHORT_CHUNK = 2, NO_MEMORY = 3 };
+enum { OK = 0, SHORT_CHUNK = 1, NO_MEMORY = 2, EXHAUSTED = 3 };  /* EXHAUSTED + stream */
 enum { CHOICE = 0, QUANTILE = 1, TWINNING = 2, PENALTY = 3, RESET = 4, GRAPH = 5 };
 enum { UNIT = 0, EXP1 = 1, GEOM = 2, POISSON = 3 };  /* weight laws, as weights.KINDS */
 
@@ -60,9 +58,8 @@ typedef struct {
 } stream_t;
 
 typedef struct {
-    stream_t s[3];           /* with bitgen: the engine's own buffers, refilled whole */
-    refill_fn refill;        /* without bitgen: sets s[stream].buf and .len; nonzero on error */
-    bitgen_t *bitgen;        /* the run's bit generator, or NULL */
+    stream_t s[3];           /* the engine's buffers, refilled whole, or the script */
+    bitgen_t *bitgen;        /* the run's bit generator, or NULL for a script */
     int64_t bound;           /* with bitgen: BINS draws lie in [0, bound) */
     double param;            /* with bitgen: the weight law's p (GEOM) or l (POISSON) */
     double *loads;
@@ -103,13 +100,14 @@ static void fill(engine_t *e, int w)
             x[i] = (double)random_poisson(g, p) / p;
 }
 
-/* Fetch a new chunk of stream w; it must hold at least `need` draws. */
+/* Fetch a new chunk of stream w; it must hold at least `need` draws.  A
+ * script has no other chunk: its one was too short for the first decision,
+ * or is spent or empty, as processes._Draws finds on a _ScriptSource. */
 static int pull(engine_t *e, int w, int64_t need)
 {
-    if (e->bitgen)
-        fill(e, w);
-    else if (e->refill(w))
-        return REFILL_FAILED;
+    if (!e->bitgen)
+        return e->s[w].pos == 0 && e->s[w].len > 0 ? SHORT_CHUNK : EXHAUSTED + w;
+    fill(e, w);
     e->s[w].pos = 0;
     return e->s[w].len < need ? SHORT_CHUNK : OK;
 }
@@ -360,16 +358,16 @@ static int advance_reset(engine_t *e, int64_t target)
         NEED(BINS, 2);
         int64_t i1 = INTS(BINS)[0], i2 = INTS(BINS)[1], b;
         e->s[BINS].pos += 2;
-        double l1 = L[i1], x, f;
-        NEXT_WEIGHT(x);  /* drawn before the tie coin, as in Python */
-        if (e->random_ties && l1 == L[i2] && i1 != i2) {
+        double x1, x2, f;
+        NEXT_WEIGHT(x1);  /* drawn before the tie coin, as in Python */
+        if (e->random_ties && L[i1] == L[i2] && i1 != i2) {
             NEXT_FLOAT(f);
             b = f < 0.5 ? i1 : i2;
         } else
-            b = lighter(L, i1, i2);  /* on round-start loads: ball 1 lands after */
-        L[i1] = l1 + x;
-        NEXT_WEIGHT(x);
-        L[b] += x;
+            b = lighter(L, i1, i2);  /* on round-start loads: both balls land after */
+        NEXT_WEIGHT(x2);
+        L[i1] += x1;
+        L[b] += x2;
         balls += 2;
     }
 done:

@@ -3,7 +3,8 @@
 
 ``_kernel.c`` holds the per-ball decision loops of all engine families
 (``binlab_advance``, which draws a seeded engine's chunks itself, bit for
-bit as ``processes._ChunkSource`` draws them through ``Generator``), whole
+bit as ``processes._ChunkSource`` draws them through ``Generator``, and
+reads a scripted engine's streams from arrays; it never calls Python), whole
 batched rounds (``binlab_batched_rounds``: each round's rank counts drawn
 as numpy's ``Generator.multinomial`` draws them, bit for bit, then a
 counting sort of the round's loads, heaviest first, with the counts added
@@ -48,12 +49,10 @@ FLAGS = ("-O2", "-shared", "-fPIC", "-ffp-contract=off")
 _FAMILY = {"one-choice": 0, "two-choice": 0, "d-choice": 0, "one-plus-beta": 0,
            "quantile": 1, "twinning": 2, "penalty": 3, "reset-memory": 4,
            "graphical": 5}
-_REFILL_FAILED, _SHORT_CHUNK, _NO_MEMORY = 1, 2, 3
-
-_Refill = ctypes.CFUNCTYPE(ctypes.c_int, ctypes.c_int)
-# the most balls one binlab_advance call runs (a few tenths of a second): a
-# seeded engine runs no Python inside the call, so Python handles a signal
-# such as Ctrl-C only between calls
+_SHORT_CHUNK, _NO_MEMORY, _EXHAUSTED = 1, 2, 3  # _EXHAUSTED + the stream
+# the most balls one binlab_advance call runs (a few tenths of a second): no
+# Python runs inside the call, so Python handles a signal such as Ctrl-C
+# only between calls
 _SLICE = 1 << 24
 
 
@@ -65,7 +64,7 @@ class _Stream(ctypes.Structure):
 class _Engine(ctypes.Structure):
     """Mirror of ``engine_t`` in _kernel.c."""
 
-    _fields_ = [("s", _Stream * 3), ("refill", _Refill), ("bitgen", ctypes.c_void_p),
+    _fields_ = [("s", _Stream * 3), ("bitgen", ctypes.c_void_p),
                 ("bound", ctypes.c_int64), ("param", ctypes.c_double),
                 ("loads", ctypes.c_void_p), ("n", ctypes.c_int64),
                 ("balls", ctypes.c_int64), ("family", ctypes.c_int64),
@@ -243,22 +242,24 @@ class KernelEngine:
     in place), the interface ``processes._StepEngine`` and
     ``processes._BatchedEngine`` share.
 
-    A seeded engine (``rng``, no ``source``) draws its chunks in the kernel,
-    into buffers it owns, on ``rng``'s bit generator under the generator's
-    lock: ``chunk`` draws a chunk (bins ``max(chunk, d)``), by the numpy
-    functions behind ``Generator``, so they are the chunks of
-    ``processes._ChunkSource`` bit for bit.  No Python runs inside such an
-    ``advance``, so engines on several threads advance at once.
+    A seeded engine (``rng``) draws its chunks in the kernel, into buffers
+    it owns, on ``rng``'s bit generator under the generator's lock:
+    ``chunk`` draws a chunk (bins ``max(chunk, d)``), by the numpy functions
+    behind ``Generator``, so they are the chunks of
+    ``processes._ChunkSource`` bit for bit.
 
-    An engine on an injected ``source`` (the tests' and selftest's) takes
-    its draws as ``processes._Draws`` takes them for ``step``: ``bins()``
-    (``edges()`` for graphical), ``floats()`` and ``weights()``, one chunk
-    per call through a ctypes callback, with a chunk too short for a
-    decision's k bins discarded.  An exception raised by the source
-    propagates out of ``advance``.
+    A scripted engine (``script``, a ``processes._ScriptSource``) loads
+    each stream once, as one array: bins (``edges`` for graphical), floats
+    and weights.  A bin or edge outside its range raises ``IndexError``
+    here.  ``advance`` then fails where ``processes._Draws`` fails on the
+    same script: ``IndexError`` when a stream's first decision needs more
+    draws than the script holds, ``ValueError`` when a stream runs dry.
+
+    No Python runs inside an ``advance``, so engines on several threads
+    advance at once.
     """
 
-    def __init__(self, lib, spec, n: int, source=None, rng=None, chunk: int = 0):
+    def __init__(self, lib, spec, n: int, rng=None, chunk: int = 0, script=None):
         self.spec = spec
         self.loads = np.zeros(n)
         self._advance = lib.binlab_advance
@@ -285,50 +286,27 @@ class KernelEngine:
             ends = spec.graph.endpoints
             st.eu, st.ev, st.bound = ends[0].ctypes.data, ends[1].ctypes.data, ends.shape[1]
             self._arrays.append(ends)
-        if source is None:
-            self._draw_in_kernel(rng.bit_generator, chunk)
+        self._streams = ("edges" if spec.kind == "graphical" else "bins", "floats", "weights")
+        dtypes = (np.int64, np.float64, np.float64)
+        if script is None:
+            bits = self._bits = rng.bit_generator
+            self._lock = bits.lock
+            st.bitgen = bits.ctypes.bit_generator.value
+            st.param = spec.weights.param or 0.0
+            bufs = [np.empty(size, dtype)
+                    for size, dtype in zip((max(chunk, st.d), chunk, chunk), dtypes)]
         else:
             self._lock = contextlib.nullcontext()
-            self._refill_from(source)
-
-    def _draw_in_kernel(self, bits, chunk: int) -> None:
-        st = self._st
-        self._bits, self._lock = bits, bits.lock
-        st.bitgen = bits.ctypes.bit_generator.value
-        st.param = self.spec.weights.param or 0.0
-        for w, (size, dtype) in enumerate(((max(chunk, st.d), np.int64),
-                                           (chunk, np.float64), (chunk, np.float64))):
-            buf = np.empty(size, dtype)
-            self._arrays.append(buf)
-            # spent, so that the first read fills it
-            st.s[w].buf, st.s[w].len, st.s[w].pos = buf.ctypes.data, size, size
-
-    def _refill_from(self, source) -> None:
-        bound = self._st.bound
-        fetch = (source.edges if self.spec.kind == "graphical" else source.bins,
-                 source.floats, source.weights)
-        dtypes = (np.int64, np.float64, np.float64)
-        chunks: list = [None] * 3
-        errors = self._errors = []
-        # the callback must not refer to st or self: a reference cycle would
-        # keep every finished engine and its chunks alive until a collection
-        streams = _Engine.from_address(ctypes.addressof(self._st)).s
-
-        def refill(stream: int) -> int:
-            try:
-                chunk = np.ascontiguousarray(fetch[stream](), dtype=dtypes[stream])
-                if stream == 0 and chunk.size and not (
-                        chunk.min() >= 0 and chunk.max() < bound):
-                    raise IndexError("draw out of range")
-            except BaseException as exc:  # re-raised by advance
-                errors.append(exc)
-                return 1
-            chunks[stream] = chunk
-            streams[stream].buf = chunk.ctypes.data
-            streams[stream].len = len(chunk)
-            return 0
-
-        self._refill = self._st.refill = _Refill(refill)
+            lists = script.lists()
+            bufs = [np.ascontiguousarray(lists[name], dtype)
+                    for name, dtype in zip(self._streams, dtypes)]
+            if bufs[0].size and not (bufs[0].min() >= 0 and bufs[0].max() < st.bound):
+                raise IndexError("draw out of range")
+        for w, buf in enumerate(bufs):
+            # a seeded buffer starts spent, so that the first read fills it
+            st.s[w].buf, st.s[w].len = buf.ctypes.data, len(buf)
+            st.s[w].pos = 0 if script is not None else len(buf)
+        self._arrays += bufs
 
     @property
     def balls(self) -> int:
@@ -339,7 +317,7 @@ class KernelEngine:
         while self._st.balls < target:
             with self._lock:  # nothing else draws from a seeded engine's generator meanwhile
                 rc = self._advance(ctypes.byref(self._st), min(target, self._st.balls + _SLICE))
-            if rc == _REFILL_FAILED:
-                raise self._errors.pop()
             if rc == _SHORT_CHUNK:
                 raise IndexError("draw chunk shorter than one decision needs")
+            if rc >= _EXHAUSTED:
+                raise ValueError(f"scripted {self._streams[rc - _EXHAUSTED]} exhausted")

@@ -56,7 +56,8 @@ The exact path reads its draws through ``_Draws``, in chunks from a source
 with the kernel's protocol (``bins``/``floats``/``weights``/``edges``): the
 seeded ``_ChunkSource`` or a ``_ScriptSource`` that the tests and selftest
 share with the kernel.  A seeded kernel engine draws ``_ChunkSource``'s
-chunks itself, without Python.
+chunks itself; a scripted one is handed each of the script's lists as one
+array.  Either way the kernel calls no Python.
 """
 from __future__ import annotations
 
@@ -80,12 +81,6 @@ KINDS = ("one-choice", "two-choice", "d-choice", "one-plus-beta", "quantile",
          "twinning", "penalty", "reset-memory", "graphical")
 
 _CHUNK = 1 << 14
-# batched rank counts per multinomial call without the kernel: 256 KiB of
-# int64.  Each run on a fanned-out sweep's threads holds its own block; at
-# 2^17 (1 MiB) a fanned-out batched sweep peaked at 40.3 MiB RSS against
-# 37.9 MiB here, at equal speed.  The kernel path holds no such block: it
-# draws each round's n counts into one buffer per advance.
-_DRAW_COUNTS = 1 << 15
 
 
 class UnsupportedProcessError(ValueError):
@@ -181,8 +176,10 @@ def allocation_vector(spec: ProcessSpec, n: int) -> ProbabilityVector:
     if spec.kind == "one-choice":
         return ProbabilityVector.uniform(n)
     if spec.kind in ("two-choice", "d-choice"):
+        # integers throughout: int / int is correctly rounded, and n^d may
+        # pass float64's range
         d = 2 if spec.kind == "two-choice" else spec.d
-        nd = float(n) ** d
+        nd = n ** d
         return ProbabilityVector(probs=tuple(
             ((i + 1) ** d - i ** d) / nd for i in range(n)))
     if spec.kind == "one-plus-beta":
@@ -293,8 +290,7 @@ def _choice_law(ends: np.ndarray, d: int) -> np.ndarray:
 
 def _edge_law(spec: ProcessSpec, state: LoadState) -> np.ndarray:
     """P(a uniform edge's lesser-loaded endpoint has rank r), O(|E|)."""
-    edges = np.asarray(spec.graph.edges)
-    eu, ev = edges[:, 0], edges[:, 1]
+    eu, ev = spec.graph.endpoints
     rank, loads = state.rank_of, state.loads
     ru, rv = rank[eu], rank[ev]
     if spec.tie_rule == "random":
@@ -553,17 +549,10 @@ def _check_rank_vector(pv: np.ndarray) -> None:
 
 def _batched_round(loads: np.ndarray, counts: np.ndarray) -> None:
     """Reference batched round: add ``counts[r]`` unit balls to the bin of
-    rank r in the round-start ranking, heaviest first, ties by ascending id.
-    Unit balls keep ``loads`` whole numbers, so while their spread fits in
-    16 bits the ranking is a stable (radix, O(n)) sort of each bin's
-    distance below the heaviest.  ``kernel.batched_rounds`` does the same in
-    C and must agree with this exactly."""
-    top = loads.max()
-    if top - loads.min() < 1 << 16:
-        order = np.argsort((top - loads).astype(np.uint16), kind="stable")
-    else:
-        order = np.lexsort((np.arange(len(loads)), -loads))
-    loads[order] += counts
+    rank r in the round-start ranking, heaviest first, ties by ascending id
+    (one stable sort).  ``kernel.batched_rounds`` does the same in C and
+    must agree with this exactly."""
+    loads[np.lexsort((np.arange(len(loads)), -loads))] += counts
 
 
 # -- draw sources and engines -----------------------------------------------
@@ -605,32 +594,37 @@ class _ChunkSource:
 
 
 class _ScriptSource:
-    """Replays fixed draw lists once; raises when a stream runs dry."""
+    """Replays fixed draw lists once, each stream as one chunk; raises when
+    a stream runs dry."""
 
     def __init__(self, bins=(), floats=(), weights=(), edges=()):
-        self._bins = list(bins)
-        self._floats = list(floats)
-        self._weights = list(weights)
-        self._edges = list(edges)
+        self._lists = dict(bins=list(bins), floats=list(floats),
+                           weights=list(weights), edges=list(edges))
 
     def _take(self, name):
-        buf = getattr(self, name)
+        buf = self._lists[name]
         if not buf:
-            raise ValueError(f"scripted {name[1:]} exhausted")
-        setattr(self, name, [])
+            raise ValueError(f"scripted {name} exhausted")
+        self._lists[name] = []
         return buf
 
     def bins(self):
-        return self._take("_bins")
+        return self._take("bins")
 
     def floats(self):
-        return self._take("_floats")
+        return self._take("floats")
 
     def weights(self):
-        return self._take("_weights")
+        return self._take("weights")
 
     def edges(self):
-        return self._take("_edges")
+        return self._take("edges")
+
+    def lists(self) -> dict[str, list]:
+        """Every stream's unread list at once, by name, for the kernel to
+        load whole; the script is then spent."""
+        lists, self._lists = self._lists, dict.fromkeys(self._lists, [])
+        return lists
 
 
 class _StepEngine:
@@ -655,18 +649,21 @@ class _StepEngine:
 
 
 def make_engine(spec: ProcessSpec, n: int, rng: np.random.Generator | None = None,
-                source=None):
+                source: _ScriptSource | None = None):
     """Build the per-ball engine for one run: the compiled kernel, or
     ``_StepEngine`` when the kernel cannot be built.  Both read the
-    ``_ChunkSource`` of ``rng``, which the kernel draws itself, or a source
-    the tests and selftest inject, which the kernel calls back for chunks."""
+    ``_ChunkSource`` of ``rng``, which the kernel draws itself, or the
+    ``_ScriptSource`` the tests and selftest hand in, which the kernel
+    loads as arrays."""
+    if source is not None and not isinstance(source, _ScriptSource):
+        raise TypeError(f"make_engine replays a _ScriptSource, not {type(source).__name__}")
     lib = kernel.load()
     chunks = _source(spec, n, rng, source)
     if lib is None:
         return _StepEngine(spec, n, chunks)
     if source is None:
         return kernel.KernelEngine(lib, spec, n, rng=rng, chunk=_CHUNK)
-    return kernel.KernelEngine(lib, spec, n, source)
+    return kernel.KernelEngine(lib, spec, n, script=source)
 
 
 def _n_edges(spec: ProcessSpec) -> int:
@@ -692,10 +689,9 @@ class _BatchedEngine:
     any draw.  The compiled kernel runs an advance's rounds in one call
     (``kernel.batched_rounds``): it draws each row as
     ``rng.multinomial(b, pv)`` would, from the ``rank_tables`` of the cell,
-    and ranks and applies it.  Without the kernel, the rows come from
-    ``rng.multinomial(b, pv, size=k)`` calls of at most ``_DRAW_COUNTS``
-    counts (one row when n is larger), which numpy draws exactly as k
-    single calls, and ``_batched_round`` applies them one at a time."""
+    and ranks and applies it.  Without the kernel, each round is that
+    ``rng.multinomial(b, pv)`` call and ``_batched_round``: the reference
+    the kernel is pinned to."""
 
     def __init__(self, spec: ProcessSpec, n: int, b: int, rng: np.random.Generator):
         if spec.weights.kind != "unit":
@@ -719,15 +715,10 @@ class _BatchedEngine:
         if self._lib is not None:
             kernel.batched_rounds(self._lib, self._rng, self._tables, self._b, rounds,
                                   self.loads)
-            self.balls += self._b * rounds
-            return
-        per_draw = max(1, _DRAW_COUNTS // len(self.loads))
-        while rounds:
-            counts = self._rng.multinomial(self._b, self._pv, size=min(rounds, per_draw))
-            for row in counts:
-                _batched_round(self.loads, row)
-            rounds -= len(counts)
-            self.balls += self._b * len(counts)
+        else:
+            for _ in range(rounds):
+                _batched_round(self.loads, self._rng.multinomial(self._b, self._pv))
+        self.balls += self._b * rounds
 
 
 # -- runs and probes ------------------------------------------------------------

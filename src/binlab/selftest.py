@@ -212,6 +212,8 @@ def check_empirical_matches_formulas():
 
 
 def check_engine_agreement():
+    # make_engine replays each script on the kernel, which loads it as
+    # arrays, or on _StepEngine; both must end where step ends
     cases = [
         ("one-choice", "unit", None),
         ("two-choice", "unit", None),

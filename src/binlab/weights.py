@@ -67,14 +67,20 @@ class WeightDistribution:
             return 1.0
         if self.kind == "exp1":
             return 0.25
-        # discrete kinds: largest dyadic 2^-k with mgf(2*zeta) finite and modest
+        # discrete kinds: the largest dyadic 2^-k, down to 2^-20, with
+        # mgf(2*zeta) finite and at most _MGF_CAP, judged on log_mgf, which
+        # does not cancel; an overflow, or a rounding past the pole, is above
         z = 1.0
-        while True:
-            if 2 * z < self.mgf_sup() and _mgf_closed(self, 2 * z) <= _MGF_CAP:
-                return z
+        while z >= 2 ** -20:
+            if 2 * z < self.mgf_sup():
+                try:
+                    if log_mgf(self, 2 * z) <= math.log(_MGF_CAP):
+                        return z
+                except (OverflowError, ValueError):
+                    pass
             z /= 2
-            if z < 2 ** -20:
-                raise ValueError("could not find workable zeta")
+        raise ValueError(f"{self.label()} weights have no workable zeta >= 2^-20: "
+                         f"mgf(2^-19) exceeds {_MGF_CAP:g}")
 
     def mgf_sup(self) -> float:
         """Supremum of the finite region of the mgf (may be inf)."""

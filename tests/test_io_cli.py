@@ -16,6 +16,7 @@ import sys
 from dataclasses import fields
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from binlab import configfile, experiments, kernel
@@ -25,6 +26,7 @@ from binlab.experiments import ExperimentConfig
 from binlab.graphs import complete_graph, cycle_graph, write_graph_file
 from binlab.svgplot import PlotSpec, Series, render_series, render_svg, table_series
 from binlab.tableio import Table, dumps_csv, format_cell, read_csv, write_csv
+from binlab.weights import POISSON_LAM_MAX, parse_weights
 
 
 # -- tableio -------------------------------------------------------------------
@@ -248,6 +250,60 @@ def test_cli_vector_rejects_dynamic_process(capsys):
 def test_cli_vector_rejects_n_below_one(capsys, n):
     assert main(["vector", "two-choice", n]) == 1
     assert capsys.readouterr().err == f"error: n must be >= 1, got {n}\n"
+
+
+# every text the parse paths take ends in an exit code or a ValueError, never
+# a traceback: process texts and sizes for ``vector`` (d-choice up to
+# d = 200 at n <= 4096), and weight parameters numpy accepts
+VECTOR_TEXTS = ("one-choice", "two-choice", "one-plus-beta:beta=0.5", "quantile:delta=0.25",
+                "twinning:delta=0.5", "reset-memory", "graphical", "d-choice:d=0",
+                "d-choice:d=x", "two-choice:beta=1", "bogus",
+                *(f"d-choice:d={d}" for d in (1, 3, 8, 52, 53, 100, 200)))
+
+
+@pytest.mark.parametrize("text", VECTOR_TEXTS)
+def test_cli_vector_never_raises(capsys, text):
+    for n in ("1", "2", "3", "1000", "4096"):
+        assert main(["vector", text, n]) in (0, 1), (text, n)
+
+
+# each range whole, and denser where the default zeta moves
+WEIGHT_TEXTS = [f"{law}={x!r}" for law, grid in (
+    ("poisson:l", (np.geomspace(5e-324, POISSON_LAM_MAX, 48), np.geomspace(1e-8, 10, 32))),
+    ("geom:p", (np.geomspace(5e-324, 0.999, 48), np.geomspace(1e-16, 0.999, 32))))
+    for x in np.concatenate(grid).tolist()] + ["poisson:l=0.25", "geom:p=1.6e-8"]
+
+
+@pytest.mark.parametrize("text", WEIGHT_TEXTS)
+def test_parse_weights_raises_only_value_error(text):
+    try:
+        w = parse_weights(text)
+    except ValueError as exc:
+        assert text.partition(":")[0] in str(exc)  # the message names the law
+    else:
+        assert w.label().partition("=")[0] == text.partition("=")[0]
+
+
+@pytest.mark.parametrize("command", ["vector", "batched", "drift-check"])
+def test_cli_d_choice_beyond_float_range_exits_0(tmp_path, monkeypatch, capsys, command):
+    # n^d = 2000^100 overflows float64
+    monkeypatch.setenv("BINLAB_OUT", str(tmp_path))
+    cfg = tmp_path / "wide.cfg"
+    cfg.write_text("processes = d-choice:d=100\nns = 2000\nm = 2n\nseed = 3\n"
+                   + ("batches = 1n\n" if command == "batched" else ""))
+    argv = {"vector": ["vector", "d-choice:d=100", "2000"],
+            "batched": ["simulate", str(cfg)], "drift-check": ["drift-check", str(cfg)]}
+    assert main(argv[command]) == 0
+    assert capsys.readouterr().err == ""
+
+
+def test_cli_simulate_small_poisson_mean(tmp_path, monkeypatch, capsys):
+    # its default zeta overflowed float64's exp when the law was parsed
+    monkeypatch.setenv("BINLAB_OUT", str(tmp_path))
+    cfg = tmp_path / "light.cfg"
+    cfg.write_text("processes = two-choice\nns = 8\nm = 10n\nweights = poisson:l=0.1\n")
+    assert main(["simulate", str(cfg)]) == 0
+    assert (tmp_path / "runs.csv").exists()
 
 
 def test_cli_conductance_exact(tmp_path, capsys):

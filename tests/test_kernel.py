@@ -3,17 +3,18 @@
 ``step`` is the oracle.  ``_StepEngine``, the engine ``make_engine`` falls
 back to without a compiler, runs it ball by ball on the draw chunks the
 kernel reads, under the same rule: a decision needing k bins discards a
-chunk holding fewer.  Each kernel run is compared with it on the same
-source: loads with ``==``, and the ball counts.  The full matrix of kinds,
-weight laws, tie rules and sizes runs on short seeded chunks, so refills
-and discards come every few balls; the same matrix checks the engine
-interface on both engines, and on ``_BatchedEngine`` where a case can be
-batched.  One run per kind on the real 16 384-draw chunks crosses a chunk
-boundary on each stream it reads, save reset-memory's rare tie coins.
-Seeded engines, which draw their chunks in the kernel with numpy's fill
-functions, are compared with ``_StepEngine`` on the ``_ChunkSource`` of the
-same seed, loads and generator state, for every kind, weight law and tie
-rule, and make no Python call while they advance.  The
+chunk holding fewer.  A seeded kernel engine draws its chunks itself, with
+numpy's fill functions; it is compared with ``_StepEngine`` on the
+``_ChunkSource`` of the same seed: loads with ``==``, the ball counts, and
+the generator's state.  The full matrix of kinds, weight laws, tie rules
+and sizes runs on chunks of 7 draws, so refills and discards come every
+few balls; the same matrix checks the engine interface on both engines,
+and on ``_BatchedEngine`` where a case can be batched.  One run per kind
+on the real 16 384-draw chunks crosses a chunk boundary on each stream it
+reads, save reset-memory's rare tie coins.  Chunks of 61 draws check every
+weight law.  A scripted engine, which the kernel reads from arrays, replays
+the exact path and fails where it fails: a first decision too short for
+its script, a stream that runs dry.  The
 threshold kinds' top set is stressed at both ends of t, on draws that
 spread the loads wide, and at n = 1024.  Two engines of each family
 advanced at once on two threads end as serial runs do, and so do three
@@ -102,33 +103,25 @@ def _advance_checked(eng, target, overshoot, unit):
         assert eng.loads.sum() == eng.balls
 
 
-class _ShortChunks:
-    """Seeded chunks of odd, small lengths: decisions needing two or three
-    bins often find fewer left and must discard them."""
+def _plain(state):
+    """A bit generator's state with its arrays as lists, for ``==``."""
+    if isinstance(state, dict):
+        return {key: _plain(value) for key, value in state.items()}
+    return state.tolist() if isinstance(state, np.ndarray) else state
 
-    def __init__(self, seed, spec, n):
-        self.rng = make_generator(seed)
-        self.n, self.n_edges, self.wdist = n, _n_edges(spec), spec.weights
 
-    def bins(self):
-        return self.rng.integers(0, self.n, size=7)
-
-    def edges(self):
-        return self.rng.integers(0, self.n_edges, size=7)
-
-    def floats(self):
-        return self.rng.random(5)
-
-    def weights(self):
-        return self.wdist.sample(self.rng, 3)
+# chunks of 7 draws: decisions needing two or three bins often find fewer
+# left and must discard them
+SHORT_CHUNK = 7
 
 
 @pytest.mark.parametrize("text,wtext,tie,n", CASES,
                          ids=["-".join(map(str, c)) for c in CASES])
-def test_kernel_matches_reference(compiled, text, wtext, tie, n):
+def test_kernel_matches_reference(compiled, monkeypatch, text, wtext, tie, n):
+    monkeypatch.setattr(processes, "_CHUNK", SHORT_CHUNK)
     spec = _spec(text, wtext, tie, n)
-    eng = make_engine(spec, n, source=_ShortChunks(41, spec, n))
-    ref = _fallback(spec, n, source=_ShortChunks(41, spec, n))
+    rng, ref_rng = make_generator(41, n), make_generator(41, n)
+    eng, ref = make_engine(spec, n, rng), _fallback(spec, n, ref_rng)
     assert isinstance(eng, kernel.KernelEngine)
     unit, over = wtext == "unit", OVERSHOOT.get(spec.kind, 1)
     batched = None
@@ -138,6 +131,7 @@ def test_kernel_matches_reference(compiled, text, wtext, tie, n):
         _advance_checked(eng, target, over, unit)
         _advance_checked(ref, target, over, unit)
         assert _same(eng, ref), (text, wtext, tie, n, target)
+        assert _plain(rng.bit_generator.state) == _plain(ref_rng.bit_generator.state)
         if batched is not None:
             _advance_checked(batched, target, BATCH, unit)
             assert batched.balls % BATCH == 0
@@ -190,8 +184,8 @@ ACROSS_CHUNKS = [
 def test_kernel_matches_step_across_chunks(compiled, text, wtext, n, target, streams):
     spec = _spec(text, wtext, "random", n)
     src = _CountingChunks(make_generator(5, n), n, spec.weights, _n_edges(spec))
-    eng = make_engine(spec, n, source=src)
-    ref = _fallback(spec, n, make_generator(5, n))
+    eng = make_engine(spec, n, make_generator(5, n))
+    ref = _StepEngine(spec, n, src)
     eng.advance(target)
     ref.advance(target)
     assert _same(eng, ref)
@@ -207,13 +201,6 @@ LAWS = ("unit", "exp1", "geom:p=0.5", "poisson:l=2")
 NATIVE_CASES = [(k, w, tie) for k, w, tie in itertools.product(
                     KINDS, LAWS, ("higher-index", "random"))
                 if w == "unit" or k.partition(":")[0] not in UNIT_ONLY]
-
-
-def _plain(state):
-    """A bit generator's state with its arrays as lists, for ``==``."""
-    if isinstance(state, dict):
-        return {key: _plain(value) for key, value in state.items()}
-    return state.tolist() if isinstance(state, np.ndarray) else state
 
 
 def _draws_match(spec, n, seed, targets):
@@ -250,24 +237,6 @@ def test_kernel_draws_match_chunk_source_at_the_edges(compiled, monkeypatch, tex
     monkeypatch.setattr(processes, "_CHUNK", chunk)
     for wtext, tie in (("unit", "random"), ("poisson:l=2", "higher-index")):
         _draws_match(_spec(text, wtext, tie, n), n, 29, targets)
-
-
-def test_seeded_engine_makes_no_python_call(compiled, monkeypatch):
-    calls = []
-    callback = kernel._Refill
-    monkeypatch.setattr(kernel, "_Refill",
-                        lambda fn: callback(lambda w: calls.append(w) or fn(w)))
-    n, target = 16, 3 * _CHUNK  # past every stream's first chunk
-    for text, wtext in (("one-plus-beta:beta=0.5", "exp1"), ("graphical", "geom:p=0.5"),
-                        ("quantile:delta=0.5", "poisson:l=2")):
-        spec = _spec(text, wtext, "random", n)
-        make_engine(spec, n, make_generator(3)).advance(target)
-        assert calls == [], text
-        # the same run on an injected source is called back for each chunk
-        make_engine(spec, n, source=_ChunkSource(make_generator(3), n, spec.weights,
-                                                 _n_edges(spec))).advance(target)
-        assert len(calls) > 3, text
-        calls.clear()
 
 
 def test_long_seeded_advance_stops_on_ctrl_c(compiled):
@@ -323,16 +292,17 @@ def test_kernel_replays_exact_path_with_random_ties(compiled, text, wtext):
 
 
 @pytest.mark.parametrize("text", KINDS)
-def test_short_chunks_discard_like_reference(compiled, text):
+def test_short_chunks_discard_like_reference(compiled, monkeypatch, text):
     # step itself, not through _StepEngine, over the kernel's chunks
+    monkeypatch.setattr(processes, "_CHUNK", SHORT_CHUNK)
     n = 16
     wtext = "unit" if text.partition(":")[0] in UNIT_ONLY else "exp1"
     spec = _spec(text, wtext, "random", n)
-    eng = make_engine(spec, n, source=_ShortChunks(2, spec, n))
+    eng = make_engine(spec, n, make_generator(2))
     eng.advance(500)
     state = new_state(n)
     draws = _Draws(n, spec.weights, n_edges=_n_edges(spec),
-                   source=_ShortChunks(2, spec, n))
+                   source=_source(spec, n, make_generator(2), None))
     balls = 0
     while balls < 500:
         balls += len(step(spec, state, draws=draws))
@@ -345,6 +315,46 @@ def test_script_exhaustion_raises_through_kernel(compiled):
     assert isinstance(eng, kernel.KernelEngine)
     with pytest.raises(ValueError, match="scripted bins exhausted"):
         eng.advance(10)
+
+
+# scripts the exact path refuses part-way: (kind, weights, script, the
+# error, the balls allocated before it)
+FAILING_SCRIPTS = [
+    ("two-choice", "unit", dict(bins=[3]), IndexError, "shorter", 0),
+    ("d-choice:d=3", "unit", dict(bins=[0, 1, 2, 3, 1]), ValueError,
+     "scripted bins exhausted", 1),
+    ("one-choice", "unit", dict(), ValueError, "scripted bins exhausted", 0),
+    ("reset-memory", "unit", dict(bins=[2]), IndexError, "shorter", 0),
+    # one-plus-beta reads a float first, and it decides one bin or two
+    ("one-plus-beta:beta=0.5", "unit", dict(bins=[1], floats=[0.25]), IndexError,
+     "shorter", 0),
+    ("one-plus-beta:beta=0.5", "unit", dict(bins=[1, 2], floats=[0.75, 0.25]),
+     ValueError, "scripted bins exhausted", 1),
+    ("one-plus-beta:beta=0.5", "unit", dict(bins=[1, 2, 3], floats=[0.75, 0.75]),
+     ValueError, "scripted floats exhausted", 2),
+    ("two-choice", "exp1", dict(bins=[0, 1, 2, 3], weights=[0.5]), ValueError,
+     "scripted weights exhausted", 1),
+    # the second ball's weight is missing: neither ball of the round lands
+    ("reset-memory", "exp1", dict(bins=[0, 1, 2, 3], weights=[0.5, 0.25, 0.125]),
+     ValueError, "scripted weights exhausted", 2),
+    ("graphical", "unit", dict(edges=[0, 1, 2], bins=[0] * 9), ValueError,
+     "scripted edges exhausted", 3),
+]
+
+
+@pytest.mark.parametrize("text,wtext,script,error,match,balls", FAILING_SCRIPTS,
+                         ids=[f"{c[0]}-{c[4].replace(' ', '-')}" for c in FAILING_SCRIPTS])
+def test_script_fails_alike_on_kernel_and_step(compiled, text, wtext, script, error,
+                                               match, balls):
+    n = 4
+    spec = _spec(text, wtext, n=n)
+    engines = (make_engine(spec, n, source=_ScriptSource(**script)),
+               _fallback(spec, n, source=_ScriptSource(**script)))
+    assert isinstance(engines[0], kernel.KernelEngine)
+    for eng in engines:
+        with pytest.raises(error, match=match):
+            eng.advance(10)
+    assert _same(*engines) and engines[0].balls == balls
 
 
 @pytest.mark.parametrize("m", [1 << 63, (1 << 64) + 16])

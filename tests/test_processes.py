@@ -95,6 +95,14 @@ def test_d_choice_vector_frozen():
     assert p.probs == pytest.approx((1 / 64, 7 / 64, 19 / 64, 37 / 64), abs=1e-15)
 
 
+@pytest.mark.parametrize("d,n", [(8, 1000), (100, 2000), (3, 16384)])
+def test_d_choice_vector_is_the_round_law_row(d, n):
+    # n^d past 2^53 (correct rounding) and past float64's range (no overflow)
+    spec = parse_process(f"d-choice:d={d}")
+    want = round_law(spec, LoadState(n))[(1, 1)]
+    assert allocation_vector(spec, n).array.tolist() == want.tolist()
+
+
 def test_one_plus_beta_vector_endpoints():
     n = 8
     flat = allocation_vector(parse_process("one-plus-beta:beta=0"), n)
@@ -617,8 +625,8 @@ def test_batched_round_freezes_round_start_ranking():
 RANKING_LOADS = [
     [0.0],                                   # n = 1
     [3.0, 3.0, 1.0, 3.0, 1.0, 0.0, 3.0],     # ties
-    [0.0, 65535.0, 7.0, 65535.0, 0.0],       # widest spread the radix sort takes
-    [0.0, 65536.0, 7.0, 65536.0, 0.0, 1.0],  # spread >= 2^16: lexsort branch
+    [0.0, 65535.0, 7.0, 65535.0, 0.0],       # widest spread the kernel's counting sort takes
+    [0.0, 65536.0, 7.0, 65536.0, 0.0, 1.0],  # spread >= 2^16: its comparison sort
     [1e6, 2e6, 1e6, 3.0, 2e6],
     [65530.0, 0.0, 65530.0, 0.0],            # rounds move the spread past 2^16
 ]
@@ -641,7 +649,7 @@ def test_batched_round_ranking_matches_lexsort(loads):
     n = len(loads)
     counts = _rank_counts(n, 1)[0]
     want = loads.copy()
-    want[np.lexsort((np.arange(n), -loads))] += counts
+    want[sorted(range(n), key=lambda b: (-loads[b], b))] += counts
     got = loads.copy()
     _batched_round(got, counts)
     assert got.tolist() == want.tolist()

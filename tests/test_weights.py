@@ -68,6 +68,25 @@ def test_default_zetas():
     geo = parse_weights("geom:p=0.5")
     assert geo.zeta > 0 and 2 * geo.zeta < geo.mgf_sup()
     assert math.log2(geo.zeta) == int(math.log2(geo.zeta))  # dyadic
+    for text, zeta in (("geom:p=0.5", 0.5), ("poisson:l=0.3", 0.25), ("poisson:l=0.5", 0.5),
+                       ("poisson:l=1", 1.0), ("poisson:l=2", 1.0)):
+        assert parse_weights(text).zeta == zeta, text
+
+
+@pytest.mark.parametrize("text,zeta", [
+    ("poisson:l=0.25", 0.25), ("poisson:l=0.1", 0.125),  # mgf(2) overflowed float64
+    ("geom:p=1.6e-8", 0.25), ("geom:p=1e-10", 0.25),     # 1 - (1-p)e^(pz) cancelled to 0
+    ("geom:p=5.2e-15", 0.25),  # the cancelled form read mgf(1) as modest; it is about 2/p
+])
+def test_default_zeta_of_extreme_laws(text, zeta):
+    w = parse_weights(text)
+    assert w.zeta == zeta
+    assert log_mgf(w, 2 * w.zeta) <= math.log(1e3) < log_mgf(w, 4 * w.zeta)
+
+
+def test_law_without_a_workable_zeta_is_named():
+    with pytest.raises(ValueError, match=r"poisson:l=1e-09 weights have no workable zeta"):
+        parse_weights("poisson:l=1e-9")
 
 
 def test_mgf_sup():
